@@ -28,7 +28,7 @@ def test_bound_ablation(benchmark, full_suite):
     matrix = subset[0][1]
     benchmark.pedantic(
         lambda: run_coverage_campaign(
-            matrix, "block", trials=30, sigma=SIGMA, seed=12, bound="sparse"
+            matrix, "abft", trials=30, sigma=SIGMA, seed=12, bound="sparse"
         ),
         rounds=1,
         iterations=1,

@@ -25,7 +25,7 @@ def test_overlap_ablation(benchmark, full_suite):
 
     matrix = subset[0][1]
     serial = Machine(TESLA_K80_NO_OVERLAP)
-    benchmark(lambda: detection_overhead(matrix, "block", machine=serial))
+    benchmark(lambda: detection_overhead(matrix, "abft", machine=serial))
 
 
 def test_streams_parameter_validation(benchmark):

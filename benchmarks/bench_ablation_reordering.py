@@ -7,10 +7,10 @@ reverse Cuthill-McKee, and measures the effect on ``nnz(C)`` and the
 modeled detection overhead — quantifying how much the paper's scheme
 depends on (and benefits from) good orderings.
 
-Ordering also decides what the plan-time format heuristics see: BSR fill
-ratio and ELL padding are properties of the *ordered* pattern, so each
-ordering row additionally records the per-format structure (probed tile
-fill, padding ratio, and what ``auto`` would select).  Results go to
+Ordering also decides what the plan-time format heuristic sees: BSR fill
+ratio is a property of the *ordered* pattern, so each ordering row
+additionally records the probed tile fill and what ``auto`` would
+select.  Results go to
 ``results/ablation_reordering.txt`` and machine-readable
 ``results/BENCH_reordering.json``.
 """
@@ -21,7 +21,6 @@ from repro.analysis import detection_overhead, format_table
 from repro.core import ChecksumMatrix
 from repro.sparse import (
     bandwidth,
-    ell_padding_ratio,
     probe_block_shape,
     random_permutation,
     reverse_cuthill_mckee,
@@ -49,9 +48,8 @@ def test_reordering_ablation(benchmark):
         ("scrambled + RCM", restored),
     ):
         checksum = ChecksumMatrix.build(matrix, block_size=BLOCK_SIZE)
-        overhead = detection_overhead(matrix, "block")
+        overhead = detection_overhead(matrix, "abft")
         block_shape, fill = probe_block_shape(matrix)
-        padding = ell_padding_ratio(matrix)
         choice, _ = select_format(matrix, "auto")
         stats[label] = (checksum.sparsity_gain, overhead)
         orderings[label] = {
@@ -61,7 +59,6 @@ def test_reordering_ablation(benchmark):
             "formats": {
                 "bsr_fill_ratio": fill,
                 "bsr_block_shape": list(block_shape),
-                "ell_padding_ratio": padding,
                 "auto_choice": choice.format,
                 "auto_reason": choice.reason,
             },
@@ -73,7 +70,6 @@ def test_reordering_ablation(benchmark):
                 f"{checksum.sparsity_gain:.3f}",
                 f"{overhead:.1%}",
                 f"{fill:.3f}",
-                f"{padding:.2f}",
                 choice.format,
             )
         )
@@ -84,7 +80,6 @@ def test_reordering_ablation(benchmark):
             "nnz(C)/nnz(A)",
             "detection overhead",
             "BSR fill",
-            "ELL padding",
             "auto",
         ),
         rows,
@@ -105,10 +100,6 @@ def test_reordering_ablation(benchmark):
                 if fmt["scrambled"]["bsr_fill_ratio"]
                 else None
             ),
-        },
-        "ell_padding_ratio": {
-            "scrambled": fmt["scrambled"]["ell_padding_ratio"],
-            "restored": fmt["scrambled + RCM"]["ell_padding_ratio"],
         },
         "checksum_sparsity_gain": {
             "scrambled": stats["scrambled"][0],

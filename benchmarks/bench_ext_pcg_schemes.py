@@ -13,7 +13,7 @@ from conftest import PCG_MAX_ITERATION_FACTOR, write_result
 from repro.analysis import format_table, mean, percent, runtime_overhead
 from repro.solvers import FtPcgOptions, run_pcg
 
-SCHEMES = ("unprotected", "ours", "dual", "hybrid", "partial", "checkpoint")
+SCHEMES = ("unprotected", "abft", "dual", "hybrid", "bisection", "checkpoint")
 RATES = (1e-6, 3e-5)
 RUNS = 4
 MATRICES = ("nos3", "bcsstk21")
@@ -64,11 +64,11 @@ def test_six_scheme_pcg(benchmark, pcg_suite):
     )
     write_result("ext_pcg_schemes", table)
 
-    # The ABFT family (ours/dual/hybrid) dominates the related work at the
+    # The ABFT family (abft/dual/hybrid) dominates the related work at the
     # harsh rate, and the hybrid never does worse than plain checkpointing.
     harsh = RATES[-1]
-    for scheme in ("ours", "dual", "hybrid"):
-        assert stats[(scheme, harsh)][0] >= stats[("partial", harsh)][0]
+    for scheme in ("abft", "dual", "hybrid"):
+        assert stats[(scheme, harsh)][0] >= stats[("bisection", harsh)][0]
         assert stats[(scheme, harsh)][0] >= stats[("checkpoint", harsh)][0]
     assert stats[("hybrid", harsh)][0] >= stats[("checkpoint", harsh)][0]
 

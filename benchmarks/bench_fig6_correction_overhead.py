@@ -21,11 +21,11 @@ def test_fig6_correction_overhead(benchmark, full_suite):
         full_suite, trials=CORRECTION_TRIALS, seed=0
     )
     report = render_correction_comparison(comparison)
-    ours = comparison.overheads("ours")
+    ours = comparison.overheads("abft")
     paper_note = (
         "paper: ours 13.6%..155.7%, reductions 43.8% (vs partial) / 55.7% (vs complete) | "
         f"measured: ours {min(ours):.1%}..{max(ours):.1%}, reductions "
-        f"{comparison.average_reduction_vs('partial'):.1%} / "
+        f"{comparison.average_reduction_vs('bisection'):.1%} / "
         f"{comparison.average_reduction_vs('complete'):.1%}"
     )
     write_result("fig6_correction_overhead", f"{report}\n{paper_note}")
@@ -33,29 +33,29 @@ def test_fig6_correction_overhead(benchmark, full_suite):
     # Ours wins on every matrix against both baselines.
     for index in range(len(comparison.names)):
         assert (
-            comparison.timings["ours"][index].overhead
-            < comparison.timings["partial"][index].overhead
+            comparison.timings["abft"][index].overhead
+            < comparison.timings["bisection"][index].overhead
         )
         assert (
-            comparison.timings["ours"][index].overhead
+            comparison.timings["abft"][index].overhead
             < comparison.timings["complete"][index].overhead
         )
     # Our model overshoots the paper's reductions (43.8 % / 55.7 %): the
     # baselines' blocking scalar round trips weigh heavier against our
     # reduced-scale matrices than on the authors' testbed.  The window
     # bounds the measured values; EXPERIMENTS.md discusses the gap.
-    assert 0.3 < comparison.average_reduction_vs("partial") < 0.95
+    assert 0.3 < comparison.average_reduction_vs("bisection") < 0.95
     assert 0.3 < comparison.average_reduction_vs("complete") < 0.95
     # On average, localization beats complete recomputation at these scales
     # (per-matrix it may not, for the smallest matrices — as in the paper,
     # where partial recomputation targets large problems).
-    assert mean(comparison.overheads("partial")) != mean(
+    assert mean(comparison.overheads("bisection")) != mean(
         comparison.overheads("complete")
     )
 
     matrix = full_suite[9][1]  # ex9
     benchmark.pedantic(
-        lambda: run_correction_campaign(matrix, "ours", trials=4, seed=1),
+        lambda: run_correction_campaign(matrix, "abft", trials=4, seed=1),
         rounds=1,
         iterations=1,
     )

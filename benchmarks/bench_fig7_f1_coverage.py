@@ -23,14 +23,14 @@ def test_fig7_f1_coverage(benchmark, full_suite):
         full_suite, sigmas=FIGURE7_SIGMAS, trials=COVERAGE_TRIALS, seed=0
     )
     report = render_coverage_comparison(comparison)
-    ours_12 = comparison.average_f1("block", 1e-12)
-    dense_12 = comparison.average_f1("dense", 1e-12)
+    ours_12 = comparison.average_f1("abft", 1e-12)
+    dense_12 = comparison.average_f1("dense_check", 1e-12)
     paper_note = (
         "paper @1e-12: ours avg 0.81 vs dense much lower (52.2% improvement); "
         "ours avg 0.88 @1e-10, 0.95 @1e-8 | "
         f"measured @1e-12: ours {ours_12:.3f} vs dense {dense_12:.3f}; "
-        f"ours {comparison.average_f1('block', 1e-10):.3f} @1e-10, "
-        f"{comparison.average_f1('block', 1e-8):.3f} @1e-8"
+        f"ours {comparison.average_f1('abft', 1e-10):.3f} @1e-10, "
+        f"{comparison.average_f1('abft', 1e-8):.3f} @1e-8"
     )
     write_result("fig7_f1_coverage", f"{report}\n{paper_note}")
 
@@ -40,16 +40,16 @@ def test_fig7_f1_coverage(benchmark, full_suite):
             assert block.f1 > dense.f1
     # F1 grows with sigma (easier errors), as in the paper.
     assert (
-        comparison.average_f1("block", 1e-8)
-        >= comparison.average_f1("block", 1e-10)
-        >= comparison.average_f1("block", 1e-12)
+        comparison.average_f1("abft", 1e-8)
+        >= comparison.average_f1("abft", 1e-10)
+        >= comparison.average_f1("abft", 1e-12)
     )
     assert ours_12 > 0.7
     assert dense_12 < 0.5
 
     matrix = full_suite[0][1]  # nos3
     benchmark.pedantic(
-        lambda: run_coverage_campaign(matrix, "block", trials=30, sigma=1e-10, seed=1),
+        lambda: run_coverage_campaign(matrix, "abft", trials=30, sigma=1e-10, seed=1),
         rounds=1,
         iterations=1,
     )

@@ -22,7 +22,7 @@ from conftest import PCG_MAX_ITERATION_FACTOR, PCG_RUNS_PER_CELL, write_result
 from repro.analysis import PCG_ERROR_RATES, render_pcg_cells, sweep_pcg
 from repro.solvers import FtPcgOptions, run_pcg
 
-SCHEMES = ("ours", "partial", "checkpoint")
+SCHEMES = ("abft", "bisection", "checkpoint")
 
 
 @pytest.fixture(scope="module")
@@ -41,27 +41,27 @@ def pcg_cells(pcg_suite):
 def test_fig8_pcg_overhead(benchmark, pcg_suite, pcg_cells):
     report = render_pcg_cells(pcg_cells, schemes=SCHEMES, rates=PCG_ERROR_RATES)
     low, high = PCG_ERROR_RATES[0], PCG_ERROR_RATES[-1]
-    ours_low = pcg_cells[("ours", low)].mean_overhead
+    ours_low = pcg_cells[("abft", low)].mean_overhead
     paper_note = (
         "paper Fig. 8: ours 39.8%->52.3%, partial 58.4%->87.4%, "
         "checkpoint 62.9%->162.9% (1e-8 -> 1e-4) | "
         f"measured at 1e-8: ours {ours_low:.1%}, "
-        f"partial {pcg_cells[('partial', low)].mean_overhead:.1%}, "
+        f"partial {pcg_cells[('bisection', low)].mean_overhead:.1%}, "
         f"checkpoint {pcg_cells[('checkpoint', low)].mean_overhead:.1%}"
     )
     write_result("fig8_pcg_overhead", f"{report}\n{paper_note}")
 
     # Low-rate ordering: ours < partial and ours < checkpoint (Fig. 8 left).
-    assert ours_low < pcg_cells[("partial", low)].mean_overhead
+    assert ours_low < pcg_cells[("bisection", low)].mean_overhead
     assert ours_low < pcg_cells[("checkpoint", low)].mean_overhead
     # Ours stays cheap as the rate scales four orders of magnitude.
-    ours_high = pcg_cells[("ours", high)].mean_overhead
+    ours_high = pcg_cells[("abft", high)].mean_overhead
     assert ours_high is not None, "ours must still produce correct runs at 1e-4"
     assert ours_high < 4.0 * max(ours_low, 0.2)
 
     matrix, b = _one_system(pcg_suite)
     benchmark.pedantic(
-        lambda: run_pcg(matrix, b, scheme="ours", error_rate=1e-7, seed=5),
+        lambda: run_pcg(matrix, b, scheme="abft", error_rate=1e-7, seed=5),
         rounds=1,
         iterations=1,
     )
@@ -73,8 +73,8 @@ def test_fig9_pcg_success(benchmark, pcg_suite, pcg_cells):
     paper_note = (
         "paper Fig. 9: ~100% for all at 1e-8; at the high end ours is 1.61x "
         "partial and 3.6x checkpointing | measured at "
-        f"{high:g}: ours {pcg_cells[('ours', high)].success_rate:.0%}, "
-        f"partial {pcg_cells[('partial', high)].success_rate:.0%}, "
+        f"{high:g}: ours {pcg_cells[('abft', high)].success_rate:.0%}, "
+        f"partial {pcg_cells[('bisection', high)].success_rate:.0%}, "
         f"checkpoint {pcg_cells[('checkpoint', high)].success_rate:.0%}"
     )
     write_result("fig9_pcg_success", f"{report}\n{paper_note}")
@@ -82,8 +82,8 @@ def test_fig9_pcg_success(benchmark, pcg_suite, pcg_cells):
     for scheme in SCHEMES:
         assert pcg_cells[(scheme, low)].success_rate == 1.0
     # At the highest rate the proposed scheme dominates both baselines.
-    ours = pcg_cells[("ours", high)].success_rate
-    partial = pcg_cells[("partial", high)].success_rate
+    ours = pcg_cells[("abft", high)].success_rate
+    partial = pcg_cells[("bisection", high)].success_rate
     checkpoint = pcg_cells[("checkpoint", high)].success_rate
     assert ours >= partial
     assert ours >= checkpoint
@@ -92,14 +92,14 @@ def test_fig9_pcg_success(benchmark, pcg_suite, pcg_cells):
     # "1.61x / 3.6x more successes" comparison is checked one decade lower,
     # where the stress is comparable.
     stress = PCG_ERROR_RATES[-2]
-    ours_stress = pcg_cells[("ours", stress)].success_rate
+    ours_stress = pcg_cells[("abft", stress)].success_rate
     assert ours_stress > 0.8
-    assert ours_stress >= 1.5 * max(pcg_cells[("partial", stress)].success_rate, 1e-9)
+    assert ours_stress >= 1.5 * max(pcg_cells[("bisection", stress)].success_rate, 1e-9)
     assert ours_stress >= 2.0 * max(
         pcg_cells[("checkpoint", stress)].success_rate, 1e-9
     )
     # Success is non-increasing in the error rate for the baselines.
-    partial_rates = [pcg_cells[("partial", r)].success_rate for r in PCG_ERROR_RATES]
+    partial_rates = [pcg_cells[("bisection", r)].success_rate for r in PCG_ERROR_RATES]
     assert partial_rates[0] >= partial_rates[-1]
 
     matrix, b = _one_system(pcg_suite)

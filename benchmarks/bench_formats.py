@@ -1,16 +1,16 @@
 """Storage-format shootout for the planned protected SpMV.
 
-Three suites, one per structural regime the format heuristics key on:
+Three suites, one per structural regime:
 
 * ``fem_bs8``   — FEM-style block-structured SPD (``block_stencil_spd``,
   dense 8x8 tiles, BSR fill 1.0): the regime BSR exists for;
-* ``banded``    — near-regular row lengths (low ELL padding): the ELL
-  leg's home turf;
-* ``hostile``   — unstructured random scatter (low fill, high padding):
-  auto-selection must keep CSR and stay within noise of it.
+* ``banded``    — near-regular row lengths but low tile fill: auto keeps
+  CSR;
+* ``hostile``   — unstructured random scatter (low fill): auto-selection
+  must keep CSR and stay within noise of it.
 
 Each suite times the steady-state planned protected multiply loop under
-``sparse_format`` in {csr, bsr, ell, auto} plus the raw plan SpMV
+``sparse_format`` in {csr, bsr, auto} plus the raw plan SpMV
 (format pipeline without detection), and records what ``auto`` chose and
 why.
 
@@ -41,7 +41,7 @@ from repro.sparse import banded_spd, block_stencil_spd, random_spd
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
 BLOCK_SIZE = 64
-FORMATS = ("csr", "bsr", "ell", "auto")
+FORMATS = ("csr", "bsr", "auto")
 MULTIPLIES = 3 if SMOKE else 10
 REPEATS = 3 if SMOKE else 5
 MIN_BSR_SPEEDUP = 1.15  # fem_bs8: BSR over CSR, planned multiply loop
@@ -91,9 +91,9 @@ def _bench_suite(matrix):
     # hit every contender equally — the floors compare formats against
     # each other, not against the wall clock.  csr and auto run back to
     # back: the hostile floor compares exactly those two, and the forced
-    # bsr/ell legs that precede them in a naive order can thrash the
-    # cache for seconds on unstructured inputs.
-    timing_order = ("csr", "auto", "bsr", "ell")
+    # bsr leg that precedes them in a naive order can thrash the cache
+    # for seconds on unstructured inputs.
+    timing_order = ("csr", "auto", "bsr")
     best_loop = {fmt: float("inf") for fmt in FORMATS}
     best_raw = {fmt: float("inf") for fmt in FORMATS}
     staged = {
@@ -118,9 +118,6 @@ def _bench_suite(matrix):
             "resolved_format": choice.format,
             "reason": choice.reason,
             "fill_ratio": None if np.isnan(choice.fill_ratio) else choice.fill_ratio,
-            "padding_ratio": (
-                None if np.isnan(choice.padding_ratio) else choice.padding_ratio
-            ),
             "block_shape": (
                 list(choice.block_shape) if choice.block_shape else None
             ),
@@ -144,7 +141,6 @@ def test_format_speedups():
     speedups = {
         "fem_bsr_vs_csr": loop_ms("fem_bs8", "csr") / loop_ms("fem_bs8", "bsr"),
         "fem_auto_vs_csr": loop_ms("fem_bs8", "csr") / loop_ms("fem_bs8", "auto"),
-        "banded_ell_vs_csr": loop_ms("banded", "csr") / loop_ms("banded", "ell"),
         "hostile_auto_vs_csr": (
             loop_ms("hostile", "csr") / loop_ms("hostile", "auto")
         ),
@@ -185,7 +181,6 @@ def test_format_speedups():
             else f", not asserted: {skip_reasons['fem_bsr_vs_csr']})"
         ),
         f"fem_bs8: auto vs csr    {speedups['fem_auto_vs_csr']:.2f}x",
-        f"banded: ell vs csr      {speedups['banded_ell_vs_csr']:.2f}x",
         f"hostile: auto vs csr    {speedups['hostile_auto_vs_csr']:.2f}x"
         f"  (floor {MIN_AUTO_RATIO}x"
         + (

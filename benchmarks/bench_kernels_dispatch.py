@@ -8,9 +8,9 @@ set must beat the naive reference by at least 3x on the detection path
 (the batched kernels exist to make per-block protection affordable, so a
 regression here defeats the subsystem's purpose).
 
-A second table sweeps the format axis of the registry — the ``csr``,
-``bsr`` and ``ell`` vectorized sets each running matvec, correction and
-the ``t1``-refresh on their own storage — so the dispatch cost of every
+A second table sweeps the format axis of the registry — the ``csr`` and
+``bsr`` vectorized sets each running matvec, correction and the
+``t1``-refresh on their own storage — so the dispatch cost of every
 registered ``(format, impl)`` pair is on record.  No floor: this matrix
 is unstructured, the regime where CSR is *expected* to win (the format
 floors live in ``bench_formats``).

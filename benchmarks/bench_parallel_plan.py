@@ -7,9 +7,10 @@ The steady-state scenario: one matrix, many clean protected multiplies
   kernels, allocating every temporary on every call;
 * ``planned-1``    — ``operator.planned()`` with one shard: identical
   bits, zero steady-state allocations;
-* ``threads-4``    — the planned fused path over 4 nnz-balanced shards
-  on the ``threads`` backend (GIL-bound: NumPy releases it only inside
-  individual kernel calls);
+* ``threads-4``    — ``ProtectedPlan(n_shards=4, parallel="threads")``:
+  the planned fused path over 4 nnz-balanced shards on the ``threads``
+  backend (GIL-bound: NumPy releases it only inside individual kernel
+  calls);
 * ``processes-W``  — the shared-memory multicore backend for W in
   ``WORKER_COUNTS`` (1, 2, 4, 8): W shards served by W persistent
   workers mapping one SharedMemory arena.
@@ -41,7 +42,6 @@ import pytest
 
 from benchmarks.conftest import bench_env, write_json, write_result
 from repro.core import AbftConfig, FaultTolerantSpMV
-from repro.kernels.parallel import ParallelKernels
 from repro.machine import ExecutionMeter
 from repro.perf import ProtectedPlan
 from repro.sparse import random_spd
@@ -94,15 +94,9 @@ def test_planned_and_parallel_speedups(matrix, operand, benchmark):
     planned_op = FaultTolerantSpMV(matrix, config=config)
     plan_1 = planned_op.planned(n_shards=1)
 
-    threads_op = FaultTolerantSpMV(
-        matrix, config=AbftConfig(block_size=BLOCK_SIZE, kernel="parallel")
-    )
-    threads_op.detector.kernels = ParallelKernels(
-        n_workers=N_WORKERS, serial_cutoff=0
-    )
-    plan_threads = threads_op.planned()
-    assert plan_threads.spmv.n_shards > 1
-    assert plan_threads.backend_name == "threads"
+    threads_op = FaultTolerantSpMV(matrix, config=config)
+    plan_threads = ProtectedPlan(threads_op, n_shards=N_WORKERS, parallel="threads")
+    assert plan_threads.spmv.n_shards == N_WORKERS
 
     process_ops = {
         w: FaultTolerantSpMV(matrix, config=config) for w in WORKER_COUNTS

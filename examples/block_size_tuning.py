@@ -23,7 +23,7 @@ def main() -> None:
     best = {}
     for spec, matrix in iter_suite(names=MATRICES):
         overheads = [
-            detection_overhead(matrix, "block", block_size=bs) for bs in BLOCK_SIZES
+            detection_overhead(matrix, "abft", block_size=bs) for bs in BLOCK_SIZES
         ]
         best[spec.name] = BLOCK_SIZES[overheads.index(min(overheads))]
         row = "".join(f"{o:8.1%}" for o in overheads)

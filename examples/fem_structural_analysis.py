@@ -28,7 +28,7 @@ def main() -> None:
     load = matrix.matvec(displacement_true)
     print(f"FEM system: n={matrix.n_rows}, nnz={matrix.nnz}")
 
-    schemes = ("unprotected", "ours", "partial", "checkpoint")
+    schemes = ("unprotected", "abft", "bisection", "checkpoint")
     rates = (0.0, 1e-7, 1e-6, 1e-5)
     runs_per_cell = 5
 

@@ -66,10 +66,9 @@ try:  # pragma: no cover - core lands later in the staged build
         AbftConfig,
         BlockAbftDetector,
         FaultTolerantSpMV,
-        SpmvResult,
     )
 
-    __all__ += ["AbftConfig", "BlockAbftDetector", "FaultTolerantSpMV", "SpmvResult"]
+    __all__ += ["AbftConfig", "BlockAbftDetector", "FaultTolerantSpMV"]
 except ImportError:  # pragma: no cover
     pass
 

@@ -49,7 +49,7 @@ def ablate_bounds(
     for spec, matrix in suite:
         for bound in BOUND_FAMILIES:
             result = run_coverage_campaign(
-                matrix, "block", trials=trials, sigma=sigma, seed=seed, bound=bound
+                matrix, "abft", trials=trials, sigma=sigma, seed=seed, bound=bound
             )
             f1[bound].append(result.f1)
     return BoundAblation(
@@ -96,8 +96,8 @@ def ablate_overlap(
     names, overlapped, serialized = [], [], []
     for spec, matrix in suite:
         names.append(spec.name)
-        overlapped.append(detection_overhead(matrix, "block", machine=overlapped_machine))
-        serialized.append(detection_overhead(matrix, "block", machine=serial_machine))
+        overlapped.append(detection_overhead(matrix, "abft", machine=overlapped_machine))
+        serialized.append(detection_overhead(matrix, "abft", machine=serial_machine))
     return OverlapAblation(tuple(names), tuple(overlapped), tuple(serialized))
 
 

@@ -10,9 +10,8 @@ Two campaign kinds:
   full detect-locate-correct pipeline of each scheme, and the simulated
   runtime is recorded.
 
-Schemes are resolved by name through the :mod:`repro.schemes` registry
-(historic spellings like ``"block"``/``"dense"`` and ``"ours"`` resolve
-via its aliases), so any registered scheme can run either campaign.
+Schemes are resolved by name through the :mod:`repro.schemes` registry,
+so any registered scheme can run either campaign.
 
 The paper runs 100 000 trials per matrix; the statistics here stabilize at
 a few hundred, which is the default (`trials` is a knob everywhere).
@@ -31,7 +30,7 @@ from repro.core.protected import plain_spmv
 from repro.errors import ConfigurationError, InjectionError
 from repro.faults.injector import FaultInjector
 from repro.machine import ExecutionMeter, Machine
-from repro.schemes import canonical_scheme_name, make_scheme
+from repro.schemes import make_scheme
 from repro.sparse.csr import CsrMatrix
 
 
@@ -81,14 +80,13 @@ def run_coverage_campaign(
     true positive; ranges elsewhere are false positives; silence is a false
     negative).
 
-    ``detector`` is a registered scheme name (``"block"`` and ``"dense"``
-    resolve to ``"abft"`` and ``"dense_check"``); ``bound="empirical"``
+    ``detector`` is a registered scheme name (``"abft"``,
+    ``"dense_check"``, ...); ``bound="empirical"``
     calibrates an :class:`~repro.core.calibration.EmpiricalBound` for the
     block scheme instead of an analytical bound family.
     """
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
-    canonical = canonical_scheme_name(detector)
     rng = np.random.default_rng(seed)
     injector = FaultInjector(rng=rng)
     counts = ConfusionCounts()
@@ -97,7 +95,7 @@ def run_coverage_campaign(
         from repro.core.calibration import EmpiricalBound
 
         scheme = make_scheme(
-            canonical,
+            detector,
             matrix,
             config=AbftConfig(block_size=block_size),
             bound_override=EmpiricalBound.calibrate(
@@ -106,12 +104,12 @@ def run_coverage_campaign(
         )
     else:
         scheme = make_scheme(
-            canonical, matrix, config=AbftConfig(block_size=block_size, bound=bound)
+            detector, matrix, config=AbftConfig(block_size=block_size, bound=bound)
         )
     verdict = getattr(scheme, "verdict", None)
     if verdict is None:
         raise ConfigurationError(
-            f"scheme {canonical!r} exposes no verdict(b, r) method; "
+            f"scheme {detector!r} exposes no verdict(b, r) method; "
             "coverage campaigns need one to score detections"
         )
 
@@ -166,16 +164,15 @@ def run_correction_campaign(
     Every trial injects one error large enough that *all* compared methods
     detect it (the paper triggers corrections in every evaluated method),
     then runs the scheme's full pipeline and records simulated time.
-    ``scheme`` is any registered scheme name (aliases accepted).
+    ``scheme`` is any registered scheme name.
     """
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
     machine = machine or Machine()
     rng = np.random.default_rng(seed)
 
-    canonical = canonical_scheme_name(scheme)
     operator = make_scheme(
-        canonical, matrix, config=AbftConfig(block_size=block_size), machine=machine
+        scheme, matrix, config=AbftConfig(block_size=block_size), machine=machine
     )
 
     total = 0.0
@@ -197,7 +194,7 @@ def run_correction_campaign(
     plain_meter = ExecutionMeter(machine=machine)
     plain_spmv(matrix, rng.standard_normal(matrix.n_cols), meter=plain_meter)
     return CorrectionTiming(
-        scheme=canonical,
+        scheme=scheme,
         mean_protected_seconds=total / trials,
         plain_seconds=plain_meter.seconds,
         trials=trials,

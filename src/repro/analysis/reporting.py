@@ -121,8 +121,8 @@ def render_coverage_comparison(comparison: CoverageComparison) -> str:
             rows,
             title=f"Figure 7 — error coverage at sigma = {sigma:g}",
         )
-        avg_ours = comparison.average_f1("block", sigma)
-        avg_dense = comparison.average_f1("dense", sigma)
+        avg_ours = comparison.average_f1("abft", sigma)
+        avg_dense = comparison.average_f1("dense_check", sigma)
         sections.append(
             f"{table}\naverage F1: ours {avg_ours:.3f}, dense {avg_dense:.3f}"
         )

@@ -53,19 +53,18 @@ def plain_spmv_time(matrix: CsrMatrix, machine: Machine) -> float:
 
 def detection_overhead(
     matrix: CsrMatrix,
-    method: str = "block",
+    method: str = DEFAULT_SCHEME,
     block_size: int = 32,
     machine: Machine | None = None,
 ) -> float:
     """Modeled error-detection overhead of one protected SpMV (Figures 4-5).
 
-    ``method`` is a registered scheme name (``"block"``/``"dense"``
-    resolve through the registry aliases); the scheme's own
-    ``detection_graph`` provides the modeled cost.
+    ``method`` is a registered scheme name (``"abft"``, ``"dense_check"``,
+    ...); the scheme's own ``detection_graph`` provides the modeled cost.
     """
     machine = machine or Machine()
     scheme = make_scheme(
-        canonical_scheme_name(method),
+        method,
         matrix,
         config=AbftConfig(block_size=block_size),
         machine=machine,
@@ -103,7 +102,7 @@ def sweep_block_sizes(
     per_matrix: Dict[str, Tuple[float, ...]] = {}
     for spec, matrix in suite:
         per_matrix[spec.name] = tuple(
-            detection_overhead(matrix, "block", bs, machine) for bs in block_sizes
+            detection_overhead(matrix, "abft", bs, machine) for bs in block_sizes
         )
     return BlockSizeSweep(block_sizes=tuple(block_sizes), per_matrix=per_matrix)
 
@@ -133,8 +132,8 @@ def compare_detection_overheads(
     names, block, dense = [], [], []
     for spec, matrix in suite:
         names.append(spec.name)
-        block.append(detection_overhead(matrix, "block", block_size, machine))
-        dense.append(detection_overhead(matrix, "dense", machine=machine))
+        block.append(detection_overhead(matrix, "abft", block_size, machine))
+        dense.append(detection_overhead(matrix, "dense_check", machine=machine))
     return DetectionComparison(tuple(names), tuple(block), tuple(dense))
 
 
@@ -146,17 +145,13 @@ class CorrectionComparison:
     timings: Dict[str, Tuple[CorrectionTiming, ...]]
 
     def _key(self, scheme: str) -> str:
-        """Resolve a (possibly aliased) scheme name to a timings key."""
-        try:
-            resolved = canonical_scheme_name(scheme)
-        except ConfigurationError:
-            resolved = scheme  # comparisons may hold unregistered labels
-        if resolved not in self.timings:
+        """Validate a scheme name against the timings keys."""
+        if scheme not in self.timings:
             raise ConfigurationError(
                 f"unknown correction scheme {scheme!r}; "
                 f"expected one of {tuple(sorted(self.timings))}"
             )
-        return resolved
+        return scheme
 
     # reprolint: disable=ABFT006 -- _key raises ConfigurationError on unknown schemes
     def overheads(self, scheme: str) -> Tuple[float, ...]:
@@ -207,13 +202,12 @@ class CoverageComparison:
 
     def average_f1(self, detector: str, sigma: float) -> float:
         by_scheme = {"abft": self.block, "dense_check": self.dense}
-        resolved = canonical_scheme_name(detector)
-        if resolved not in by_scheme:
+        if detector not in by_scheme:
             raise ConfigurationError(
                 f"no coverage data for scheme {detector!r}; "
                 f"expected one of {tuple(sorted(by_scheme))}"
             )
-        return mean(result.f1 for result in by_scheme[resolved][sigma])
+        return mean(result.f1 for result in by_scheme[detector][sigma])
 
 
 def compare_coverage(
@@ -230,12 +224,12 @@ def compare_coverage(
         for sigma in sigmas:
             block[sigma].append(
                 run_coverage_campaign(
-                    matrix, "block", trials=trials, sigma=sigma, seed=seed + index
+                    matrix, "abft", trials=trials, sigma=sigma, seed=seed + index
                 )
             )
             dense[sigma].append(
                 run_coverage_campaign(
-                    matrix, "dense", trials=trials, sigma=sigma, seed=seed + index
+                    matrix, "dense_check", trials=trials, sigma=sigma, seed=seed + index
                 )
             )
     return CoverageComparison(

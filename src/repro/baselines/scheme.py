@@ -4,9 +4,8 @@ The baselines mirror :class:`repro.core.FaultTolerantSpMV`'s driver contract
 — ``multiply(b, tamper=None, meter=None)`` with the same tamper-hook stages
 — so campaigns can swap schemes freely through :mod:`repro.schemes`.  Since
 the registry refactor all schemes return the same unified
-:class:`~repro.schemes.result.ProtectedSpmvResult`; ``BaselineSpmvResult``
-remains as a compatibility alias (same field order, plus the block-id
-fields the related-work schemes leave empty).
+:class:`~repro.schemes.result.ProtectedSpmvResult` (the related-work
+schemes leave its block-id fields empty).
 """
 
 from __future__ import annotations
@@ -21,11 +20,6 @@ from repro.machine import ExecutionMeter, Machine
 from repro.obs import Telemetry, resolve_telemetry
 from repro.schemes.result import ProtectedSpmvResult
 from repro.sparse.csr import CsrMatrix
-
-#: Compatibility alias — the unified result type fixed the historical
-#: ``clean``-on-empty-detections ``IndexError`` of the baseline-only type.
-BaselineSpmvResult = ProtectedSpmvResult
-
 
 class SpmvScheme(Protocol):
     """Anything that can run one protected SpMV (ours or a baseline).

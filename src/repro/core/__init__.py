@@ -53,7 +53,7 @@ from repro.core.dtypes import (
 )
 from repro.core.multivector import ProtectedSpMM, SpmmResult
 from repro.core.triangular import ProtectedTriangularSolve, TriangularSolveResult
-from repro.core.protected import FaultTolerantSpMV, SpmvResult, plain_spmv
+from repro.core.protected import FaultTolerantSpMV, plain_spmv
 
 __all__ = [
     "AbftConfig",
@@ -100,6 +100,5 @@ __all__ = [
     "TamperHook",
     "correct_blocks",
     "FaultTolerantSpMV",
-    "SpmvResult",
     "plain_spmv",
 ]

@@ -63,15 +63,16 @@ class AbftConfig:
         parallel: registered plan-execution backend name (see
             :mod:`repro.perf.backends`) used by planned protected
             multiplies: ``"serial"``, ``"threads"`` or ``"processes"``.
-            None keeps the historical default (threads when the kernel
-            set is ``"parallel"``, serial otherwise).  The
+            None keeps the default (``"serial"``).  The backend also sets
+            the shard count of a plan built by ``planned()``: one for
+            serial, one per worker for threads and processes.  The
             ``REPRO_PARALLEL`` environment variable overrides it
             process-wide; an explicit ``ProtectedPlan(parallel=...)``
             argument beats both.
         sparse_format: storage format planned protected multiplies run
             on (see :mod:`repro.sparse.formats`): ``"csr"``, ``"bsr"``,
-            ``"ell"``, or ``"auto"`` to let the plan pick by fill/padding
-            heuristics at plan time.  None keeps the library default
+            or ``"auto"`` to let the plan choose between them by BSR
+            fill at plan time.  None keeps the library default
             (``"csr"``).  The ``REPRO_FORMAT`` environment variable
             overrides *configured* names process-wide; an explicit
             ``sparse_format=`` argument to a planned entry point beats

@@ -64,11 +64,6 @@ def plain_spmv(
     return r
 
 
-#: Compatibility alias — protected multiplies now return the unified
-#: result type shared by every scheme in :mod:`repro.schemes`.
-SpmvResult = ProtectedSpmvResult
-
-
 def block_result(
     partition: BlockPartition,
     value: np.ndarray,
@@ -179,7 +174,7 @@ class FaultTolerantSpMV:
         b: np.ndarray,
         tamper: Optional[TamperHook] = None,
         meter: Optional[ExecutionMeter] = None,
-    ) -> SpmvResult:
+    ) -> ProtectedSpmvResult:
         """Execute one fault-tolerant SpMV.
 
         Args:
@@ -318,30 +313,24 @@ class FaultTolerantSpMV:
         hit bumps the ``plan.cache_hits`` counter when telemetry is on.
 
         Args:
-            n_shards: shard count; None derives it from the selected
-                execution backend — the worker count for ``"parallel"``
-                kernels or the ``"processes"`` backend, 1 otherwise.
+            n_shards: shard count; None derives it from the resolved
+                execution backend (see
+                :func:`repro.perf.backends.default_shard_count`): 1 for
+                ``"serial"``, the worker count for ``"threads"`` and
+                ``"processes"``.  The cache is keyed on the backend too.
             sparse_format: explicit storage format request forwarded to
                 :class:`~repro.perf.plan.ProtectedPlan` (beats
                 ``REPRO_FORMAT`` and ``AbftConfig.sparse_format``).  The
                 cache is keyed on the *resolved request*, so switching
                 formats rebuilds the plan.
         """
-        from repro.kernels.parallel import ParallelKernels, default_workers
-        from repro.perf.backends import resolve_backend_name
+        from repro.perf.backends import default_shard_count, resolve_backend_name
         from repro.perf.plan import ProtectedPlan
         from repro.sparse.formats import resolve_format_name
 
+        backend = resolve_backend_name(getattr(self.config, "parallel", None))
         if n_shards is None:
-            kernels = self.detector.kernels
-            inner = getattr(kernels, "inner", kernels)
-            if isinstance(inner, ParallelKernels):
-                n_shards = inner.n_workers
-            else:
-                backend = resolve_backend_name(
-                    getattr(self.config, "parallel", None)
-                )
-                n_shards = default_workers() if backend == "processes" else 1
+            n_shards = default_shard_count(backend)
         requested = resolve_format_name(
             getattr(self.config, "sparse_format", None), explicit=sparse_format
         )
@@ -349,6 +338,7 @@ class FaultTolerantSpMV:
         if (
             plan is not None
             and plan.n_shards == n_shards
+            and plan.backend_name == backend
             and plan.format_choice.requested == requested
             and plan.dtype_policy.name == self.dtype_policy.name
             and not plan.backend.closed

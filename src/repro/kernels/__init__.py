@@ -1,18 +1,16 @@
 """Named, registry-dispatched implementations of the ABFT hot-path kernels.
 
-Registry entries are keyed ``(sparse_format, impl)``.  For the CSR home
-format three impls ship built in:
+Registry entries are keyed ``(sparse_format, impl)``.  Two impls ship
+built in for each of the ``"csr"`` and ``"bsr"`` storage formats:
 
 * ``"naive"`` — the reference per-block Python loops;
 * ``"vectorized"`` — batched segment-sum versions of the same kernels
-  (the default);
-* ``"parallel"`` — the vectorized kernels sharded nnz-balanced across a
-  thread pool (bit-identical results; worker count via
-  ``REPRO_KERNEL_WORKERS``).
+  (the default).
 
-The ``"bsr"`` and ``"ell"`` formats each ship ``"naive"`` and
-``"vectorized"`` sets whose recompute kernels replay the format's own
-multiply pipeline (see :mod:`repro.kernels.bsr` / :mod:`repro.kernels.ell`).
+The BSR sets' recompute kernels replay the format's own multiply
+pipeline (see :mod:`repro.kernels.bsr`).  Threaded execution is not a
+kernel set: a planned multiply fans its shards out through the
+``"threads"`` or ``"processes"`` backend of :mod:`repro.perf.backends`.
 
 Selection: the impl axis via ``AbftConfig(kernel="...")`` (or the
 ``kernel=`` argument the core entry points accept), overridden
@@ -41,18 +39,13 @@ from repro.kernels.base import (
     validate_blocks,
 )
 from repro.kernels.bsr import BsrNaiveKernels, BsrVectorizedKernels
-from repro.kernels.ell import EllNaiveKernels, EllVectorizedKernels
 from repro.kernels.naive import NaiveKernels
-from repro.kernels.parallel import ParallelKernels
 from repro.kernels.vectorized import VectorizedKernels
 
 register_kernels(NaiveKernels())
 register_kernels(VectorizedKernels())
-register_kernels(ParallelKernels())
 register_kernels(BsrNaiveKernels())
 register_kernels(BsrVectorizedKernels())
-register_kernels(EllNaiveKernels())
-register_kernels(EllVectorizedKernels())
 
 __all__ = [
     "BUILTIN_KERNELS",
@@ -62,12 +55,9 @@ __all__ = [
     "KERNEL_ENV_VAR",
     "KernelSet",
     "NaiveKernels",
-    "ParallelKernels",
     "VectorizedKernels",
     "BsrNaiveKernels",
     "BsrVectorizedKernels",
-    "EllNaiveKernels",
-    "EllVectorizedKernels",
     "available_kernels",
     "available_kernel_keys",
     "get_kernels",

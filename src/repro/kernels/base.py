@@ -10,7 +10,7 @@ name through a process-wide registry.
 
 Registry entries are keyed ``(sparse_format, impl)``: the same impl name
 exists once per storage format it supports — ``("csr", "vectorized")``,
-``("bsr", "vectorized")``, ``("ell", "naive")`` and so on — so a format
+``("bsr", "vectorized")``, ``("bsr", "naive")`` and so on — so a format
 decision (see :mod:`repro.sparse.formats`) and a kernel decision compose
 orthogonally.  CSR remains the home format: format-agnostic callers see
 the historical single-axis registry unchanged.
@@ -162,8 +162,8 @@ class KernelSet(abc.ABC):
 
     #: Storage format this set's matrix-touching kernels expect (the
     #: format half of the registry key).  CSR sets take
-    #: :class:`~repro.sparse.csr.CsrMatrix`; ``"bsr"``/``"ell"`` sets
-    #: take the matching format matrix in ``encode``/``correct_*``.
+    #: :class:`~repro.sparse.csr.CsrMatrix`; ``"bsr"`` sets take a
+    #: :class:`~repro.sparse.bsr.BsrMatrix` in ``encode``/``correct_*``.
     sparse_format: str = "csr"
 
     # -- weights / encoding ------------------------------------------------
@@ -324,17 +324,14 @@ def register_kernels(impl: KernelSet, overwrite: bool = False) -> KernelSet:
 
 #: CSR kernel sets that ship with the library (the historical single-axis
 #: registry view; see :data:`BUILTIN_KERNEL_KEYS` for the full matrix).
-BUILTIN_KERNELS = ("naive", "vectorized", "parallel")
+BUILTIN_KERNELS = ("naive", "vectorized")
 
 #: Every built-in ``(sparse_format, impl)`` entry; none can be unregistered.
 BUILTIN_KERNEL_KEYS = (
     ("csr", "naive"),
     ("csr", "vectorized"),
-    ("csr", "parallel"),
     ("bsr", "naive"),
     ("bsr", "vectorized"),
-    ("ell", "naive"),
-    ("ell", "vectorized"),
 )
 
 

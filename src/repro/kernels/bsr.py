@@ -51,7 +51,7 @@ class _FormatRecomputeMixin(KernelSet):
     ``nnz_in_rows`` (the :class:`repro.sparse.formats.SparseFormat`
     surface), so one implementation serves every storage format whose
     partial multiply is bit-identical to its full multiply — the
-    documented contract of both BSR and ELL.  The tamper-hook sequence
+    documented contract of BSR.  The tamper-hook sequence
     (one call per block/cell, in partition order, with ``2 * nnz`` work)
     matches the CSR kernels exactly, so fault campaigns replay
     identically under any format.

@@ -18,11 +18,13 @@ well-executed SpMV; this package makes the *execution* side real:
   shard's multiply with its own detection and first correction round;
 * a registry of *execution backends* deciding where those fused shard
   tasks run (:mod:`repro.perf.backends`): ``"serial"``, ``"threads"``
-  (the shared kernel thread pool) or ``"processes"`` — a persistent
+  (a shared thread pool) or ``"processes"`` — a persistent
   multicore worker pool over a :class:`~repro.perf.shm.Arena` of
   shared memory (:mod:`repro.perf.process_backend`).  Selected via
   ``AbftConfig(parallel=...)``, the ``REPRO_PARALLEL`` environment
   variable, or an explicit ``ProtectedPlan(parallel=...)`` argument.
+  The resolved backend also sets the default shard count: one for
+  ``"serial"``, one per worker for ``"threads"`` and ``"processes"``.
 
 Plans are built via :meth:`repro.core.FaultTolerantSpMV.planned`, which
 caches one plan per operator (``plan.cache_hits`` telemetry counter).

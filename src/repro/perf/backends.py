@@ -8,11 +8,11 @@ latter is a registered **backend**:
 * ``"serial"`` — shards run one after another in the calling thread
   (the reference semantics every other backend is differentially tested
   against);
-* ``"threads"`` — shards fan out on the process-wide
-  :class:`~concurrent.futures.ThreadPoolExecutor` shared with
-  :class:`repro.kernels.parallel.ParallelKernels`.  NumPy releases the
-  GIL inside the ufunc inner loops, but the Python-level fan-out still
-  serializes on it — threads win only for mid-size inputs;
+* ``"threads"`` — shards fan out on a process-wide
+  :class:`~concurrent.futures.ThreadPoolExecutor` (:func:`get_executor`),
+  one thread per shard.  NumPy releases the GIL inside the ufunc inner
+  loops, but the Python-level fan-out still serializes on it — threads
+  win only for mid-size inputs;
 * ``"processes"`` — shards run on a persistent pool of worker
   *processes* mapping the plan's buffers zero-copy from shared memory
   (:mod:`repro.perf.process_backend`), the true-multicore path.
@@ -23,14 +23,18 @@ process-wide by the :data:`BACKEND_ENV_VAR` environment variable
 (``REPRO_PARALLEL``), with an explicit ``parallel=`` argument to
 :class:`~repro.perf.plan.ProtectedPlan` beating both (tests pin a
 backend regardless of the environment that way).  When nothing chooses,
-plans over :class:`~repro.kernels.parallel.ParallelKernels` default to
-``"threads"`` (the pre-registry behaviour) and everything else to
-``"serial"``.
+plans run ``"serial"``.
+
+The resolved backend also decides how many shards a plan gets when its
+caller does not say (:func:`default_shard_count`): one for ``"serial"``,
+:func:`default_workers` for every other backend.
 """
 
 from __future__ import annotations
 
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -52,6 +56,42 @@ BUILTIN_BACKENDS = ("processes", "serial", "threads")
 
 #: ``(shard_id, owned flagged blocks)`` pairs of one correction round.
 Owned = Sequence[Tuple[int, np.ndarray]]
+
+#: Upper bound on the default worker count of the parallel backends.
+DEFAULT_MAX_WORKERS = 4
+
+_EXECUTORS: Dict[int, ThreadPoolExecutor] = {}
+_EXECUTORS_LOCK = threading.Lock()
+
+
+def default_workers() -> int:
+    """Worker count of the parallel backends: one per CPU, at most
+    :data:`DEFAULT_MAX_WORKERS`."""
+    return min(DEFAULT_MAX_WORKERS, os.cpu_count() or 1)
+
+
+def default_shard_count(backend_name: str) -> int:
+    """Shards a plan gets when its caller does not choose a count.
+
+    ``"serial"`` gets one (there is nothing to fan out to); every other
+    backend gets :func:`default_workers`, one shard per worker.
+    """
+    return 1 if backend_name == "serial" else default_workers()
+
+
+def get_executor(n_workers: int) -> ThreadPoolExecutor:
+    """Process-wide thread pool for ``n_workers`` (created lazily, reused),
+    so repeated threaded multiplies never pay thread start-up costs."""
+    if n_workers < 1:
+        raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
+    with _EXECUTORS_LOCK:
+        executor = _EXECUTORS.get(n_workers)
+        if executor is None:
+            executor = ThreadPoolExecutor(
+                max_workers=n_workers, thread_name_prefix=f"repro-plan{n_workers}"
+            )
+            _EXECUTORS[n_workers] = executor
+        return executor
 
 
 class PlanBackend:
@@ -115,13 +155,7 @@ class PlanBackend:
 
 
 class ThreadsBackend(PlanBackend):
-    """Shard fan-out on the shared kernel thread pool (the legacy path).
-
-    Worker count follows the operator's
-    :class:`~repro.kernels.parallel.ParallelKernels` when one is
-    configured (so ``REPRO_KERNEL_WORKERS`` keeps steering it),
-    otherwise one thread per shard.
-    """
+    """Shard fan-out on the shared thread pool, one thread per shard."""
 
     name = "threads"
 
@@ -131,14 +165,9 @@ class ThreadsBackend(PlanBackend):
 
     @property
     def n_workers(self) -> int:
-        parallel = self.plan._parallel
-        if parallel is not None:
-            return parallel.n_workers
         return max(1, self.plan.spmv.n_shards)
 
     def run_detect(self, b: np.ndarray, telemetry: "Telemetry") -> None:
-        from repro.kernels.parallel import get_executor
-
         executor = get_executor(self.n_workers)
         futures = [
             executor.submit(self.plan._detect_shard, i, b, telemetry)
@@ -153,8 +182,6 @@ class ThreadsBackend(PlanBackend):
         if len(owned) == 1:
             shard_id, blocks = owned[0]
             return [self.plan._correct_shard(shard_id, b, blocks, telemetry)]
-        from repro.kernels.parallel import get_executor
-
         executor = get_executor(self.n_workers)
         futures = [
             executor.submit(self.plan._correct_shard, shard_id, b, blocks, telemetry)

@@ -28,7 +28,7 @@ SpMV, operand checksum, result checksum and invariant comparison in one
 unit, and a flagged block is recomputed by the shard that owns it.
 *Where* those tasks run is delegated to a registered execution backend
 (:mod:`repro.perf.backends`): ``"serial"`` in the calling thread,
-``"threads"`` on the shared kernel thread pool, or ``"processes"`` on a
+``"threads"`` on the shared thread pool, or ``"processes"`` on a
 persistent multicore worker pool mapping the plan's buffers from shared
 memory (:mod:`repro.perf.process_backend`).  Fault campaigns (a tamper
 hook) always fall back to the sequential path — the hook-call sequence
@@ -37,7 +37,7 @@ is part of the contract.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -45,19 +45,23 @@ from repro.core.blocking import BlockPartition
 from repro.core.detector import DetectionReport
 from repro.errors import ConfigurationError, ShapeMismatchError
 from repro.kernels.base import KernelSet
-from repro.kernels.parallel import ParallelKernels
 from repro.kernels.vectorized import VectorizedKernels
 from repro.machine import ExecutionMeter
 from repro.obs import DEFAULT_FRACTION_BUCKETS, Telemetry
-from repro.perf.backends import PlanBackend, make_backend, resolve_backend_name
+from repro.perf.backends import (
+    PlanBackend,
+    default_shard_count,
+    make_backend,
+    resolve_backend_name,
+)
 from repro.perf.sharding import shard_blocks
 from repro.sparse.csr import CsrMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotations only)
     from repro.core.corrector import TamperHook
-    from repro.core.protected import FaultTolerantSpMV, SpmvResult
+    from repro.core.protected import FaultTolerantSpMV
+    from repro.schemes.result import ProtectedSpmvResult
     from repro.sparse.bsr import BsrMatrix
-    from repro.sparse.ell import EllMatrix
     from repro.sparse.formats import FormatMatrix
 
 #: ``(rows, nnz, recheck, syndrome, thresholds, exceeded, still_flagged)``
@@ -120,16 +124,24 @@ class _BsrShard:
     """
 
     __slots__ = (
-        "segment", "offset", "n_rows", "indices", "data", "tiles", "prod",
-        "out2d", "starts", "scatter", "reduced",
+        "segment", "bview", "offset", "n_rows", "indices", "data", "tiles",
+        "prod", "out2d", "starts", "scatter", "reduced",
     )
 
-    def __init__(self, storage: "BsrMatrix", r0: int, r1: int, segment: np.ndarray) -> None:
+    def __init__(
+        self,
+        storage: "BsrMatrix",
+        r0: int,
+        r1: int,
+        segment: np.ndarray,
+        bview: np.ndarray,
+    ) -> None:
         br, bc = storage.block_shape
         b0, b1 = r0 // br, -(-r1 // br)
         lo, hi = int(storage.indptr[b0]), int(storage.indptr[b1])
         dtype = storage.data.dtype
         self.segment = segment
+        self.bview = bview
         self.offset = r0 - b0 * br
         self.n_rows = r1 - r0
         self.indices = storage.indices[lo:hi]
@@ -148,12 +160,13 @@ class _BsrShard:
             self.starts = local_ptr[:-1][nonempty].astype(np.int64)
             self.reduced = np.empty((self.scatter.size, br), dtype=dtype)
 
-    def execute(self, bview: np.ndarray) -> None:
-        """``bview`` is the padded operand reshaped ``(n_block_cols, bc)``."""
+    def execute(self) -> None:
+        """Read the plan's staged operand ``bview`` (the padded operand
+        reshaped ``(n_block_cols, bc)``) and write :attr:`segment`."""
         if self.indices.size == 0:
             self.segment[:] = 0.0
             return
-        np.take(bview, self.indices, axis=0, out=self.tiles, mode="clip")
+        np.take(self.bview, self.indices, axis=0, out=self.tiles, mode="clip")
         np.einsum("nij,nj->ni", self.data, self.tiles, out=self.prod)
         if self.scatter is None:
             # reprolint: disable=ABFT002 -- same per-block-row reduceat
@@ -167,28 +180,6 @@ class _BsrShard:
         self.segment[:] = self.out2d.reshape(-1)[
             self.offset : self.offset + self.n_rows
         ]
-
-
-class _EllShard:
-    """Buffered ELL row-slice executor (``EllMatrix.matvec_rows``)."""
-
-    __slots__ = ("segment", "indices", "data", "workspace")
-
-    def __init__(self, storage: "EllMatrix", r0: int, r1: int, segment: np.ndarray) -> None:
-        self.segment = segment
-        self.indices = storage.indices[r0:r1]
-        self.data = storage.data[r0:r1]
-        self.workspace = np.empty(self.indices.shape, dtype=storage.data.dtype)
-
-    def execute(self, b: np.ndarray) -> None:
-        if self.indices.size == 0:
-            self.segment[:] = 0.0
-            return
-        np.take(b, self.indices, out=self.workspace, mode="clip")
-        np.multiply(self.workspace, self.data, out=self.workspace)
-        # reprolint: disable=ABFT002 -- the row-wise pairwise sum over the
-        # fixed width IS the ELL summation contract (see EllMatrix.matvec)
-        np.sum(self.workspace, axis=1, out=self.segment)
 
 
 class SpmvPlan:
@@ -212,13 +203,12 @@ class SpmvPlan:
         workspace: preallocated product scratch of shape ``(nnz,)``
             float64; allocated when ``None``.  Only meaningful for CSR
             execution; must stay ``None`` when ``storage`` is given.
-        storage: optional non-CSR storage (:class:`~repro.sparse.bsr.BsrMatrix`
-            or :class:`~repro.sparse.ell.EllMatrix`) of the *same* logical
-            matrix; shards then execute the format's own pipeline (with
-            shard-private scratch) and results are bit-identical to that
-            format's ``matvec`` instead of CSR's.  Callers must invoke
-            :meth:`prepare_operand` before :meth:`execute_shard`
-            (``execute`` does it internally).
+        storage: optional BSR storage (:class:`~repro.sparse.bsr.BsrMatrix`)
+            of the *same* logical matrix; shards then execute the tile
+            pipeline (with shard-private scratch) and results are
+            bit-identical to ``BsrMatrix.matvec`` instead of CSR's.
+            Callers must invoke :meth:`prepare_operand` before
+            :meth:`execute_shard` (``execute`` does it internally).
     """
 
     def __init__(
@@ -261,9 +251,8 @@ class SpmvPlan:
             "csr" if storage is None else storage.format_name
         )
         self._padded: Optional[np.ndarray] = None
-        self._bview: Optional[np.ndarray] = None
         self.workspace: Optional[np.ndarray] = None
-        self._shards: List[object] = []
+        self._shards: List[Union[_SpmvShard, _BsrShard]] = []
         if storage is None:
             self.workspace = self._buffer(
                 "workspace", workspace, matrix.nnz, self.dtype
@@ -280,35 +269,23 @@ class SpmvPlan:
                 f"storage shape {storage.shape} does not match matrix "
                 f"shape {matrix.shape}"
             )
-        if self.sparse_format == "bsr":
-            bc = storage.block_shape[1]
-            self._padded = np.zeros(
-                storage.n_block_cols * bc, dtype=storage.data.dtype
-            )
-            self._bview = self._padded.reshape(storage.n_block_cols, bc)
-            self._shards = [
-                _BsrShard(
-                    storage,
-                    int(row_cuts[i]),
-                    int(row_cuts[i + 1]),
-                    self.out[row_cuts[i] : row_cuts[i + 1]],
-                )
-                for i in range(row_cuts.size - 1)
-            ]
-        elif self.sparse_format == "ell":
-            self._shards = [
-                _EllShard(
-                    storage,
-                    int(row_cuts[i]),
-                    int(row_cuts[i + 1]),
-                    self.out[row_cuts[i] : row_cuts[i + 1]],
-                )
-                for i in range(row_cuts.size - 1)
-            ]
-        else:
+        if self.sparse_format != "bsr":
             raise ConfigurationError(
                 f"unsupported plan storage format {self.sparse_format!r}"
             )
+        bc = storage.block_shape[1]
+        self._padded = np.zeros(storage.n_block_cols * bc, dtype=storage.data.dtype)
+        bview = self._padded.reshape(storage.n_block_cols, bc)
+        self._shards = [
+            _BsrShard(
+                storage,
+                int(row_cuts[i]),
+                int(row_cuts[i + 1]),
+                self.out[row_cuts[i] : row_cuts[i + 1]],
+                bview,
+            )
+            for i in range(row_cuts.size - 1)
+        ]
 
     def _build_csr_shards(self, row_cuts: np.ndarray) -> None:
         matrix = self.matrix
@@ -388,7 +365,7 @@ class SpmvPlan:
         operand buffer (the tail was zeroed at construction and padding
         never shrinks, so one copy per multiply suffices); shards then
         only *read* it, keeping the fan-out thread-safe.  A no-op beyond
-        validation for CSR and ELL.
+        validation for CSR.
         """
         b = self.check_operand(b)
         if self._padded is not None:
@@ -403,8 +380,8 @@ class SpmvPlan:
         shard touches is owned by that shard.
         """
         shard = self._shards[i]
-        if type(shard) is not _SpmvShard:
-            shard.execute(self._bview if self._bview is not None else b)
+        if isinstance(shard, _BsrShard):
+            shard.execute()
             return
         ws = shard.workspace
         # mode="clip" writes the gather straight into the workspace; the
@@ -442,8 +419,8 @@ class FusedShardBuffers:
 
     __slots__ = (
         "matrix", "checksum_matrix", "partition", "weights", "block_cuts",
-        "spmv", "checksum_spmv", "t2", "t2_workspace", "syndrome",
-        "thresholds", "exceeded", "abs", "finite", "t2_starts",
+        "spmv", "checksum_spmv", "checksum_operand", "t2", "t2_workspace",
+        "syndrome", "thresholds", "exceeded", "abs", "finite", "t2_starts",
         "shard_rows", "shard_blocks", "kernels", "storage",
     )
 
@@ -493,6 +470,14 @@ class FusedShardBuffers:
             out=alloc("t1", (n_blocks,), accumulation),
             workspace=alloc("c_workspace", (checksum_matrix.nnz,), accumulation),
         )
+        # The checksum shards gather from an accumulation-dtype operand.
+        # A narrower storage dtype gets it staged once per fused multiply
+        # (:meth:`stage_operand`); a one-shard plan never fans out.
+        self.checksum_operand: Optional[np.ndarray] = (
+            alloc("b_checksum", (matrix.n_cols,), accumulation)
+            if working != accumulation and block_cuts.size > 2
+            else None
+        )
         self.t2 = alloc("t2", (n_blocks,), "float64")
         self.t2_workspace = alloc("t2_workspace", (matrix.n_rows,), "float64")
         self.syndrome = alloc("syndrome", (n_blocks,), "float64")
@@ -537,10 +522,22 @@ class FusedShardBuffers:
             np.logical_not(finite, out=finite)
             np.logical_or(exceeded, finite, out=exceeded)
 
+    def stage_operand(self, b: np.ndarray) -> None:
+        """Widen ``b`` into :attr:`checksum_operand` before the shard tasks
+        run (the same exact conversion the sequential path's
+        ``checksum_spmv.execute`` makes).  A no-op when the storage dtype
+        is the accumulation dtype."""
+        if self.checksum_operand is not None:
+            np.copyto(self.checksum_operand, b)
+
     def detect_shard(self, i: int, b: np.ndarray) -> None:
-        """One fused task: shard SpMV + t1 + t2 + comparison."""
+        """One fused task: shard SpMV + t1 + t2 + comparison.
+
+        ``b`` must already be staged (:meth:`stage_operand`).
+        """
         self.spmv.execute_shard(i, b)
-        self.checksum_spmv.execute_shard(i, b)
+        staged = self.checksum_operand
+        self.checksum_spmv.execute_shard(i, b if staged is None else staged)
         c0, c1 = self.shard_blocks[i]
         r0, r1 = self.shard_rows[i]
         with np.errstate(invalid="ignore", over="ignore"):
@@ -586,7 +583,7 @@ class ProtectedPlan:
     stage — same values, same tamper-hook sequence, same telemetry, same
     simulated cost — without per-call array allocation.
 
-    The returned :class:`~repro.core.protected.SpmvResult` holds a view
+    The returned :class:`~repro.schemes.ProtectedSpmvResult` holds a view
     of the plan's result buffer: it is valid until the next call on the
     same plan (iterative solvers consume the product immediately).
 
@@ -594,7 +591,10 @@ class ProtectedPlan:
         operator: the :class:`~repro.core.protected.FaultTolerantSpMV`
             to plan for.
         n_shards: requested shard count (block-aligned; the effective
-            count can be lower on tiny matrices).
+            count can be lower on tiny matrices).  ``None`` takes
+            :func:`~repro.perf.backends.default_shard_count` of the
+            resolved backend: 1 for ``"serial"``, the worker count for
+            ``"threads"`` and ``"processes"``.
         parallel: explicit backend name (``"serial"``, ``"threads"``,
             ``"processes"`` or a registered extension), overriding both
             ``REPRO_PARALLEL`` and ``AbftConfig.parallel``.  ``None``
@@ -603,7 +603,7 @@ class ProtectedPlan:
             factory (e.g. ``serial_cutoff``/``timeout`` for
             ``processes``).
         sparse_format: explicit storage format for the planned multiply
-            (``"csr"``, ``"bsr"``, ``"ell"`` or ``"auto"``), overriding
+            (``"csr"``, ``"bsr"`` or ``"auto"``), overriding
             both ``REPRO_FORMAT`` and ``AbftConfig.sparse_format``.
             ``None`` resolves via
             :func:`repro.sparse.formats.resolve_format_name`.  The chosen
@@ -627,7 +627,7 @@ class ProtectedPlan:
     def __init__(
         self,
         operator: "FaultTolerantSpMV",
-        n_shards: int = 1,
+        n_shards: Optional[int] = None,
         parallel: Optional[str] = None,
         backend_options: Optional[Dict[str, object]] = None,
         sparse_format: Optional[str] = None,
@@ -638,6 +638,11 @@ class ProtectedPlan:
             select_format,
         )
 
+        self.backend_name = resolve_backend_name(
+            getattr(operator.config, "parallel", None), explicit=parallel
+        )
+        if n_shards is None:
+            n_shards = default_shard_count(self.backend_name)
         if n_shards < 1:
             raise ConfigurationError(f"n_shards must be >= 1, got {n_shards}")
         detector = operator.detector
@@ -652,18 +657,6 @@ class ProtectedPlan:
 
         block_starts = partition.block_starts()
         self.block_cuts = shard_blocks(matrix.indptr, block_starts, n_shards)
-
-        inner = getattr(detector.kernels, "inner", detector.kernels)
-        self._parallel: Optional[ParallelKernels] = (
-            inner if isinstance(inner, ParallelKernels) else None
-        )
-
-        default = "threads" if self._parallel is not None else "serial"
-        self.backend_name = resolve_backend_name(
-            getattr(operator.config, "parallel", None),
-            explicit=parallel,
-            default=default,
-        )
 
         requested = resolve_format_name(
             getattr(operator.config, "sparse_format", None),
@@ -719,7 +712,6 @@ class ProtectedPlan:
                 requested=choice.requested,
                 reason=choice.reason,
                 fill_ratio=float(choice.fill_ratio),
-                padding_ratio=float(choice.padding_ratio),
             ):
                 pass
         self.spmv = self._fused.spmv
@@ -783,7 +775,7 @@ class ProtectedPlan:
         b: np.ndarray,
         tamper: Optional["TamperHook"] = None,
         meter: Optional[ExecutionMeter] = None,
-    ) -> "SpmvResult":
+    ) -> "ProtectedSpmvResult":
         """Planned fault-tolerant SpMV (see
         :meth:`repro.core.protected.FaultTolerantSpMV.multiply`).
 
@@ -945,6 +937,7 @@ class ProtectedPlan:
             self._beta_box[0] = detector.operand_norm(b)
             beta = float(self._beta_box[0])
             self._fill_thresholds(beta)
+            self._fused.stage_operand(b)
             self.backend.run_detect(b, telemetry)
             flagged = self._flagged()
             report = DetectionReport(

@@ -94,7 +94,6 @@ DEFAULT_TIMEOUT = 60.0
 
 #: Below this much work (``nnz(A) + n_rows + nnz(C)``) process fan-out
 #: costs more than it saves and the backend stays dormant (serial path).
-#: Matches :data:`repro.kernels.parallel.DEFAULT_SERIAL_CUTOFF`.
 DEFAULT_SERIAL_CUTOFF = 1 << 15
 
 _POLL_INTERVAL = 0.02
@@ -162,32 +161,36 @@ def plan_arena_layout(
     wall-clock diagnostics.  Working fields (matrix data, operand,
     result, product scratch) are sized by the matrix storage dtype —
     a float32 plan's arena is roughly half the float64 footprint —
-    while every checksum-side field stays in the accumulation dtype.
+    while every checksum-side field stays in the accumulation dtype,
+    including the widened operand copy ``b_checksum`` a narrow plan
+    stages for its checksum shards.
     """
     working = str(matrix.data.dtype)
-    return ArenaLayout.build(
-        [
-            ("a_indptr", (matrix.n_rows + 1,), "int64"),
-            ("a_indices", (matrix.nnz,), "int64"),
-            ("a_data", (matrix.nnz,), working),
-            ("c_indptr", (checksum.n_rows + 1,), "int64"),
-            ("c_indices", (checksum.nnz,), "int64"),
-            ("c_data", (checksum.nnz,), str(checksum.data.dtype)),
-            ("weights", (matrix.n_rows,), "float64"),
-            ("b", (matrix.n_cols,), working),
-            ("r", (matrix.n_rows,), working),
-            ("r_workspace", (matrix.nnz,), working),
-            ("t1", (n_blocks,), "float64"),
-            ("c_workspace", (checksum.nnz,), "float64"),
-            ("t2", (n_blocks,), "float64"),
-            ("t2_workspace", (matrix.n_rows,), "float64"),
-            ("syndrome", (n_blocks,), "float64"),
-            ("thresholds", (n_blocks,), "float64"),
-            ("exceeded", (n_blocks,), "bool"),
-            ("ring", (n_shards,), "int64"),
-            ("shard_seconds", (n_shards,), "float64"),
-        ]
-    )
+    accumulation = str(checksum.data.dtype)
+    fields: List[Tuple[str, Tuple[int, ...], str]] = [
+        ("a_indptr", (matrix.n_rows + 1,), "int64"),
+        ("a_indices", (matrix.nnz,), "int64"),
+        ("a_data", (matrix.nnz,), working),
+        ("c_indptr", (checksum.n_rows + 1,), "int64"),
+        ("c_indices", (checksum.nnz,), "int64"),
+        ("c_data", (checksum.nnz,), accumulation),
+        ("weights", (matrix.n_rows,), "float64"),
+        ("b", (matrix.n_cols,), working),
+        ("r", (matrix.n_rows,), working),
+        ("r_workspace", (matrix.nnz,), working),
+        ("t1", (n_blocks,), "float64"),
+        ("c_workspace", (checksum.nnz,), "float64"),
+        ("t2", (n_blocks,), "float64"),
+        ("t2_workspace", (matrix.n_rows,), "float64"),
+        ("syndrome", (n_blocks,), "float64"),
+        ("thresholds", (n_blocks,), "float64"),
+        ("exceeded", (n_blocks,), "bool"),
+        ("ring", (n_shards,), "int64"),
+        ("shard_seconds", (n_shards,), "float64"),
+    ]
+    if working != accumulation and n_shards > 1:
+        fields.append(("b_checksum", (matrix.n_cols,), accumulation))
+    return ArenaLayout.build(fields)
 
 
 def _arena_alloc(arena: Arena):  # type: ignore[no-untyped-def]

@@ -28,7 +28,6 @@ from repro.schemes.registry import (
     DEFAULT_CORRECTION_SCHEMES,
     DEFAULT_PCG_SCHEMES,
     DEFAULT_SCHEME,
-    SCHEME_ALIASES,
     SCHEME_ENV_VAR,
     SchemeFactory,
     available_schemes,
@@ -56,7 +55,6 @@ __all__ = [
     "TamperHook",
     "SchemeFactory",
     "SCHEME_ENV_VAR",
-    "SCHEME_ALIASES",
     "DEFAULT_SCHEME",
     "DEFAULT_CORRECTION_SCHEMES",
     "DEFAULT_PCG_SCHEMES",

@@ -22,7 +22,7 @@ Explicit lookups (:func:`make_scheme`) never consult the environment.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Protocol, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Protocol, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.schemes.base import ProtectionScheme
@@ -58,18 +58,6 @@ DEFAULT_CORRECTION_SCHEMES = ("abft", "bisection", "complete")
 #: Scheme triple of the paper's PCG case study (Figures 8-9).
 DEFAULT_PCG_SCHEMES = ("abft", "bisection", "checkpoint")
 
-#: Historic spellings accepted anywhere a scheme name is (campaign scripts,
-#: figure tables and old configs predate the registry).
-SCHEME_ALIASES: Mapping[str, str] = {
-    "ours": "abft",
-    "block": "abft",
-    "partial": "bisection",
-    "partial-recomputation": "bisection",
-    "dense": "dense_check",
-    "dwc": "redundancy",
-}
-
-
 class SchemeFactory(Protocol):
     """Builds a scheme instance bound to ``matrix``.
 
@@ -99,11 +87,6 @@ def register_scheme(
     """Register ``factory`` under ``name``; returns it for chaining."""
     if not name or not isinstance(name, str):
         raise ConfigurationError(f"scheme name must be a non-empty string, got {name!r}")
-    if name in SCHEME_ALIASES:
-        raise ConfigurationError(
-            f"scheme name {name!r} is reserved as an alias for "
-            f"{SCHEME_ALIASES[name]!r}"
-        )
     if not callable(factory):
         raise ConfigurationError(
             f"scheme factory for {name!r} must be callable, got {type(factory).__name__}"
@@ -124,26 +107,25 @@ def unregister_scheme(name: str) -> None:
 
 
 def available_schemes() -> Tuple[str, ...]:
-    """Registered scheme names, sorted (aliases not included)."""
+    """Registered scheme names, sorted."""
     return tuple(sorted(_REGISTRY))
 
 
 def canonical_scheme_name(name: str) -> str:
-    """Resolve aliases and validate that ``name`` is registered."""
+    """Validate that ``name`` is registered and return it."""
     if not isinstance(name, str):
         raise ConfigurationError(
             f"scheme must be a name or ProtectionScheme, got {type(name).__name__}"
         )
-    resolved = SCHEME_ALIASES.get(name, name)
-    if resolved not in _REGISTRY:
+    if name not in _REGISTRY:
         raise ConfigurationError(
             f"unknown scheme {name!r}; expected one of {available_schemes()}"
         )
-    return resolved
+    return name
 
 
 def get_scheme_factory(name: str) -> SchemeFactory:
-    """Look up a scheme factory by (possibly aliased) name."""
+    """Look up a scheme factory by name."""
     return _REGISTRY[canonical_scheme_name(name)]
 
 

@@ -1,12 +1,9 @@
 """The unified result type shared by every protection scheme.
 
-Historically the repository carried two result types: the block scheme's
-``SpmvResult`` (per-check flagged *block* tuples, corrected block ids) and
-the related-work ``BaselineSpmvResult`` (per-check booleans, corrected row
-ranges).  Campaigns comparing schemes had to know which one they were
-holding.  :class:`ProtectedSpmvResult` merges the two: every scheme reports
-boolean per-check detections and row-range corrections, and schemes that
-localize to blocks (the paper's) additionally fill the block-id fields.
+Every scheme reports boolean per-check detections and row-range
+corrections, and schemes that localize to blocks (the paper's)
+additionally fill the block-id fields, so campaigns comparing schemes
+never need to know which one they are holding.
 """
 
 from __future__ import annotations
@@ -57,11 +54,11 @@ class ProtectedSpmvResult:
 
         An empty ``detections`` tuple means the scheme ran no check at
         all; that multiply is clean by definition rather than an
-        ``IndexError`` (regression: ``BaselineSpmvResult.clean`` raised).
+        ``IndexError``.
         """
         return not self.detections or not self.detections[0]
 
     @property
     def detected(self) -> Tuple[Tuple[int, ...], ...]:
-        """Per-check flagged block tuples (legacy ``SpmvResult`` alias)."""
+        """Per-check flagged block tuples (same as :attr:`detected_blocks`)."""
         return self.detected_blocks

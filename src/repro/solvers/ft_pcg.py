@@ -57,8 +57,8 @@ from repro.sparse.csr import CsrMatrix
 #: Solver-level cases handled here rather than by a registered scheme.
 SOLVER_SCHEMES = ("unprotected", "dual", "hybrid")
 
-#: Scheme identifiers accepted by :func:`run_pcg` (registry aliases such as
-#: ``"ours"`` are accepted too; any custom registered scheme also works).
+#: Scheme identifiers accepted by :func:`run_pcg` (any custom registered
+#: scheme also works).
 SCHEMES = SOLVER_SCHEMES + BUILTIN_SCHEMES
 
 
@@ -73,8 +73,8 @@ class FtPcgOptions:
     preconditioner: str = "jacobi"
     max_correction_rounds: int = 8
     kernel: str = DEFAULT_KERNEL
-    #: Storage format for the planned protected multiply ("csr", "bsr",
-    #: "ell" or "auto"); None keeps the CSR default.  Resolution follows
+    #: Storage format for the planned protected multiply ("csr", "bsr" or
+    #: "auto"); None keeps the CSR default.  Resolution follows
     #: :func:`repro.sparse.formats.resolve_format_name` (REPRO_FORMAT
     #: overrides configured names).
     sparse_format: Optional[str] = None
@@ -146,7 +146,7 @@ class _PcgState:
 def run_pcg(
     matrix: CsrMatrix,
     b: np.ndarray,
-    scheme: str = "ours",
+    scheme: str = "abft",
     error_rate: float = 0.0,
     seed: int = 0,
     machine: Optional[Machine] = None,
@@ -173,11 +173,8 @@ def run_pcg(
     Returns:
         The :class:`FtPcgResult` of the run.
     """
-    if scheme in SOLVER_SCHEMES:
-        canonical = scheme
-    else:
-        # Registry lookup resolves aliases and rejects unknown names.
-        canonical = canonical_scheme_name(scheme)
+    if scheme not in SOLVER_SCHEMES:
+        canonical_scheme_name(scheme)  # rejects unknown names up front
     options = options or FtPcgOptions()
     machine = machine or Machine()
     meter = ExecutionMeter(machine=machine)
@@ -206,15 +203,15 @@ def run_pcg(
         kernel=options.kernel,
         sparse_format=options.sparse_format,
     )
-    if canonical in ("abft", "hybrid"):
+    if scheme in ("abft", "hybrid"):
         operator = make_scheme(
             "abft", matrix, config=config, machine=machine, telemetry=telemetry
         )
         # The loop re-executes the same protected multiply every iteration:
         # the planned path reuses shard schedules and buffers instead of
         # reallocating per call.  A fault-free run passes no tamper hook at
-        # all (the hook would be a no-op), which also lets the parallel
-        # kernel set use its fused threaded pipeline.
+        # all (the hook would be a no-op), which also lets a threads or
+        # processes backend run its fused multi-shard pipeline.
         plan = operator.planned()
         tamper_hook = tamper if error_rate > 0 else None
 
@@ -224,7 +221,7 @@ def run_pcg(
                 result.rounds > 0
             )
 
-    elif canonical == "dual":
+    elif scheme == "dual":
         operator = DualChecksumSpMV(
             matrix,
             block_size=options.block_size,
@@ -238,7 +235,7 @@ def run_pcg(
             detected = bool(result.detected)
             return result.value, detected, result.exhausted, int(detected)
 
-    elif canonical == "unprotected":
+    elif scheme == "unprotected":
         plain_cost = spmv_cost(matrix.nnz, int(matrix.row_lengths().max(initial=1)))
 
         def multiply(p_vec: np.ndarray) -> tuple[np.ndarray, bool, bool, int]:
@@ -249,7 +246,7 @@ def run_pcg(
 
     else:  # any registered scheme (checkpoint, bisection, dense_check, ...)
         scheme_obj = make_scheme(
-            canonical, matrix, config=config, machine=machine, telemetry=telemetry
+            scheme, matrix, config=config, machine=machine, telemetry=telemetry
         )
         # The checkpoint scheme carries the snapshot store the solver rolls
         # back to; schemes that correct in place have none.
@@ -270,7 +267,7 @@ def run_pcg(
     if b_norm == 0.0:
         b_norm = 1.0
 
-    with telemetry.span("pcg.solve", scheme=canonical, n=n, seed=seed):
+    with telemetry.span("pcg.solve", scheme=scheme, n=n, seed=seed):
         with telemetry.span("pcg.setup"):
             q0, detected0, _, _ = multiply(x)
         detections += int(detected0)
@@ -283,7 +280,7 @@ def run_pcg(
             rz = float(np.dot(r, z))
         state = _PcgState(x, r, p, rz)
 
-        store = CheckpointStore() if canonical == "hybrid" else scheme_store
+        store = CheckpointStore() if scheme == "hybrid" else scheme_store
         rollbacks = 0
         if store is not None:
             meter.run_kernel(store.save(0, {"x": x, "r": r, "p": p}, {"rz": rz}))
@@ -304,7 +301,7 @@ def run_pcg(
                 # Checkpoint: roll back on *any* detection (it cannot
                 # correct).  Hybrid: roll back only when in-place
                 # correction gave up.
-                roll_back = unrecoverable if canonical == "hybrid" else detected
+                roll_back = unrecoverable if scheme == "hybrid" else detected
                 if store is not None and roll_back:
                     # Discard the iteration, restore the snapshot.
                     _, arrays, scalars, cost = store.restore()

@@ -6,7 +6,6 @@ machine model can cost — every kernel it relies on.
 
 from repro.sparse.construct import add, diags, identity, shift, subtract
 from repro.sparse.coo import CooMatrix
-from repro.sparse.ell import EllMatrix
 from repro.sparse.csr import CsrMatrix
 from repro.sparse.bsr import BsrMatrix
 from repro.sparse.formats import (
@@ -15,7 +14,6 @@ from repro.sparse.formats import (
     BSR_MIN_FILL,
     BUILTIN_FORMATS,
     DEFAULT_FORMAT,
-    ELL_MAX_PADDING,
     FORMAT_ENV_VAR,
     FormatChoice,
     SparseFormat,
@@ -23,7 +21,6 @@ from repro.sparse.formats import (
     bsr_fill_ratio,
     build_format,
     canonical_format_name,
-    ell_padding_ratio,
     probe_block_shape,
     resolve_format_name,
     select_format,
@@ -69,7 +66,6 @@ __all__ = [
     "subtract",
     "shift",
     "CsrMatrix",
-    "EllMatrix",
     "BsrMatrix",
     "SparseFormat",
     "FormatChoice",
@@ -79,14 +75,12 @@ __all__ = [
     "AUTO_FORMAT",
     "BSR_BLOCK_CANDIDATES",
     "BSR_MIN_FILL",
-    "ELL_MAX_PADDING",
     "available_formats",
     "canonical_format_name",
     "resolve_format_name",
     "select_format",
     "build_format",
     "bsr_fill_ratio",
-    "ell_padding_ratio",
     "probe_block_shape",
     "arrowhead_spd",
     "banded_spd",

@@ -413,12 +413,6 @@ class CsrMatrix:
 
         return BsrMatrix.from_csr(self, block_shape)
 
-    def to_ell(self):
-        """Convert to :class:`repro.sparse.ell.EllMatrix` (max-width padding)."""
-        from repro.sparse.ell import EllMatrix
-
-        return EllMatrix.from_csr(self)
-
     def to_dense(self) -> np.ndarray:
         """Materialize as a dense array in the storage dtype."""
         out = np.zeros(self.shape, dtype=self.data.dtype)

@@ -1,11 +1,10 @@
 """Sparse-format registry, selection heuristics and the dispatch protocol.
 
-The kernel engine executes planned SpMVs against one of three storage
-formats — ``"csr"`` (the paper's baseline and the library default),
-``"bsr"`` (dense tiles; wins on block-structured matrices) and ``"ell"``
-(fixed-width padded rows; wins on very regular row lengths) — plus the
-pseudo-format ``"auto"`` which picks one at plan time from structural
-heuristics with an optional measured fallback to CSR.
+The kernel engine executes planned SpMVs against one of two storage
+formats — ``"csr"`` (the paper's baseline and the library default) and
+``"bsr"`` (dense tiles; wins on block-structured matrices) — plus the
+pseudo-format ``"auto"`` which picks one at plan time from the BSR fill
+ratio with an optional measured fallback to CSR.
 
 Selection order mirrors the kernel registry (first match wins):
 
@@ -18,7 +17,7 @@ Selection order mirrors the kernel registry (first match wins):
 4. :data:`DEFAULT_FORMAT` (``"csr"`` — historic behavior: existing
    callers see bit-identical results until they opt in).
 
-Auto-selection heuristics (each threshold is part of the documented
+Auto-selection heuristic (each threshold is part of the documented
 contract, tested in ``tests/sparse/test_formats.py``):
 
 * BSR is chosen when some candidate tile edge in
@@ -28,18 +27,15 @@ contract, tested in ``tests/sparse/test_formats.py``):
   Tile edges below 8 never pay for the gather/einsum overhead on the
   measured NumPy pipeline, which is why smaller candidates are not
   probed.
-* ELL is chosen only when BSR was rejected *and* the padding ratio is at
-  most :data:`ELL_MAX_PADDING`; above the threshold the padded slots
-  (computed, then discarded) cost more than CSR's segment reduction.
-* Everything else falls back to CSR.  With ``measure=True`` a BSR/ELL
+* Everything else falls back to CSR.  With ``measure=True`` a BSR
   candidate must additionally beat a timed CSR probe by
   :data:`MEASURED_MIN_GAIN`; the measured fallback protects against
-  matrices that satisfy the structural heuristics but lose on the
-  actual pipeline.
+  matrices that satisfy the fill heuristic but lose on the actual
+  pipeline.
 
 Every decision is recorded as a :class:`FormatChoice` (format, reason,
-fill/padding ratios) which planned executors attach to the plan and emit
-as ``plan.format`` telemetry.
+fill ratio, tile shape) which planned executors attach to the plan and
+emit as ``plan.format`` telemetry.
 """
 
 from __future__ import annotations
@@ -54,7 +50,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.sparse.bsr import BsrMatrix
 from repro.sparse.csr import CsrMatrix
-from repro.sparse.ell import EllMatrix
 
 #: Environment variable that overrides the configured sparse format.
 FORMAT_ENV_VAR = "REPRO_FORMAT"
@@ -63,7 +58,7 @@ FORMAT_ENV_VAR = "REPRO_FORMAT"
 DEFAULT_FORMAT = "csr"
 
 #: Storage formats that ship with the library.
-BUILTIN_FORMATS = ("csr", "bsr", "ell")
+BUILTIN_FORMATS = ("csr", "bsr")
 
 #: Pseudo-format: pick a storage format at plan time from the heuristics.
 AUTO_FORMAT = "auto"
@@ -81,10 +76,6 @@ BSR_BLOCK_CANDIDATES = (8, 16)
 #: the tile pipeline's win on block-structured matrices evaporates.
 BSR_MIN_FILL = 0.85
 
-#: Maximum ELL padding ratio for auto-selection; above it the padded
-#: (computed, discarded) slots cost more than CSR's segment reduction.
-ELL_MAX_PADDING = 0.25
-
 #: Measured fallback: a candidate format must beat the timed CSR probe
 #: by this factor, or auto-selection falls back to CSR.
 MEASURED_MIN_GAIN = 1.05
@@ -98,9 +89,8 @@ MEASURE_MIN_NNZ = 200_000
 class SparseFormat(Protocol):
     """Structural protocol every dispatchable storage format satisfies.
 
-    :class:`~repro.sparse.csr.CsrMatrix`,
-    :class:`~repro.sparse.bsr.BsrMatrix` and
-    :class:`~repro.sparse.ell.EllMatrix` all implement it; the planned
+    :class:`~repro.sparse.csr.CsrMatrix` and
+    :class:`~repro.sparse.bsr.BsrMatrix` implement it; the planned
     executors and the (format × impl) kernel sets program against this
     surface only.
     """
@@ -122,7 +112,7 @@ class SparseFormat(Protocol):
     def to_csr(self) -> CsrMatrix: ...
 
 
-FormatMatrix = Union[CsrMatrix, BsrMatrix, EllMatrix]
+FormatMatrix = Union[CsrMatrix, BsrMatrix]
 
 
 @dataclass(frozen=True)
@@ -130,11 +120,10 @@ class FormatChoice:
     """One plan-time format decision, with its evidence.
 
     Attributes:
-        format: the storage format the plan executes (``csr``/``bsr``/``ell``).
+        format: the storage format the plan executes (``csr``/``bsr``).
         requested: what the caller asked for (may be ``"auto"``).
         reason: one-line human-readable justification.
         fill_ratio: BSR fill ratio at ``block_shape`` (NaN when not probed).
-        padding_ratio: ELL padding ratio (NaN when not probed).
         block_shape: tile shape used/probed for BSR, or None.
         measured_gain: timed speedup of the chosen format over CSR when
             the measured fallback ran (NaN otherwise).
@@ -144,7 +133,6 @@ class FormatChoice:
     requested: str
     reason: str
     fill_ratio: float = float("nan")
-    padding_ratio: float = float("nan")
     block_shape: Optional[Tuple[int, int]] = None
     measured_gain: float = float("nan")
 
@@ -215,13 +203,6 @@ def bsr_fill_ratio(csr: CsrMatrix, block_shape: Union[int, Tuple[int, int]]) -> 
     return csr.nnz / (n_tiles * br * bc)
 
 
-def ell_padding_ratio(csr: CsrMatrix) -> float:
-    """Padding ratio an ELL conversion would have (0 = perfectly regular)."""
-    width = int(csr.row_lengths().max(initial=0))
-    slots = csr.n_rows * width
-    return 1.0 - csr.nnz / slots if slots else 0.0
-
-
 def probe_block_shape(
     csr: CsrMatrix,
     candidates: Tuple[int, ...] = BSR_BLOCK_CANDIDATES,
@@ -276,8 +257,6 @@ def build_format(
         if block_shape is None:
             block_shape, _ = probe_block_shape(csr)
         return BsrMatrix.from_csr(csr, block_shape)
-    if name == "ell":
-        return EllMatrix.from_csr(csr)
     raise ConfigurationError(
         f"{AUTO_FORMAT!r} is not a storage format; resolve it through "
         f"select_format() first"
@@ -292,7 +271,7 @@ def select_format(
     """Resolve ``requested`` to a concrete storage matrix plus the evidence.
 
     Explicit names are honored as-is (probing only to pick BSR's tile
-    shape); ``"auto"`` applies the documented heuristics, optionally
+    shape); ``"auto"`` applies the documented fill heuristic, optionally
     backed by the measured CSR fallback (``measure=True``; skipped below
     :data:`MEASURE_MIN_NNZ` nnz where timing noise dominates).
     """
@@ -301,8 +280,8 @@ def select_format(
     if requested == "csr":
         return FormatChoice("csr", requested, "requested explicitly"), csr
 
+    block_shape, fill = probe_block_shape(csr)
     if requested == "bsr":
-        block_shape, fill = probe_block_shape(csr)
         matrix = BsrMatrix.from_csr(csr, block_shape)
         choice = FormatChoice(
             "bsr", requested, "requested explicitly",
@@ -310,85 +289,40 @@ def select_format(
         )
         return choice, matrix
 
-    if requested == "ell":
-        matrix = EllMatrix.from_csr(csr)
+    # --- auto ---------------------------------------------------------
+    tiles = f"{block_shape[0]}x{block_shape[1]} tiles"
+    if fill < BSR_MIN_FILL:
+        reason = (
+            f"fill {fill:.2f} < {BSR_MIN_FILL} at {tiles}; CSR is the safe default"
+            if csr.nnz
+            else "empty matrix; CSR is the safe default"
+        )
         choice = FormatChoice(
-            "ell", requested, "requested explicitly",
-            padding_ratio=matrix.padding_ratio,
+            "csr", requested, reason, fill_ratio=fill, block_shape=block_shape
+        )
+        return choice, csr
+
+    matrix = BsrMatrix.from_csr(csr, block_shape)
+    if not (measure and csr.nnz >= MEASURE_MIN_NNZ):
+        choice = FormatChoice(
+            "bsr", requested, f"fill {fill:.2f} >= {BSR_MIN_FILL} at {tiles}",
+            fill_ratio=fill, block_shape=block_shape,
         )
         return choice, matrix
 
-    # --- auto ---------------------------------------------------------
-    block_shape, fill = probe_block_shape(csr)
-    padding = ell_padding_ratio(csr)
-    measurable = measure and csr.nnz >= MEASURE_MIN_NNZ
-
-    if fill >= BSR_MIN_FILL:
-        matrix = BsrMatrix.from_csr(csr, block_shape)
-        if measurable:
-            gain = _measured_gain(csr, matrix)
-            if gain >= MEASURED_MIN_GAIN:
-                choice = FormatChoice(
-                    "bsr", requested,
-                    f"fill {fill:.2f} >= {BSR_MIN_FILL} at "
-                    f"{block_shape[0]}x{block_shape[1]} tiles; measured "
-                    f"{gain:.2f}x >= {MEASURED_MIN_GAIN}x over CSR",
-                    fill_ratio=fill, padding_ratio=padding,
-                    block_shape=block_shape, measured_gain=gain,
-                )
-                return choice, matrix
-            choice = FormatChoice(
-                "csr", requested,
-                f"measured fallback: BSR at {block_shape[0]}x{block_shape[1]} "
-                f"tiles reached only {gain:.2f}x < {MEASURED_MIN_GAIN}x over CSR",
-                fill_ratio=fill, padding_ratio=padding,
-                block_shape=block_shape, measured_gain=gain,
-            )
-            return choice, csr
+    gain = _measured_gain(csr, matrix)
+    if gain >= MEASURED_MIN_GAIN:
         choice = FormatChoice(
             "bsr", requested,
-            f"fill {fill:.2f} >= {BSR_MIN_FILL} at "
-            f"{block_shape[0]}x{block_shape[1]} tiles",
-            fill_ratio=fill, padding_ratio=padding, block_shape=block_shape,
+            f"fill {fill:.2f} >= {BSR_MIN_FILL} at {tiles}; measured "
+            f"{gain:.2f}x >= {MEASURED_MIN_GAIN}x over CSR",
+            fill_ratio=fill, block_shape=block_shape, measured_gain=gain,
         )
         return choice, matrix
-
-    if padding <= ELL_MAX_PADDING and csr.nnz > 0:
-        matrix = EllMatrix.from_csr(csr)
-        if measurable:
-            gain = _measured_gain(csr, matrix)
-            if gain >= MEASURED_MIN_GAIN:
-                choice = FormatChoice(
-                    "ell", requested,
-                    f"padding {padding:.2f} <= {ELL_MAX_PADDING}; measured "
-                    f"{gain:.2f}x >= {MEASURED_MIN_GAIN}x over CSR",
-                    fill_ratio=fill, padding_ratio=padding, measured_gain=gain,
-                )
-                return choice, matrix
-            choice = FormatChoice(
-                "csr", requested,
-                f"measured fallback: ELL reached only {gain:.2f}x "
-                f"< {MEASURED_MIN_GAIN}x over CSR",
-                fill_ratio=fill, padding_ratio=padding, measured_gain=gain,
-            )
-            return choice, csr
-        choice = FormatChoice(
-            "ell", requested,
-            f"padding {padding:.2f} <= {ELL_MAX_PADDING}",
-            fill_ratio=fill, padding_ratio=padding,
-        )
-        return choice, matrix
-
-    reason = (
-        f"fill {fill:.2f} < {BSR_MIN_FILL} and padding {padding:.2f} "
-        f"> {ELL_MAX_PADDING}; CSR is the safe default"
-        if csr.nnz
-        else "empty matrix; CSR is the safe default"
+    choice = FormatChoice(
+        "csr", requested,
+        f"measured fallback: BSR at {tiles} reached only {gain:.2f}x "
+        f"< {MEASURED_MIN_GAIN}x over CSR",
+        fill_ratio=fill, block_shape=block_shape, measured_gain=gain,
     )
-    return (
-        FormatChoice(
-            "csr", requested, reason,
-            fill_ratio=fill, padding_ratio=padding, block_shape=block_shape,
-        ),
-        csr,
-    )
+    return choice, csr

@@ -38,7 +38,7 @@ def test_plain_spmv_time_positive(small_suite):
 
 def test_detection_overhead_block_beats_dense(small_suite):
     for _, matrix in small_suite:
-        assert detection_overhead(matrix, "block") < detection_overhead(matrix, "dense")
+        assert detection_overhead(matrix, "abft") < detection_overhead(matrix, "dense_check")
 
 
 def test_detection_overhead_rejects_unknown_method(small_suite):
@@ -65,24 +65,24 @@ def test_detection_comparison_reduction_positive(small_suite):
 def test_correction_comparison_structure(small_suite):
     comparison = compare_correction_overheads(small_suite, trials=5, seed=1)
     assert comparison.names == ("nos3", "bcsstk13")
-    assert comparison.average_reduction_vs("partial") > 0
+    assert comparison.average_reduction_vs("bisection") > 0
     assert comparison.average_reduction_vs("complete") > 0
 
 
 def test_coverage_comparison_structure(small_suite):
     comparison = compare_coverage(small_suite, sigmas=(1e-10,), trials=40, seed=2)
-    assert comparison.average_f1("block", 1e-10) > comparison.average_f1("dense", 1e-10)
+    assert comparison.average_f1("abft", 1e-10) > comparison.average_f1("dense_check", 1e-10)
 
 
 def test_sweep_pcg_cells(small_suite):
     cells = sweep_pcg(
         small_suite[:1],
-        schemes=("ours",),
+        schemes=("abft",),
         error_rates=(0.0, 1e-6),
         runs=2,
         seed=3,
     )
-    clean = cells[("ours", 0.0)]
+    clean = cells[("abft", 0.0)]
     assert clean.runs == 2
     assert clean.success_rate == 1.0
     assert clean.mean_overhead is not None and clean.mean_overhead > 0
@@ -126,7 +126,7 @@ def test_render_functions_produce_text(small_suite):
     assert "Figure 7" in out
 
     cells = sweep_pcg(
-        small_suite[:1], schemes=("ours",), error_rates=(0.0,), runs=1, seed=6
+        small_suite[:1], schemes=("abft",), error_rates=(0.0,), runs=1, seed=6
     )
-    out = render_pcg_cells(cells, schemes=("ours",), rates=(0.0,))
+    out = render_pcg_cells(cells, schemes=("abft",), rates=(0.0,))
     assert "Figure 8" in out and "Figure 9" in out

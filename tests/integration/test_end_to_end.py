@@ -49,7 +49,7 @@ def test_rcm_then_protected_pcg_pipeline():
     rng = np.random.default_rng(1)
     x_true = rng.standard_normal(restored.n_rows)
     b = restored.matvec(x_true)
-    result = run_pcg(restored, b, scheme="ours", error_rate=1e-6, seed=2)
+    result = run_pcg(restored, b, scheme="abft", error_rate=1e-6, seed=2)
     assert result.correct
     np.testing.assert_allclose(result.x, x_true, rtol=1e-3, atol=1e-5)
 
@@ -89,7 +89,7 @@ def test_protected_pcg_with_every_preconditioner():
 
     for kind in ("identity", "jacobi"):
         result = run_pcg(
-            matrix, b, scheme="ours", error_rate=1e-6, seed=5,
+            matrix, b, scheme="abft", error_rate=1e-6, seed=5,
             options=FtPcgOptions(preconditioner=kind),
         )
         assert result.correct, kind
@@ -145,7 +145,7 @@ def test_meter_accounts_full_solver_run():
     matrix = poisson2d(15)
     rng = np.random.default_rng(10)
     b = matrix.matvec(rng.standard_normal(matrix.n_rows))
-    result = run_pcg(matrix, b, scheme="ours", error_rate=0.0, seed=11)
+    result = run_pcg(matrix, b, scheme="abft", error_rate=0.0, seed=11)
     assert result.seconds > 0
     assert result.flops > 2.0 * matrix.nnz * result.iterations  # at least the SpMVs
 
@@ -163,7 +163,7 @@ def test_plain_pcg_matches_protected_pcg_solution():
     x_true = rng.standard_normal(matrix.n_rows)
     b = matrix.matvec(x_true)
     plain = pcg(matrix, b, make_preconditioner("jacobi", matrix), tol=1e-10)
-    protected = run_pcg(matrix, b, scheme="ours", error_rate=0.0, seed=13)
+    protected = run_pcg(matrix, b, scheme="abft", error_rate=0.0, seed=13)
     np.testing.assert_allclose(plain.x, x_true, rtol=1e-6)
     np.testing.assert_allclose(protected.x, x_true, rtol=1e-3, atol=1e-6)
 

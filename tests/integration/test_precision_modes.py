@@ -63,7 +63,9 @@ def test_planned_float32_matches_unplanned(scheme_name, monkeypatch):
     direct = resolve_scheme(matrix, config=config)
     planned_host = resolve_scheme(matrix, config=config)
     expected = direct.multiply(b.copy())
-    with planned_host.planned(n_shards=2) as plan:
+    # Bit-identity with the unplanned multiply is the CSR contract; pin
+    # the format against a REPRO_FORMAT override.
+    with planned_host.planned(n_shards=2, sparse_format="csr") as plan:
         got = plan.multiply(b.copy())
     np.testing.assert_array_equal(got.value, expected.value)
     assert got.value.dtype == np.float32

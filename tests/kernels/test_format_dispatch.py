@@ -4,7 +4,7 @@ Two contracts are pinned here:
 
 * the registry resolves two-axis ``(sparse_format, impl)`` keys while
   format-agnostic callers keep seeing the historical CSR-only view;
-* the BSR/ELL kernel sets agree with the CSR reference — bit-for-bit
+* the BSR kernel sets agree with the CSR reference — bit-for-bit
   where the design promises exactness (``encode`` delegates through the
   exact ``to_csr`` round trip; ``correct_*``/``row_checksums`` replay
   the storage format's own summation, so restoring an uncorrupted
@@ -28,8 +28,7 @@ from repro.kernels import (
     unregister_kernels,
 )
 from repro.kernels.bsr import BsrNaiveKernels, BsrVectorizedKernels
-from repro.kernels.ell import EllNaiveKernels, EllVectorizedKernels
-from repro.sparse import BsrMatrix, EllMatrix, block_stencil_spd, random_spd
+from repro.sparse import BsrMatrix, block_stencil_spd, random_spd
 
 N, NNZ, BLOCK = 96, 900, 16
 
@@ -55,9 +54,8 @@ def b():
 
 
 def _format_matrix(csr, sparse_format):
-    if sparse_format == "bsr":
-        return BsrMatrix.from_csr(csr, 8)
-    return EllMatrix.from_csr(csr)
+    assert sparse_format == "bsr"
+    return BsrMatrix.from_csr(csr, 8)
 
 
 # ----------------------------------------------------------------------
@@ -71,11 +69,10 @@ def test_builtin_keys_are_registered():
 
 def test_per_format_impl_listings():
     assert available_kernels("bsr") == ("naive", "vectorized")
-    assert available_kernels("ell") == ("naive", "vectorized")
     # The format-agnostic view stays the historical CSR one.
     assert available_kernels() == available_kernels(DEFAULT_KERNEL_FORMAT)
-    assert "parallel" in available_kernels()
-    assert "parallel" not in available_kernels("bsr")
+    assert available_kernels() == ("naive", "vectorized")
+    assert len(available_kernel_keys()) == 4
 
 
 @pytest.mark.parametrize(
@@ -83,8 +80,6 @@ def test_per_format_impl_listings():
     [
         ("bsr", "naive", BsrNaiveKernels),
         ("bsr", "vectorized", BsrVectorizedKernels),
-        ("ell", "naive", EllNaiveKernels),
-        ("ell", "vectorized", EllVectorizedKernels),
     ],
 )
 def test_get_kernels_two_axis(sparse_format, impl, cls):
@@ -103,7 +98,7 @@ def test_available_kernels_rejects_unknown_format():
     with pytest.raises(ConfigurationError, match="registered formats"):
         available_kernels("coo")
     with pytest.raises(ConfigurationError, match="unknown kernel set"):
-        get_kernels("parallel", "bsr")  # no BSR parallel impl ships
+        get_kernels("vectorized", "ell")  # no ELL kernels ship
 
 
 def test_env_override_moves_impl_axis_only(monkeypatch):
@@ -137,7 +132,7 @@ def test_builtins_cannot_be_unregistered():
 # ----------------------------------------------------------------------
 # Format-kernel differential: encode is bit-exact
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("sparse_format", ["bsr", "ell"])
+@pytest.mark.parametrize("sparse_format", ["bsr"])
 @pytest.mark.parametrize("impl", ["naive", "vectorized"])
 def test_encode_bit_identical_to_csr(csr, partition, sparse_format, impl):
     """Format encode delegates through the exact to_csr round trip, so
@@ -152,7 +147,7 @@ def test_encode_bit_identical_to_csr(csr, partition, sparse_format, impl):
 # ----------------------------------------------------------------------
 # Format-kernel differential: recomputation replays the format's bits
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("sparse_format", ["bsr", "ell"])
+@pytest.mark.parametrize("sparse_format", ["bsr"])
 @pytest.mark.parametrize("impl", ["naive", "vectorized"])
 def test_correct_blocks_restores_format_matvec_bits(
     csr, partition, b, sparse_format, impl
@@ -176,7 +171,7 @@ def test_correct_blocks_restores_format_matvec_bits(
     )
 
 
-@pytest.mark.parametrize("sparse_format", ["bsr", "ell"])
+@pytest.mark.parametrize("sparse_format", ["bsr"])
 @pytest.mark.parametrize("impl", ["naive", "vectorized"])
 def test_row_checksums_match_format_matvec(csr, partition, b, sparse_format, impl):
     matrix = _format_matrix(csr, sparse_format)
@@ -188,7 +183,7 @@ def test_row_checksums_match_format_matvec(csr, partition, b, sparse_format, imp
     assert nnz == sum(matrix.nnz_in_rows(int(i), int(i) + 1) for i in rows)
 
 
-@pytest.mark.parametrize("sparse_format", ["bsr", "ell"])
+@pytest.mark.parametrize("sparse_format", ["bsr"])
 @pytest.mark.parametrize("impl", ["naive", "vectorized"])
 def test_correct_cells_restores_multi_rhs_bits(
     csr, partition, sparse_format, impl
@@ -207,7 +202,7 @@ def test_correct_cells_restores_multi_rhs_bits(
     np.testing.assert_array_equal(r, clean)
 
 
-@pytest.mark.parametrize("sparse_format", ["bsr", "ell"])
+@pytest.mark.parametrize("sparse_format", ["bsr"])
 def test_tamper_hook_sequence_matches_csr(csr, partition, b, sparse_format):
     """Fault campaigns replay identically: one 'corrected' call per block,
     in block order, with the same work charges as the CSR reference."""

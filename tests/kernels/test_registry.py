@@ -33,7 +33,7 @@ def test_builtins_registered():
     names = available_kernels()
     for builtin in BUILTIN_KERNELS:
         assert builtin in names
-    assert "parallel" in BUILTIN_KERNELS
+    assert BUILTIN_KERNELS == ("naive", "vectorized")
     assert DEFAULT_KERNEL in names
 
 
@@ -90,9 +90,17 @@ def test_abft_config_accepts_registered_kernels():
         assert AbftConfig(kernel=name).kernel == name
 
 
-def test_abft_config_rejects_unknown_kernel():
+def test_abft_config_rejects_unknown_kernel(monkeypatch):
     with pytest.raises(ConfigurationError, match="unknown kernel"):
         AbftConfig(kernel="nope")
+    # Threading is a plan backend, not a kernel set: "parallel" is unknown
+    # and the error names the sets that exist.
+    remaining = r"'parallel'.*\('naive', 'vectorized'\)"
+    with pytest.raises(ConfigurationError, match=remaining):
+        AbftConfig(kernel="parallel")
+    monkeypatch.setenv(KERNEL_ENV_VAR, "parallel")
+    with pytest.raises(ConfigurationError, match=remaining):
+        resolve_kernels("vectorized")
 
 
 class _StubKernels(NaiveKernels):

@@ -17,7 +17,7 @@ def event_log(tmp_path):
     tel = Telemetry(exporter=JsonlExporter(path))
     matrix = banded_spd(300, half_bandwidth=3, seed=0)
     result = run_pcg(
-        matrix, np.ones(matrix.n_rows), scheme="ours", error_rate=1e-6, seed=3,
+        matrix, np.ones(matrix.n_rows), scheme="abft", error_rate=1e-6, seed=3,
         telemetry=tel,
     )
     tel.close()

@@ -20,7 +20,7 @@ def run_instrumented(seed=3, error_rate=1e-6):
     b = np.ones(matrix.n_rows)
     tel = Telemetry(exporter=InMemoryExporter(), clock=FakeClock())
     result = run_pcg(
-        matrix, b, scheme="ours", error_rate=error_rate, seed=seed, telemetry=tel
+        matrix, b, scheme="abft", error_rate=error_rate, seed=seed, telemetry=tel
     )
     return result, tel.events()
 

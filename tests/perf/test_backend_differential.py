@@ -12,7 +12,9 @@ Two layers of the bit-identity contract:
    fan-out (``serial_cutoff=0`` so ``processes`` engages on the tiny
    corpus): clean runs, per-shard injected bursts, and a flag-every-block
    correction storm must agree with the serial reference on value bits,
-   detection/correction history, simulated seconds and flops.
+   detection/correction history, simulated seconds and flops — in
+   float64, and in float32 storage on CSR (every backend) and BSR
+   (serial and threads; processes always runs CSR).
 """
 
 import json
@@ -39,6 +41,12 @@ BURST_INDEX, BURST_MAGNITUDE = 33, 1e4
 N_SHARDS = 4
 
 BACKENDS = tuple(sorted(BUILTIN_BACKENDS))
+
+#: ``(storage format, backend)`` legs of the float32 plan layer.
+FLOAT32_LEGS = tuple(("csr", backend) for backend in BACKENDS) + (
+    ("bsr", "serial"),
+    ("bsr", "threads"),
+)
 
 
 @pytest.fixture(scope="module")
@@ -111,9 +119,11 @@ def test_scheme_matches_golden_under_every_backend(corpus, name, scenario, backe
 # ----------------------------------------------------------------------
 # Plan layer: multi-shard fan-out across backends
 # ----------------------------------------------------------------------
-def _plan(corpus, backend, **config_kwargs):
+def _plan(corpus, backend, sparse_format="csr", dtype=None, **config_kwargs):
     matrix, _ = corpus
-    config = AbftConfig(block_size=BLOCK_SIZE, **config_kwargs)
+    if dtype is not None:
+        matrix = matrix.astype(dtype)
+    config = AbftConfig(block_size=BLOCK_SIZE, dtype=dtype, **config_kwargs)
     operator = FaultTolerantSpMV(matrix, config=config)
     return ProtectedPlan(
         operator,
@@ -123,7 +133,7 @@ def _plan(corpus, backend, **config_kwargs):
         # The golden snapshots are CSR products; pin the format so a
         # REPRO_FORMAT override can't diverge the serial/threads legs from
         # the processes leg (which always coerces to CSR).
-        sparse_format="csr",
+        sparse_format=sparse_format,
     )
 
 
@@ -185,6 +195,31 @@ def test_plan_correction_storm_bit_identical_across_backends(
         result = snapshot(plan.multiply(b.copy()))
         assert result == serial_reference["flag_all"]
         assert result["corrected_blocks"]  # the storm actually corrected
+
+
+@pytest.mark.parametrize(
+    "sparse_format,backend", FLOAT32_LEGS, ids=["-".join(leg) for leg in FLOAT32_LEGS]
+)
+def test_plan_float32_bit_identical_across_backends(corpus, sparse_format, backend):
+    """Float32 storage through the fused multi-shard path: the checksum
+    shards read a float64 staging of the operand, and every backend must
+    reproduce the serial plan's value bits and detection history, on a
+    clean multiply and on a flag-every-block correction storm."""
+    _, b = corpus
+    b32 = b.astype(np.float32)
+    for scenario in ({}, {"bound_scale": 1e-12, "max_correction_rounds": 2}):
+        with _plan(corpus, "serial", sparse_format, "float32", **scenario) as plan:
+            reference = snapshot(plan.multiply(b32))
+        with _plan(corpus, backend, sparse_format, "float32", **scenario) as plan:
+            assert plan.sparse_format == sparse_format
+            assert plan.spmv.n_shards == N_SHARDS
+            if backend != "serial":
+                assert plan.backend.parallel_active
+            result = plan.multiply(b32)
+            assert result.value.dtype == np.float32
+            assert snapshot(result) == reference
+            if scenario:
+                assert reference["corrected_blocks"]  # the storm corrected
 
 
 def test_plan_clean_matches_unplanned_golden(corpus):

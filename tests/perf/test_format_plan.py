@@ -1,7 +1,7 @@
 """Format-aware planned execution: selection, dispatch and correctness.
 
 Complements ``test_plan.py`` (which pins the CSR bit-identity contract):
-here the plan runs on BSR/ELL storage, where the value is bit-identical
+here the plan runs on BSR storage, where the value is bit-identical
 to the *storage format's* own matvec (the shard executors replay its
 summation) and bound-level close to the CSR reference.
 """
@@ -12,7 +12,7 @@ import pytest
 from repro.core import AbftConfig, FaultTolerantSpMV
 from repro.errors import ConfigurationError
 from repro.obs import InMemoryExporter, Telemetry
-from repro.perf import ProtectedPlan, SpmvPlan
+from repro.perf import BACKEND_ENV_VAR, ProtectedPlan, SpmvPlan
 from repro.solvers.ft_pcg import FtPcgOptions, run_pcg
 from repro.sparse import (
     FORMAT_ENV_VAR,
@@ -27,8 +27,11 @@ BLOCK = 16
 
 @pytest.fixture(autouse=True)
 def _clean_format_env(monkeypatch):
-    """Selection tests need a known baseline: no ambient REPRO_FORMAT."""
+    """Selection tests need a known baseline: no ambient REPRO_FORMAT, and
+    no ambient REPRO_PARALLEL — the processes backend coerces every format
+    request to CSR (pinned by test_processes_backend_coerces_to_csr)."""
     monkeypatch.delenv(FORMAT_ENV_VAR, raising=False)
+    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
 
 
 @pytest.fixture
@@ -63,7 +66,7 @@ def one_shot_burst(index=0):
 # ----------------------------------------------------------------------
 # Selection plumbing
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("requested", ["bsr", "ell"])
+@pytest.mark.parametrize("requested", ["bsr"])
 def test_explicit_format_request_builds_storage(blocky, requested):
     plan = _operator(blocky).planned(sparse_format=requested)
     assert plan.sparse_format == requested
@@ -94,10 +97,10 @@ def test_auto_keeps_csr_on_hostile_input(hostile):
 
 
 def test_env_override_beats_config(blocky, monkeypatch):
-    op = _operator(blocky, sparse_format="ell")
-    assert op.planned().sparse_format == "ell"
-    monkeypatch.setenv(FORMAT_ENV_VAR, "bsr")
-    assert _operator(blocky, sparse_format="ell").planned().sparse_format == "bsr"
+    op = _operator(blocky, sparse_format="bsr")
+    assert op.planned().sparse_format == "bsr"
+    monkeypatch.setenv(FORMAT_ENV_VAR, "csr")
+    assert _operator(blocky, sparse_format="bsr").planned().sparse_format == "csr"
 
 
 def test_explicit_argument_beats_env(blocky, monkeypatch):
@@ -115,9 +118,9 @@ def test_planned_cache_is_keyed_on_format(blocky):
     op = _operator(blocky)
     bsr_plan = op.planned(sparse_format="bsr")
     assert op.planned(sparse_format="bsr") is bsr_plan
-    ell_plan = op.planned(sparse_format="ell")
-    assert ell_plan is not bsr_plan
-    assert ell_plan.sparse_format == "ell"
+    csr_plan = op.planned(sparse_format="csr")
+    assert csr_plan is not bsr_plan
+    assert csr_plan.sparse_format == "csr"
 
 
 def test_processes_backend_coerces_to_csr(blocky):
@@ -140,7 +143,7 @@ def test_spmv_plan_rejects_workspace_with_storage(blocky):
 # ----------------------------------------------------------------------
 # Execution: clean multiplies
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("requested", ["bsr", "ell"])
+@pytest.mark.parametrize("requested", ["bsr"])
 @pytest.mark.parametrize("n_shards", [1, 3])
 def test_clean_multiply_bit_identical_to_storage(blocky, requested, n_shards):
     op = _operator(blocky)
@@ -157,7 +160,7 @@ def test_clean_multiply_bit_identical_to_storage(blocky, requested, n_shards):
         assert not any(result.detections)
 
 
-@pytest.mark.parametrize("requested", ["bsr", "ell"])
+@pytest.mark.parametrize("requested", ["bsr"])
 def test_threaded_format_plan_matches_serial(blocky, requested):
     op = _operator(blocky)
     b = np.random.default_rng(2).standard_normal(blocky.n_cols)
@@ -171,7 +174,7 @@ def test_threaded_format_plan_matches_serial(blocky, requested):
 # ----------------------------------------------------------------------
 # Execution: detection and correction on format storage
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("requested", ["bsr", "ell"])
+@pytest.mark.parametrize("requested", ["bsr"])
 def test_tampered_multiply_corrects_on_format_storage(blocky, requested):
     """Tamper hooks route through the sequential fallback, whose
     correction kernels recompute flagged rows with the CSR reference:
@@ -193,9 +196,9 @@ def test_tampered_multiply_corrects_on_format_storage(blocky, requested):
     np.testing.assert_array_equal(result.value[BLOCK:], clean[BLOCK:])
 
 
-@pytest.mark.parametrize("requested", ["bsr", "ell"])
+@pytest.mark.parametrize("requested", ["bsr"])
 def test_fused_threaded_correction_on_format_storage(blocky, requested):
-    op = _operator(blocky, kernel="parallel")
+    op = _operator(blocky)
     with ProtectedPlan(op, n_shards=3, parallel="threads",
                        sparse_format=requested) as plan:
         b = np.random.default_rng(4).standard_normal(blocky.n_cols)

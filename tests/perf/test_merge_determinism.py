@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import AbftConfig, FaultTolerantSpMV
 from repro.errors import WorkerCrashError
+from repro.kernels import KERNEL_ENV_VAR
 from repro.obs import InMemoryExporter, Telemetry
 from repro.perf import ProtectedPlan
 from repro.sparse import random_spd
@@ -26,6 +27,15 @@ BLOCK = 16
 #: Counters whose totals must be topology-independent (parent-side
 #: protocol accounting driven by the merged detection results).
 PROTOCOL_COUNTERS = ("abft.checks", "abft.detections", "abft.corrections")
+
+
+@pytest.fixture(autouse=True)
+def _vectorized_kernels(monkeypatch):
+    """The fused shard path reduces t2 in the vectorized kernels' order;
+    the 1-shard and serial references must too, so an ambient
+    REPRO_KERNELS=naive (whose per-block sums round differently) is
+    cleared."""
+    monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
 
 
 def _campaign(n_shards, parallel, n_multiplies=3, crash_after=None):

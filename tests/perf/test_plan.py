@@ -10,15 +10,17 @@ allocating.
 import numpy as np
 import pytest
 
+import repro.perf.backends as backends
 from repro.core import AbftConfig, FaultTolerantSpMV
 from repro.errors import ConfigurationError, ShapeMismatchError
-from repro.kernels.parallel import ParallelKernels
 from repro.obs import InMemoryExporter, Telemetry
-from repro.perf import ProtectedPlan, SpmvPlan
+from repro.perf import BACKEND_ENV_VAR, ProtectedPlan, SpmvPlan
 from repro.sparse import CooMatrix, random_spd
 
 N = 256
 BLOCK = 32
+#: Shard counts the threaded fused path must reproduce bit for bit.
+SHARD_COUNTS = (1, 2, 3, 4)
 
 
 @pytest.fixture
@@ -54,15 +56,12 @@ def recording(inner=None):
     return hook, calls
 
 
-def parallel_operator(n_workers, telemetry=None, **config_kwargs):
-    """Operator whose kernel backend is a sharded-at-any-size parallel set."""
-    config = AbftConfig(block_size=BLOCK, kernel="parallel", **config_kwargs)
-    op = FaultTolerantSpMV(
-        random_spd(N, 2500, seed=21), config=config, telemetry=telemetry
-    )
-    kernels = ParallelKernels(n_workers=n_workers, serial_cutoff=0)
-    op.detector.kernels = op.telemetry.wrap_kernels(kernels)
-    return op
+def threaded_plan(matrix, n_shards, **config_kwargs):
+    """A ``threads`` plan with ``n_shards`` shards, pinned against
+    ``REPRO_PARALLEL``/``REPRO_FORMAT`` overrides."""
+    config = AbftConfig(block_size=BLOCK, **config_kwargs)
+    op = FaultTolerantSpMV(matrix, config=config)
+    return ProtectedPlan(op, n_shards=n_shards, parallel="threads", sparse_format="csr")
 
 
 # ----------------------------------------------------------------------
@@ -249,11 +248,29 @@ def test_planned_rebuilds_on_shard_change(matrix):
     assert op.planned(n_shards=2) is two
 
 
-def test_planned_defaults_to_parallel_worker_count():
-    op = parallel_operator(n_workers=3)
-    plan = op.planned()
-    assert plan.n_shards == 3
-    assert plan.spmv.n_shards > 1
+@pytest.mark.parametrize("source", ["config", "env"])
+@pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+def test_planned_defaults_to_backend_worker_count(monkeypatch, backend, source):
+    """``planned()`` takes its shard count from the resolved backend:
+    serial plans get one shard, threads and processes plans one per
+    worker and the fused multi-shard path."""
+    monkeypatch.setattr(backends.os, "cpu_count", lambda: 8)  # 4 workers
+    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+    if source == "env":
+        monkeypatch.setenv(BACKEND_ENV_VAR, backend)
+        config = AbftConfig(block_size=BLOCK)
+    else:
+        config = AbftConfig(block_size=BLOCK, parallel=backend)
+    # Large enough that the processes backend engages by default.
+    matrix = random_spd(4096, 40_000, seed=22)
+    b = np.random.default_rng(22).standard_normal(matrix.n_cols)
+    op = FaultTolerantSpMV(matrix, config=config)
+    with op.planned(sparse_format="csr") as plan:
+        expected = 1 if backend == "serial" else 4
+        assert plan.backend_name == backend
+        assert plan.n_shards == plan.spmv.n_shards == expected
+        assert plan.backend.parallel_active is (backend != "serial")
+        np.testing.assert_array_equal(plan.multiply(b).value, op.multiply(b).value)
 
 
 # ----------------------------------------------------------------------
@@ -263,15 +280,15 @@ def test_threaded_clean_multiply_matches_sequential(matrix, b):
     reference = FaultTolerantSpMV(
         matrix, config=AbftConfig(block_size=BLOCK, kernel="vectorized")
     ).multiply(b)
-    op = parallel_operator(n_workers=3)
-    plan = op.planned(sparse_format="csr")
-    assert plan.spmv.n_shards > 1  # the fused path is actually exercised
-    for _ in range(3):
-        planned = plan.multiply(b)
-        np.testing.assert_array_equal(planned.value, reference.value)
-        assert planned.detected == reference.detected
-        assert planned.seconds == reference.seconds
-        assert planned.flops == reference.flops
+    for n_shards in SHARD_COUNTS:
+        plan = threaded_plan(matrix, n_shards)
+        assert plan.spmv.n_shards == n_shards
+        for _ in range(3):
+            planned = plan.multiply(b)
+            np.testing.assert_array_equal(planned.value, reference.value)
+            assert planned.detected == reference.detected
+            assert planned.seconds == reference.seconds
+            assert planned.flops == reference.flops
 
 
 def test_threaded_correction_matches_sequential(matrix, b):
@@ -283,18 +300,18 @@ def test_threaded_correction_matches_sequential(matrix, b):
         matrix, config=AbftConfig(kernel="vectorized", **scaled)
     ).multiply(b)
     assert reference.exhausted  # the scenario really does flag blocks
-    op = parallel_operator(n_workers=3, **{k: v for k, v in scaled.items() if k != "block_size"})
-    plan = op.planned(sparse_format="csr")
-    assert plan.spmv.n_shards > 1
-    planned = plan.multiply(b)
-    _assert_results_identical(planned, reference)
+    for n_shards in SHARD_COUNTS:
+        plan = threaded_plan(
+            matrix, n_shards, bound_scale=1e-12, max_correction_rounds=3
+        )
+        assert plan.spmv.n_shards == n_shards
+        _assert_results_identical(plan.multiply(b), reference)
 
 
 def test_tamper_falls_back_to_sequential_path(matrix, b):
     """Fault campaigns must see the contractual stage sequence even on a
-    parallel-kernel operator."""
-    op = parallel_operator(n_workers=3)
-    plan = op.planned()
+    multi-shard threaded plan."""
+    plan = threaded_plan(matrix, 3)
     hook, calls = recording()
     plan.multiply(b, tamper=hook)
     assert [stage for stage, _ in calls] == ["result", "t1", "beta", "t2"]
@@ -316,12 +333,17 @@ def _scrubbed(events):
 
 
 def test_plan_telemetry_stream_matches_operator(matrix, b):
-    config = AbftConfig(block_size=BLOCK, kernel="vectorized")
+    """The *serial* plan emits the unplanned operator's event stream; a
+    fused multi-shard plan adds ``plan.shard`` spans by design (see
+    ``test_threaded_plan_shard_spans_report_owner``)."""
+    config = AbftConfig(block_size=BLOCK, kernel="vectorized", parallel="serial")
     tel_op = Telemetry(exporter=InMemoryExporter())
     tel_plan = Telemetry(exporter=InMemoryExporter())
     op = FaultTolerantSpMV(matrix, config=config, telemetry=tel_op)
     planned_op = FaultTolerantSpMV(matrix, config=config, telemetry=tel_plan)
-    plan = planned_op.planned(sparse_format="csr")
+    # The explicit argument pins serial against a REPRO_PARALLEL override,
+    # which beats the config field.
+    plan = ProtectedPlan(planned_op, parallel="serial", sparse_format="csr")
     for _ in range(3):
         op.multiply(b)
         plan.multiply(b)

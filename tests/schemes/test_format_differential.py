@@ -9,7 +9,7 @@ Two contracts, one per execution path:
   paths only; this is what keeps the golden snapshots stable.)
 
 * **Planned ABFT multiplies are bound-level equivalent across formats.**
-  The planned operator run on BSR/ELL storage must agree with the CSR
+  The planned operator run on BSR storage must agree with the CSR
   reference within the paper's rounding regime (the storage formats
   re-associate the row sums), with identical detection/correction
   bookkeeping — and bit-for-bit when the requested format resolves back
@@ -100,5 +100,5 @@ def test_planned_abft_matches_csr_across_formats(
         # auto keeps CSR on this unstructured corpus: exact equality.
         np.testing.assert_array_equal(result.value, ref_value)
     else:
-        # BSR/ELL re-associate row sums: bound-level, never exact.
+        # BSR re-associates row sums: bound-level, never exact.
         np.testing.assert_allclose(result.value, ref_value, rtol=1e-12)

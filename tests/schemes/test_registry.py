@@ -9,7 +9,6 @@ from repro.machine import Machine
 from repro.schemes import (
     BUILTIN_SCHEMES,
     DEFAULT_SCHEME,
-    SCHEME_ALIASES,
     SCHEME_ENV_VAR,
     ProtectedSpmvResult,
     ProtectionScheme,
@@ -95,10 +94,13 @@ def test_every_builtin_returns_unified_result(matrix):
         np.testing.assert_allclose(result.value, matrix.matvec(b))
 
 
-def test_aliases_resolve_everywhere(matrix):
-    for alias, target in SCHEME_ALIASES.items():
-        assert canonical_scheme_name(alias) == target
-        assert make_scheme(alias, matrix).name == target
+def test_only_registered_names_resolve(matrix):
+    # One spelling per scheme: these names are not registered.
+    for name in BUILTIN_SCHEMES:
+        assert canonical_scheme_name(name) == name
+    for historic in ("ours", "block", "partial", "partial-recomputation", "dense", "dwc"):
+        with pytest.raises(ConfigurationError, match="expected one of"):
+            make_scheme(historic, matrix)
 
 
 def test_unknown_scheme_raises():
@@ -106,11 +108,6 @@ def test_unknown_scheme_raises():
         canonical_scheme_name("bogus")
     with pytest.raises(ConfigurationError):
         get_scheme_factory("bogus")
-
-
-def test_alias_names_cannot_be_registered():
-    with pytest.raises(ConfigurationError):
-        register_scheme("ours", _stub_factory)
 
 
 def test_duplicate_registration_requires_overwrite(stub):

@@ -29,8 +29,8 @@ def test_clean_reflects_first_check():
 
 
 def test_clean_on_empty_detections_regression():
-    # Historic BaselineSpmvResult.clean raised IndexError on an empty
-    # detections tuple; the unified type must treat "never checked" as clean.
+    # An empty detections tuple once raised IndexError; the unified type
+    # must treat "never checked" as clean.
     assert _result(detections=()).clean is True
 
 

@@ -298,7 +298,9 @@ def test_planned_vabft_matches_unplanned(f32_corpus):
     direct = make_scheme("vabft", matrix, config=config)
     planned_scheme = make_scheme("vabft", matrix, config=config)
     expected = direct.multiply(b.copy())
-    with planned_scheme.planned(n_shards=2) as plan:
+    # Bit-identity with the unplanned multiply is the CSR contract; pin
+    # the format against a REPRO_FORMAT override.
+    with planned_scheme.planned(n_shards=2, sparse_format="csr") as plan:
         got = plan.multiply(b.copy())
     np.testing.assert_array_equal(got.value, expected.value)
     assert got.detections == expected.detections

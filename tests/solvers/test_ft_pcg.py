@@ -15,7 +15,7 @@ def system():
     return a, a.matvec(x_true)
 
 
-ALL_SCHEMES = ("unprotected", "ours", "partial", "checkpoint")
+ALL_SCHEMES = ("unprotected", "abft", "bisection", "checkpoint")
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
@@ -45,15 +45,15 @@ def test_options_validation():
 def test_protected_schemes_cost_more_than_unprotected(system):
     a, b = system
     base = run_pcg(a, b, scheme="unprotected", seed=2).seconds
-    for scheme in ("ours", "partial", "checkpoint"):
+    for scheme in ("abft", "bisection", "checkpoint"):
         assert run_pcg(a, b, scheme=scheme, seed=2).seconds > base
 
 
 def test_low_rate_overhead_ordering_matches_figure8(system):
     """Ours < partial < checkpoint on fault-free runtime (Figure 8 left)."""
     a, b = system
-    ours = run_pcg(a, b, scheme="ours", seed=3).seconds
-    partial = run_pcg(a, b, scheme="partial", seed=3).seconds
+    ours = run_pcg(a, b, scheme="abft", seed=3).seconds
+    partial = run_pcg(a, b, scheme="bisection", seed=3).seconds
     checkpoint = run_pcg(a, b, scheme="checkpoint", seed=3).seconds
     assert ours < partial
     assert ours < checkpoint
@@ -63,7 +63,7 @@ def test_ours_survives_moderate_error_rate(system):
     a, b = system
     correct = 0
     for seed in range(8):
-        result = run_pcg(a, b, scheme="ours", error_rate=3e-7, seed=seed)
+        result = run_pcg(a, b, scheme="abft", error_rate=3e-7, seed=seed)
         correct += result.correct
         if result.injections:
             assert result.detections >= 0
@@ -74,7 +74,7 @@ def test_unprotected_fails_more_often_than_ours(system):
     a, b = system
     seeds = range(10)
     rate = 1e-6
-    ours = sum(run_pcg(a, b, "ours", rate, s).correct for s in seeds)
+    ours = sum(run_pcg(a, b, "abft", rate, s).correct for s in seeds)
     bare = sum(run_pcg(a, b, "unprotected", rate, s).correct for s in seeds)
     assert ours >= bare
     assert ours >= 8
@@ -95,14 +95,14 @@ def test_checkpoint_scheme_saves_and_rolls_back(system):
 def test_iteration_cap_counts_executed_iterations(system):
     a, b = system
     options = FtPcgOptions(max_iteration_factor=1)
-    result = run_pcg(a, b, scheme="ours", error_rate=0.0, seed=4, options=options)
+    result = run_pcg(a, b, scheme="abft", error_rate=0.0, seed=4, options=options)
     assert result.iterations <= a.n_rows
 
 
 def test_deterministic_for_seed(system):
     a, b = system
-    r1 = run_pcg(a, b, scheme="ours", error_rate=1e-6, seed=9)
-    r2 = run_pcg(a, b, scheme="ours", error_rate=1e-6, seed=9)
+    r1 = run_pcg(a, b, scheme="abft", error_rate=1e-6, seed=9)
+    r2 = run_pcg(a, b, scheme="abft", error_rate=1e-6, seed=9)
     assert r1.iterations == r2.iterations
     assert r1.seconds == r2.seconds
     assert r1.injections == r2.injections
@@ -111,7 +111,7 @@ def test_deterministic_for_seed(system):
 
 def test_detection_counts_tracked(system):
     a, b = system
-    result = run_pcg(a, b, scheme="ours", error_rate=1e-5, seed=10)
+    result = run_pcg(a, b, scheme="abft", error_rate=1e-5, seed=10)
     assert result.injections > 0
     assert result.detections > 0
     assert result.corrections == result.detections
@@ -120,5 +120,5 @@ def test_detection_counts_tracked(system):
 def test_preconditioner_choice_flows_through(system):
     a, b = system
     options = FtPcgOptions(preconditioner="identity")
-    result = run_pcg(a, b, scheme="ours", seed=11, options=options)
+    result = run_pcg(a, b, scheme="abft", seed=11, options=options)
     assert result.converged

@@ -82,7 +82,7 @@ def test_dual_cheaper_than_ours_under_heavy_correction(system):
     options = FtPcgOptions(max_iteration_factor=1)
     rate = 3e-7
     dual = run_pcg(big, rhs, scheme="dual", error_rate=rate, seed=4, options=options)
-    ours = run_pcg(big, rhs, scheme="ours", error_rate=rate, seed=4, options=options)
+    ours = run_pcg(big, rhs, scheme="abft", error_rate=rate, seed=4, options=options)
     assert dual.correct and ours.correct
     # Identical iteration trajectory (same seed/arrivals), different repair.
     assert dual.iterations == ours.iterations

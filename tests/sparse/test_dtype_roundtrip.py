@@ -1,7 +1,7 @@
 """Property suite: storage dtype survives every format conversion.
 
 The dtype-generic refactor made float32 a first-class storage dtype; the
-invariant pinned here is that no conversion in the CSR/BSR/ELL/COO
+invariant pinned here is that no conversion in the CSR/BSR/COO
 square silently widens (or narrows) it — values round-trip bit for bit
 in the dtype they started in, and ``astype`` is the only sanctioned
 dtype change (exact in the widening direction, round-to-nearest when
@@ -17,7 +17,6 @@ from repro.errors import SparseFormatError
 from repro.sparse import CooMatrix
 from repro.sparse.bsr import BsrMatrix
 from repro.sparse.csr import SUPPORTED_STORAGE_DTYPES
-from repro.sparse.ell import EllMatrix
 from repro.sparse.generators import random_spd
 
 storage_dtypes = st.sampled_from(["float64", "float32"])
@@ -47,16 +46,6 @@ def test_bsr_round_trip_preserves_dtype_and_bits(csr, block):
     bsr = BsrMatrix.from_csr(csr, block)
     assert bsr.dtype == csr.dtype
     back = bsr.to_csr()
-    assert back.dtype == csr.dtype
-    np.testing.assert_array_equal(back.data, csr.data)
-
-
-@settings(max_examples=60, deadline=None)
-@given(csr_matrices())
-def test_ell_round_trip_preserves_dtype_and_bits(csr):
-    ell = EllMatrix.from_csr(csr)
-    assert ell.dtype == csr.dtype
-    back = ell.to_csr()
     assert back.dtype == csr.dtype
     np.testing.assert_array_equal(back.data, csr.data)
 

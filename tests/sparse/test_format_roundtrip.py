@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sparse import CooMatrix, EllMatrix
+from repro.sparse import CooMatrix
 from repro.sparse.bsr import BsrMatrix
 
 
@@ -82,13 +82,6 @@ def test_bsr_dense_view_matches_csr(coo, block_shape):
     np.testing.assert_array_equal(bsr.to_dense(), csr.to_dense())
 
 
-@settings(max_examples=60, deadline=None)
-@given(coo_matrices())
-def test_csr_ell_csr_round_trip_is_exact(coo):
-    csr = coo.to_csr()
-    assert EllMatrix.from_csr(csr).to_csr() == csr
-
-
 @settings(max_examples=40, deadline=None)
 @given(coo_matrices(), block_shapes, st.integers(0, 1_000_000))
 def test_matvec_agrees_across_formats(coo, block_shape, seed):
@@ -96,7 +89,5 @@ def test_matvec_agrees_across_formats(coo, block_shape, seed):
     b = np.random.default_rng(seed).standard_normal(csr.n_cols)
     reference = csr.to_dense() @ b
     bsr = BsrMatrix.from_csr(csr, block_shape)
-    ell = EllMatrix.from_csr(csr)
     scale = max(1.0, float(np.abs(reference).max()))
     np.testing.assert_allclose(bsr.matvec(b), reference, atol=1e-9 * scale)
-    np.testing.assert_allclose(ell.matvec(b), reference, atol=1e-9 * scale)

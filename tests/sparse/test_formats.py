@@ -1,23 +1,24 @@
 """Tests for the format registry, resolution order and auto-selection.
 
-The heuristic thresholds asserted here (BSR_MIN_FILL, ELL_MAX_PADDING,
-the candidate tile edges) are part of the documented contract in
+The heuristic thresholds asserted here (BSR_MIN_FILL, the candidate
+tile edges) are part of the documented contract in
 ``repro.sparse.formats`` — a threshold change must update both.
 """
+
+import re
 
 import numpy as np
 import pytest
 
+from repro.core import AbftConfig
 from repro.errors import ConfigurationError
 from repro.sparse import (
     BSR_BLOCK_CANDIDATES,
     BSR_MIN_FILL,
-    ELL_MAX_PADDING,
     FORMAT_ENV_VAR,
     BsrMatrix,
     CooMatrix,
     CsrMatrix,
-    EllMatrix,
     SparseFormat,
     available_formats,
     banded_spd,
@@ -25,12 +26,11 @@ from repro.sparse import (
     bsr_fill_ratio,
     build_format,
     canonical_format_name,
-    ell_padding_ratio,
-    poisson2d,
     probe_block_shape,
     random_spd,
     resolve_format_name,
     select_format,
+    suite_matrix,
 )
 
 
@@ -48,15 +48,24 @@ def test_canonical_format_name():
 
 
 def test_available_formats_sorted():
-    assert available_formats() == ("auto", "bsr", "csr", "ell")
+    assert available_formats() == ("auto", "bsr", "csr")
+
+
+def test_ell_is_rejected_naming_the_remaining_formats(monkeypatch):
+    remaining = "('csr', 'bsr', 'auto')"
+    with pytest.raises(ConfigurationError, match="'ell'.*" + re.escape(remaining)):
+        AbftConfig(sparse_format="ell")
+    monkeypatch.setenv(FORMAT_ENV_VAR, "ell")
+    with pytest.raises(ConfigurationError, match="'ell'.*" + re.escape(remaining)):
+        resolve_format_name(configured="csr")
 
 
 def test_resolution_order(monkeypatch):
     monkeypatch.delenv(FORMAT_ENV_VAR, raising=False)
     assert resolve_format_name() == "csr"
     assert resolve_format_name(configured="bsr") == "bsr"
-    monkeypatch.setenv(FORMAT_ENV_VAR, "ell")
-    assert resolve_format_name(configured="bsr") == "ell"  # env beats configured
+    monkeypatch.setenv(FORMAT_ENV_VAR, "csr")
+    assert resolve_format_name(configured="bsr") == "csr"  # env beats configured
     assert resolve_format_name(configured="bsr", explicit="auto") == "auto"  # explicit beats env
     monkeypatch.setenv(FORMAT_ENV_VAR, "bogus")
     with pytest.raises(ConfigurationError, match="unknown sparse format"):
@@ -65,7 +74,7 @@ def test_resolution_order(monkeypatch):
 
 def test_all_formats_satisfy_the_protocol():
     csr = random_spd(20, 80, seed=1)
-    for matrix in (csr, BsrMatrix.from_csr(csr, 4), EllMatrix.from_csr(csr)):
+    for matrix in (csr, BsrMatrix.from_csr(csr, 4)):
         assert isinstance(matrix, SparseFormat)
         assert matrix.to_csr() == csr
 
@@ -79,13 +88,6 @@ def test_bsr_fill_ratio_matches_materialized_fill():
         assert bsr_fill_ratio(csr, edge) == pytest.approx(
             BsrMatrix.from_csr(csr, edge).fill_ratio
         )
-
-
-def test_ell_padding_ratio_matches_materialized_padding():
-    csr = poisson2d(9)
-    assert ell_padding_ratio(csr) == pytest.approx(
-        EllMatrix.from_csr(csr).padding_ratio
-    )
 
 
 def test_probe_block_shape_ties_break_toward_larger_edge():
@@ -108,7 +110,6 @@ def test_build_format():
     csr = random_spd(24, 100, seed=3)
     assert build_format(csr, "csr") is csr
     assert isinstance(build_format(csr, "bsr"), BsrMatrix)
-    assert isinstance(build_format(csr, "ell"), EllMatrix)
     assert build_format(csr, "bsr", block_shape=4).block_shape == (4, 4)
     with pytest.raises(ConfigurationError, match="not a storage format"):
         build_format(csr, "auto")
@@ -116,7 +117,7 @@ def test_build_format():
 
 def test_select_format_honors_explicit_requests():
     csr = random_spd(24, 100, seed=4)
-    for name, cls in (("csr", CsrMatrix), ("bsr", BsrMatrix), ("ell", EllMatrix)):
+    for name, cls in (("csr", CsrMatrix), ("bsr", BsrMatrix)):
         choice, matrix = select_format(csr, name)
         assert choice.format == name and choice.requested == name
         assert choice.reason == "requested explicitly"
@@ -133,25 +134,22 @@ def test_auto_picks_bsr_on_block_structured_matrix():
     assert "fill" in choice.reason
 
 
-def test_auto_picks_ell_on_regular_rows():
+def test_auto_keeps_csr_on_regular_rows():
+    # Near-regular row lengths are no reason to leave CSR: only BSR fill is.
     csr = banded_spd(120, half_bandwidth=4, seed=6)
     assert bsr_fill_ratio(csr, 8) < BSR_MIN_FILL  # BSR leg really rejected
     choice, matrix = select_format(csr, "auto")
-    assert choice.format == "ell"
-    assert isinstance(matrix, EllMatrix)
-    assert choice.padding_ratio <= ELL_MAX_PADDING
-    assert "padding" in choice.reason
-
-
-def test_auto_rejects_ell_above_padding_threshold():
-    # One dense row among short ones: the padded slots would dominate.
-    entries = [(0, j, 1.0) for j in range(40)] + [(i, i, 1.0) for i in range(1, 40)]
-    csr = CooMatrix.from_entries((40, 40), entries).to_csr()
-    assert ell_padding_ratio(csr) > ELL_MAX_PADDING
-    choice, matrix = select_format(csr, "auto")
     assert choice.format == "csr"
     assert matrix is csr
-    assert "padding" in choice.reason and "safe default" in choice.reason
+    assert "fill" in choice.reason and "safe default" in choice.reason
+
+
+def test_auto_resolves_bcsstk13_to_csr():
+    # Near-regular rows but low tile fill: CSR is the faster format here.
+    csr = suite_matrix("bcsstk13")
+    choice, matrix = select_format(csr, "auto", measure=True)
+    assert choice.format == "csr"
+    assert matrix is csr
 
 
 def test_auto_falls_back_to_csr_on_hostile_matrix():
