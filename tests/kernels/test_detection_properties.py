@@ -1,6 +1,7 @@
 """Property-based detection-invariant tests, run under every kernel set.
 
-Two invariants, for each registered kernel implementation:
+Two invariants, for each registered kernel implementation and for the
+block-sharded ``parallel`` leg (:mod:`tests.kernels.sharded`):
 
 * clean runs never flag — on an error-free SpMV no block's syndrome
   exceeds the sparse per-block bound (zero false positives);
@@ -17,8 +18,11 @@ from hypothesis import strategies as st
 from repro.core import AbftConfig, BlockAbftDetector
 from repro.kernels import available_kernels
 from repro.sparse import random_spd
+from tests.kernels.sharded import ShardedKernels
 
-KERNELS = available_kernels()
+pytestmark = pytest.mark.usefixtures("sharded_kernels")
+
+KERNELS = tuple(sorted(available_kernels() + (ShardedKernels.name,)))
 
 
 @st.composite

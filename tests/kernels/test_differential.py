@@ -7,6 +7,10 @@ per-block rounding bound (evaluated at the operand norm), which is the
 same criterion the detector itself uses to separate noise from errors.
 Recomputation kernels reduce in the same per-row order in every set, so
 corrected values are asserted bit-identical.
+
+Besides the registered sets, every pair includes the ``parallel`` leg:
+the vectorized kernels run block-sharded on the threads backend's pool
+(:mod:`tests.kernels.sharded`).
 """
 
 import itertools
@@ -21,9 +25,13 @@ from repro.core.corrector import correct_blocks
 from repro.errors import ConfigurationError
 from repro.kernels import available_kernels, get_kernels
 from tests.kernels.corpus import corpus, corpus_ids
+from tests.kernels.sharded import ShardedKernels
+
+pytestmark = pytest.mark.usefixtures("sharded_kernels")
 
 CASES = corpus()
-PAIRS = list(itertools.combinations(available_kernels(), 2))
+KERNELS = tuple(sorted(available_kernels() + (ShardedKernels.name,)))
+PAIRS = list(itertools.combinations(KERNELS, 2))
 WEIGHT_KINDS = ("ones", "linear", "random")
 
 
@@ -195,6 +203,13 @@ def test_correct_blocks_bit_identical(case, pair):
     for block in blocks:
         start, stop = partition.bounds(int(block))
         np.testing.assert_array_equal(r_a[start:stop], clean[start:stop])
+    # Without a hook a set may repair shard by shard; not a bit may move.
+    for name in pair:
+        r = clean + 1.0
+        outcome = correct_blocks(matrix, partition, b, r, blocks, kernel=name)
+        np.testing.assert_array_equal(r, r_a)
+        assert outcome.rows_recomputed == out_a.rows_recomputed
+        assert outcome.nnz_recomputed == out_a.nnz_recomputed
 
 
 @_case_params()
@@ -274,3 +289,9 @@ def test_correct_cells_bit_identical(case, pair):
         np.testing.assert_array_equal(
             r_a[start:stop, col], clean[start:stop, col]
         )
+    # Without a hook a set may repair shard by shard; not a bit may move.
+    for name in pair:
+        r = clean + 1.0
+        counts = get_kernels(name).correct_cells(matrix, partition, b, r, cells)
+        np.testing.assert_array_equal(r, r_a)
+        assert counts == (rows_a, nnz_a)
