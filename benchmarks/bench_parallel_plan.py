@@ -1,12 +1,10 @@
-"""Planned vs unplanned protected SpMV across the backend registry.
+"""Planned protected SpMV across the backend registry.
 
 The steady-state scenario: one matrix, many clean protected multiplies
 (the ft_pcg inner loop).  Contenders:
 
-* ``unplanned``    — ``FaultTolerantSpMV.multiply`` with the vectorized
-  kernels, allocating every temporary on every call;
-* ``planned-1``    — ``operator.planned()`` with one shard: identical
-  bits, zero steady-state allocations;
+* ``planned-1``    — ``operator.planned()`` with one shard: zero
+  steady-state allocations;
 * ``threads-4``    — ``ProtectedPlan(n_shards=4, parallel="threads")``:
   the planned fused path over 4 nnz-balanced shards on the ``threads``
   backend (GIL-bound: NumPy releases it only inside individual kernel
@@ -15,15 +13,12 @@ The steady-state scenario: one matrix, many clean protected multiplies
   ``WORKER_COUNTS`` (1, 2, 4, 8): W shards served by W persistent
   workers mapping one SharedMemory arena.
 
-Acceptance floors (checked where the hardware can express them, and
-*failed* — not warned — when it can and the floor is unmet):
+Acceptance floor (checked where the hardware can express it, and
+*failed* — not warned — when it can and the floor is unmet): with >= 4
+usable cores ``processes-4`` must reach 1.5x over the planned
+single-thread loop.
 
-* at full scale the planned single-thread loop must beat the unplanned
-  loop — the zero-allocation plan has to pay for itself;
-* with >= 4 usable cores ``processes-4`` must reach 1.5x over the
-  planned single-thread loop.
-
-When a floor cannot be asserted (smoke run, too few cores) the JSON
+When the floor cannot be asserted (smoke run, too few cores) the JSON
 records a machine-readable reason under ``skip_reasons`` so CI can
 distinguish "passed" from "could not be measured here".
 
@@ -31,7 +26,7 @@ Results go to ``results/bench_parallel_plan.txt`` and machine-readable
 ``results/BENCH_parallel_plan.json`` (timings + ``worker_scaling`` +
 env metadata including ``cpu_count``).  ``REPRO_BENCH_SMOKE=1`` shrinks
 the problem to a CI-smoke size where only correctness, not the speedup
-floors, is asserted.
+floor, is asserted.
 """
 
 import os
@@ -55,7 +50,6 @@ N_WORKERS = 4
 WORKER_COUNTS = (1, 2, 4, 8)
 MULTIPLIES = 5 if SMOKE else 20
 REPEATS = 3
-MIN_PLANNED_SPEEDUP = 1.0  # planned-1 must strictly beat unplanned
 MIN_PARALLEL_SPEEDUP = 1.5  # processes-4 over planned-1, needs >= 4 cores
 
 
@@ -90,7 +84,6 @@ def _loop(multiply, operator, b):
 
 def test_planned_and_parallel_speedups(matrix, operand, benchmark):
     config = AbftConfig(block_size=BLOCK_SIZE, kernel="vectorized")
-    unplanned_op = FaultTolerantSpMV(matrix, config=config)
     planned_op = FaultTolerantSpMV(matrix, config=config)
     plan_1 = planned_op.planned(n_shards=1)
 
@@ -113,7 +106,6 @@ def test_planned_and_parallel_speedups(matrix, operand, benchmark):
 
     try:
         variants = {
-            "unplanned": (unplanned_op, unplanned_op.multiply),
             "planned-1": (planned_op, plan_1.multiply),
             f"threads-{N_WORKERS}": (threads_op, plan_threads.multiply),
         }
@@ -135,7 +127,6 @@ def test_planned_and_parallel_speedups(matrix, operand, benchmark):
             plan.close()
 
     speedups = {
-        "planned_vs_unplanned": timings["unplanned"] / timings["planned-1"],
         "threads_vs_planned": timings["planned-1"]
         / timings[f"threads-{N_WORKERS}"],
         "processes_vs_planned": timings["planned-1"]
@@ -154,7 +145,6 @@ def test_planned_and_parallel_speedups(matrix, operand, benchmark):
     # Machine-readable reasons for every floor NOT asserted on this run.
     skip_reasons = {}
     if SMOKE:
-        skip_reasons["planned_vs_unplanned"] = "smoke=1 (problem below full scale)"
         skip_reasons["processes_vs_planned"] = "smoke=1 (problem below full scale)"
     elif not enough_cores:
         skip_reasons["processes_vs_planned"] = f"cpu_count={cpu_count} < {N_WORKERS}"
@@ -173,7 +163,6 @@ def test_planned_and_parallel_speedups(matrix, operand, benchmark):
         )
     lines += [
         "",
-        f"planned-1 vs unplanned: {speedups['planned_vs_unplanned']:.2f}x",
         f"threads-{N_WORKERS} vs planned-1: "
         f"{speedups['threads_vs_planned']:.2f}x",
         f"processes-{N_WORKERS} vs planned-1: "
@@ -207,27 +196,16 @@ def test_planned_and_parallel_speedups(matrix, operand, benchmark):
             "timings_ms": {k: 1e3 * v for k, v in timings.items()},
             "speedups": speedups,
             "worker_scaling": worker_scaling,
-            "floors": {
-                "planned_vs_unplanned": MIN_PLANNED_SPEEDUP,
-                "processes_vs_planned": MIN_PARALLEL_SPEEDUP,
-            },
-            "asserted": {
-                "planned_vs_unplanned": not SMOKE,
-                "processes_vs_planned": enough_cores and not SMOKE,
-            },
+            "floors": {"processes_vs_planned": MIN_PARALLEL_SPEEDUP},
+            "asserted": {"processes_vs_planned": enough_cores and not SMOKE},
             "skip_reasons": skip_reasons,
             "env": bench_env(),
         },
     )
 
-    # Smoke runs only prove the harness executes end to end; the floors
-    # are claims about steady-state sizes on real hardware.  Where the
-    # hardware CAN express a floor, missing it is a hard failure.
-    if "planned_vs_unplanned" not in skip_reasons:
-        assert speedups["planned_vs_unplanned"] > MIN_PLANNED_SPEEDUP, (
-            f"zero-allocation plan no faster than unplanned: "
-            f"{speedups['planned_vs_unplanned']:.2f}x <= {MIN_PLANNED_SPEEDUP}x"
-        )
+    # Smoke runs only prove the harness executes end to end; the floor
+    # is a claim about steady-state sizes on real hardware.  Where the
+    # hardware CAN express it, missing it is a hard failure.
     if "processes_vs_planned" not in skip_reasons:
         assert speedups["processes_vs_planned"] >= MIN_PARALLEL_SPEEDUP, (
             f"processes-{N_WORKERS} missed the {MIN_PARALLEL_SPEEDUP}x floor "

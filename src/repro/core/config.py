@@ -76,7 +76,8 @@ class AbftConfig:
             (``"csr"``).  The ``REPRO_FORMAT`` environment variable
             overrides *configured* names process-wide; an explicit
             ``sparse_format=`` argument to a planned entry point beats
-            both.  Unplanned multiplies always run CSR.
+            both.  ``FaultTolerantSpMV.multiply`` always runs its own
+            one-shard serial CSR plan.
         dtype: registered dtype-policy name (see :mod:`repro.core.dtypes`):
             ``"float64"``, ``"float32"``, or ``"bfloat16"``.  The policy
             governs the epsilon model of the rounding-error bounds, the

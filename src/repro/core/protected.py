@@ -1,14 +1,19 @@
-"""The fault-tolerant SpMV driver (the paper's Figure 1, end to end).
+"""The fault-tolerant SpMV operator (the paper's Figure 1, end to end).
 
-:class:`FaultTolerantSpMV` executes one protected multiply: the SpMV and
-the operand checksum run as parallel streams, detection follows, and any
-flagged block is corrected by partial recomputation and re-verified.
-Numerics run eagerly (NumPy); simulated cost is charged per round to an
-:class:`repro.machine.ExecutionMeter`; fault campaigns corrupt intermediate
-data through a *tamper hook* invoked after every numeric stage.
+:class:`FaultTolerantSpMV` binds the detector to one input matrix and
+executes protected multiplies: the SpMV and the operand checksum run as
+parallel streams, detection follows, and any flagged block is corrected
+by partial recomputation and re-verified.  Every protected multiply runs
+through a :class:`repro.perf.ProtectedPlan`: :meth:`FaultTolerantSpMV.multiply`
+through a one-shard serial CSR plan built on the first call,
+:meth:`FaultTolerantSpMV.planned` through the plan of the resolved
+backend and format.  Numerics run eagerly (NumPy); simulated cost is
+charged to an :class:`repro.machine.ExecutionMeter`; fault campaigns
+corrupt intermediate data through a *tamper hook* invoked after every
+numeric stage.
 
-Beyond the paper's description, the driver handles two realities of
-injections into the detection path itself:
+Beyond the paper's description, the correction rounds handle two
+realities of injections into the detection path itself:
 
 * corrections are re-verified (a corrupted correction is caught in the
   next round), and
@@ -19,7 +24,7 @@ injections into the detection path itself:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import TYPE_CHECKING, List, Optional, Set, Tuple
 
 import numpy as np
@@ -146,6 +151,7 @@ class FaultTolerantSpMV:
             dtype=dtype,
         )
         self._plan: Optional["ProtectedPlan"] = None
+        self._serial_plan: Optional["ProtectedPlan"] = None
 
     @property
     def telemetry(self) -> Telemetry:
@@ -177,6 +183,14 @@ class FaultTolerantSpMV:
     ) -> ProtectedSpmvResult:
         """Execute one fault-tolerant SpMV.
 
+        Runs the operator's one-shard serial CSR
+        :class:`~repro.perf.ProtectedPlan`, built on the first call and
+        cached in its own slot (``REPRO_PARALLEL`` and ``REPRO_FORMAT``
+        never apply here; :meth:`planned` honours them).  The returned
+        ``value`` is a copy the caller owns.  The plan's buffers are
+        shared between calls, so one operator must not multiply from two
+        threads at once.
+
         Args:
             b: operand vector.
             tamper: optional fault hook ``tamper(stage, data, work)`` called
@@ -185,46 +199,16 @@ class FaultTolerantSpMV:
                 passed arrays in place.
             meter: execution meter to charge; a fresh one is used if omitted.
         """
-        detector = self.detector
-        matrix = detector.matrix
-        telemetry = detector.telemetry
-        meter = meter if meter is not None else ExecutionMeter(machine=self.machine)
-        start_seconds, start_flops = meter.snapshot()
+        plan = self._serial_plan
+        if plan is None:
+            from repro.perf.plan import ProtectedPlan
 
-        with telemetry.span("abft.multiply", rows=matrix.n_rows, nnz=matrix.nnz):
-            # --- Figure 1 steps 1-4: SpMV + detection -------------------
-            meter.run_graph(detector.detection_graph())
-
-            with telemetry.span("abft.detect"):
-                r = matrix.matvec(b)
-                self._tamper(tamper, "result", r, 2.0 * matrix.nnz)
-                t1 = detector.operand_checksums(b)
-                self._tamper(tamper, "t1", t1, 2.0 * detector.checksum.nnz)
-                beta_box = np.array([detector.operand_norm(b)])
-                self._tamper(tamper, "beta", beta_box, 2.0 * matrix.n_cols)
-                beta = float(beta_box[0])
-                t2 = detector.result_checksums(r)
-                self._tamper(tamper, "t2", t2, 2.0 * matrix.n_rows)
-                report = detector.compare(t1, t2, beta)
-
-            detected = [tuple(int(x) for x in report.flagged)]
-            corrected: Set[int] = set()
-            rounds, exhausted = self._correction_rounds(
-                b, r, t1, report.beta, report.flagged, tamper, meter,
-                detected=detected, corrected=corrected,
+            plan = ProtectedPlan(
+                self, n_shards=1, parallel="serial", sparse_format="csr"
             )
-
-        seconds, flops = meter.snapshot()
-        return block_result(
-            detector.partition,
-            value=r,
-            detected=tuple(detected),
-            corrected_blocks=tuple(sorted(corrected)),
-            rounds=rounds,
-            seconds=seconds - start_seconds,
-            flops=flops - start_flops,
-            exhausted=exhausted,
-        )
+            self._serial_plan = plan
+        result = plan.multiply(b, tamper, meter)
+        return replace(result, value=result.value.copy())
 
     def _correction_rounds(
         self,
@@ -242,13 +226,12 @@ class FaultTolerantSpMV:
     ) -> Tuple[int, bool]:
         """Figure 1 step 5: correct + re-verify until clean.
 
-        Shared by :meth:`multiply` and the planned execution path
-        (:class:`repro.perf.ProtectedPlan`): runs correction rounds until
-        ``flagged`` is empty or the round budget runs out, mutating
-        ``detected``/``corrected`` in place and returning the final
-        ``(rounds, exhausted)`` pair.  ``rounds`` seeds the round counter
-        so a caller that already performed in-shard corrections continues
-        the budget rather than restarting it.
+        Called by :meth:`repro.perf.ProtectedPlan.multiply`: runs
+        correction rounds until ``flagged`` is empty or the round budget
+        runs out, mutating ``detected``/``corrected`` in place and
+        returning the final ``(rounds, exhausted)`` pair.  ``rounds`` seeds
+        the round counter so a caller that already performed in-shard
+        corrections continues the budget rather than restarting it.
         """
         detector = self.detector
         matrix = detector.matrix

@@ -1,12 +1,14 @@
-"""Zero-allocation execution plans for the protected multiply.
+"""Zero-allocation execution plans: the one protected-multiply path.
 
-Steady-state callers — above all :func:`repro.solvers.ft_pcg.run_pcg`,
-which executes the same protected SpMV hundreds of times on one matrix —
-pay a real price for per-call array allocation: every multiply used to
-materialize an nnz-sized product scratch, the result vector, both
-checksum vectors and the comparison temporaries.  A plan precomputes, for
-a fixed ``(matrix, block partition, checksum)`` triple, everything that
-does not depend on the operand:
+Every protected ABFT multiply runs here.
+:meth:`repro.core.protected.FaultTolerantSpMV.multiply` runs the
+operator's one-shard serial CSR plan (built on first use);
+:meth:`~repro.core.protected.FaultTolerantSpMV.planned` hands steady-state
+callers — above all :func:`repro.solvers.ft_pcg.run_pcg`, which executes
+the same protected SpMV hundreds of times on one matrix — the plan of the
+resolved backend and format.  A plan precomputes, for a fixed
+``(matrix, block partition, checksum)`` triple, everything that does not
+depend on the operand:
 
 * nnz-balanced shard row ranges aligned to checksum-block boundaries
   (:mod:`repro.perf.sharding`), with per-shard ``indptr`` slices and
@@ -19,9 +21,10 @@ does not depend on the operand:
   single :meth:`~repro.machine.ExecutionMeter.advance` per call.
 
 After the first call the steady-state loop performs **no new array
-allocations** (the tracemalloc regression test pins this), and every
-value it produces is bit-identical to the unplanned
-:meth:`repro.core.protected.FaultTolerantSpMV.multiply`.
+allocations** (the tracemalloc regression test pins this).  A CSR plan's
+products are bit-identical to :meth:`repro.sparse.csr.CsrMatrix.matvec`
+for any shard count and backend, and its first check flags exactly the
+blocks :meth:`repro.core.detector.BlockAbftDetector.detect` flags.
 
 Multi-shard clean multiplies run *fused*: each shard task executes its
 SpMV, operand checksum, result checksum and invariant comparison in one
@@ -239,9 +242,8 @@ class SpmvPlan:
                 )
         self.matrix = matrix
         self.row_cuts = row_cuts
-        # Working buffers live in the matrix's storage dtype, so a planned
-        # float32 multiply is bit-identical to the unplanned one (and a
-        # float64 plan keeps its historic layout byte for byte).
+        # Working buffers live in the matrix's storage dtype, so a float32
+        # plan multiplies in float32 exactly like ``CsrMatrix.matvec``.
         self.dtype = matrix.data.dtype
         self.out = self._buffer("out", out, matrix.n_rows, self.dtype)
         if storage is not None and getattr(storage, "format_name", "csr") == "csr":
@@ -578,10 +580,9 @@ class ProtectedPlan:
     Construction precomputes block-aligned shard cuts, an
     :class:`SpmvPlan` each for ``A`` and the checksum matrix ``C``, all
     detection buffers, the bound's beta coefficients and the simulated
-    detection-graph makespan.  :meth:`multiply` then mirrors
-    :meth:`repro.core.protected.FaultTolerantSpMV.multiply` stage for
-    stage — same values, same tamper-hook sequence, same telemetry, same
-    simulated cost — without per-call array allocation.
+    detection-graph makespan.  :meth:`multiply` then runs Figure 1 —
+    SpMV, detection, correction rounds — without per-call array
+    allocation.
 
     The returned :class:`~repro.schemes.ProtectedSpmvResult` holds a view
     of the plan's result buffer: it is valid until the next call on the
@@ -700,9 +701,8 @@ class ProtectedPlan:
             storage=storage,
             kernels=format_kernels,
         )
-        # Emitted only when format machinery is in play: a default-CSR
-        # plan keeps its telemetry stream byte-identical to the unplanned
-        # operator's (the telemetry-equivalence test pins this).
+        # Emitted only when format machinery is in play: a CSR plan's
+        # telemetry stream carries protocol events only.
         telemetry = detector.telemetry
         if telemetry.enabled and requested != "csr":
             choice = self.format_choice
@@ -716,17 +716,12 @@ class ProtectedPlan:
                 pass
         self.spmv = self._fused.spmv
         self.checksum_spmv = self._fused.checksum_spmv
-        self._weights = self._fused.weights
-        self._t2_starts = self._fused.t2_starts
         self._shard_rows = self._fused.shard_rows
-        self._shard_blocks = self._fused.shard_blocks
         self._t2 = self._fused.t2
         self._t2_workspace = self._fused.t2_workspace
         self._syndrome = self._fused.syndrome
-        self._abs = self._fused.abs
         self._thresholds = self._fused.thresholds
         self._exceeded = self._fused.exceeded
-        self._finite = self._fused.finite
         self._all_blocks = np.arange(n_blocks, dtype=np.int64)
         self._empty_blocks = np.empty(0, dtype=np.int64)
         self._beta_box = np.zeros(1, dtype=np.float64)
@@ -747,8 +742,6 @@ class ProtectedPlan:
         self._machine = operator.machine
         self._detect_seconds = operator.machine.makespan(graph)
         self._detect_flops = graph.total_work()
-
-        self._vectorized = self._fused.kernels
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -776,8 +769,16 @@ class ProtectedPlan:
         tamper: Optional["TamperHook"] = None,
         meter: Optional[ExecutionMeter] = None,
     ) -> "ProtectedSpmvResult":
-        """Planned fault-tolerant SpMV (see
-        :meth:`repro.core.protected.FaultTolerantSpMV.multiply`).
+        """Execute one fault-tolerant SpMV (Figure 1, steps 1-5).
+
+        Args:
+            b: operand vector.
+            tamper: optional fault hook ``tamper(stage, data, work)`` called
+                after each numeric stage with stages ``"result"``, ``"t1"``,
+                ``"beta"``, ``"t2"``, ``"corrected"``; campaigns corrupt the
+                passed arrays in place.  A hook forces the sequential path
+                even on a multi-shard plan.
+            meter: execution meter to charge; a fresh one is used if omitted.
 
         The result's ``value`` is the plan's reusable buffer — consume it
         before the next call.

@@ -1,5 +1,10 @@
 """Unit tests for sweeps and text reporting."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.analysis import (
@@ -130,3 +135,31 @@ def test_render_functions_produce_text(small_suite):
     )
     out = render_pcg_cells(cells, schemes=("abft",), rates=(0.0,))
     assert "Figure 8" in out and "Figure 9" in out
+
+
+#: One sweep cell whose result depends on the right-hand side's values.
+SWEEP_CELL_SCRIPT = """
+from repro.analysis import sweep_pcg
+from repro.sparse import iter_suite
+
+cells = sweep_pcg(
+    list(iter_suite(names=["nos3"])),
+    schemes=("abft",), error_rates=(1e-5,), runs=2, seed=0,
+)
+print(repr(cells))
+"""
+
+
+def test_sweep_pcg_ignores_the_string_hash_seed():
+    """Figures 8/9 must not change with ``PYTHONHASHSEED``: each system's
+    right-hand side is seeded from a stable digest of its name."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        completed = subprocess.run(
+            [sys.executable, "-c", SWEEP_CELL_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.append(completed.stdout)
+    assert outputs[0] == outputs[1]

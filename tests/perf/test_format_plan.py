@@ -238,9 +238,9 @@ def test_plan_format_span_emitted_for_non_csr(blocky):
 
 
 def test_no_format_span_for_default_csr(blocky):
-    """Default-CSR plans keep their telemetry byte-identical to the
-    unplanned operator (pinned by test_plan_telemetry_stream_matches_operator);
-    the plan.format span only appears when a non-CSR format is requested."""
+    """Default-CSR plans emit the recorded protocol stream (pinned by
+    test_plan_telemetry_stream_matches_operator); the plan.format span
+    only appears when a non-CSR format is requested."""
     telemetry = Telemetry(exporter=InMemoryExporter())
     op = FaultTolerantSpMV(
         blocky, config=AbftConfig(block_size=BLOCK), telemetry=telemetry

@@ -1,10 +1,13 @@
 """Bit-identity, caching and validation tests for the execution plans.
 
-The contract under test: for any kernel set and any tamper sequence,
-``ProtectedPlan.multiply`` is indistinguishable from
-``FaultTolerantSpMV.multiply`` — same value bits, same detection /
-correction history, same simulated cost, same telemetry — it just stops
-allocating.
+``ProtectedPlan.multiply`` is the one protected-multiply path, and
+``FaultTolerantSpMV.multiply`` runs it on a lazily built one-shard
+serial CSR plan.  The contract under test, for any kernel set and any
+tamper sequence: value bits equal ``CsrMatrix.matvec`` (also after
+correction), the first check flags what ``BlockAbftDetector.detect``
+flags, the simulated cost is the detection graph's (plus recorded
+correction costs), and tamper calls and telemetry follow recorded
+sequences — all without per-call allocation.
 """
 
 import numpy as np
@@ -15,7 +18,7 @@ from repro.core import AbftConfig, FaultTolerantSpMV
 from repro.errors import ConfigurationError, ShapeMismatchError
 from repro.obs import InMemoryExporter, Telemetry
 from repro.perf import BACKEND_ENV_VAR, ProtectedPlan, SpmvPlan
-from repro.sparse import CooMatrix, random_spd
+from repro.sparse import FORMAT_ENV_VAR, CooMatrix, random_spd
 
 N = 256
 BLOCK = 32
@@ -122,8 +125,21 @@ def test_spmv_plan_rejects_bad_operand(matrix):
 
 
 # ----------------------------------------------------------------------
-# ProtectedPlan vs FaultTolerantSpMV.multiply
+# ProtectedPlan and FaultTolerantSpMV.multiply against references
 # ----------------------------------------------------------------------
+#: Tamper calls of the one-shot "result" corruption below: the four
+#: detection stages, then one "corrected" call per flagged block (0, 3,
+#: 7) and the re-verification of their 96 rows.
+TAMPERED_CALLS = [
+    ("result", 5000.0), ("t1", 1026.0), ("beta", 512.0), ("t2", 512.0),
+    ("corrected", 568.0), ("corrected", 598.0), ("corrected", 554.0),
+    ("t2", 192.0),
+]
+#: Simulated cost of that multiply: detection plus one correction round.
+TAMPERED_SECONDS = float.fromhex("0x1.7dae81882adc4p-15")
+TAMPERED_FLOPS = 8996.0
+
+
 def _assert_results_identical(planned, unplanned):
     np.testing.assert_array_equal(planned.value, unplanned.value)
     assert planned.detected == unplanned.detected
@@ -134,19 +150,40 @@ def _assert_results_identical(planned, unplanned):
     assert planned.flops == unplanned.flops
 
 
+def _flags(op, b, product):
+    """Blocks the detector's own full pass flags for ``(b, product)``."""
+    return tuple(int(x) for x in op.detector.detect(b, product).flagged)
+
+
+def _assert_clean_reference(result, op, b):
+    """A clean multiply against references outside the plan: the bits of
+    ``CsrMatrix.matvec``, the flags of ``BlockAbftDetector.detect`` and
+    the simulated cost of the detection graph."""
+    product = op.matrix.matvec(b)
+    np.testing.assert_array_equal(result.value, product)
+    assert result.detected == (_flags(op, b, product),) == ((),)
+    assert result.corrected_blocks == ()
+    assert result.rounds == 0
+    assert not result.exhausted
+    graph = op.detection_graph()
+    assert result.seconds == op.machine.makespan(graph)
+    assert result.flops == graph.total_work()
+
+
 @pytest.mark.parametrize("kernel", ["naive", "vectorized"])
 def test_clean_multiply_bit_identical(matrix, b, kernel):
     config = AbftConfig(block_size=BLOCK, kernel=kernel)
     op = FaultTolerantSpMV(matrix, config=config)
-    # Bit-identity with the unplanned operator is the *CSR* contract;
-    # pin it so a REPRO_FORMAT override doesn't change the storage under
-    # test (format coverage lives in test_format_plan.py).
+    # Bit-identity with CsrMatrix.matvec is the *CSR* contract; pin it so
+    # a REPRO_FORMAT override doesn't change the storage under test
+    # (format coverage lives in test_format_plan.py).
     plan = op.planned(sparse_format="csr")
     planned = plan.multiply(b)
     value = planned.value.copy()
+    _assert_clean_reference(planned, op, b)
     unplanned = op.multiply(b)
     np.testing.assert_array_equal(value, unplanned.value)
-    _assert_results_identical(planned, unplanned)
+    _assert_clean_reference(unplanned, op, b)
 
 
 @pytest.mark.parametrize("kernel", ["naive", "vectorized"])
@@ -160,15 +197,22 @@ def test_tampered_multiply_bit_identical(matrix, b, kernel):
         d[100] -= 2.0
         d[255] = np.nan
 
-    hook_planned, calls_planned = recording(one_shot("result", mutate))
-    hook_unplanned, calls_unplanned = recording(one_shot("result", mutate))
-    planned = plan.multiply(b, tamper=hook_planned)
-    value = planned.value.copy()
-    unplanned = op.multiply(b, tamper=hook_unplanned)
-    np.testing.assert_array_equal(value, unplanned.value)
-    _assert_results_identical(planned, unplanned)
-    assert planned.rounds == 1
-    assert calls_planned == calls_unplanned  # same stages, same work charges
+    product = matrix.matvec(b)
+    corrupted = product.copy()
+    mutate(corrupted)
+    first_flags = _flags(op, b, corrupted)
+    assert first_flags == (0, 3, 7)
+    for multiply in (plan.multiply, op.multiply):
+        hook, calls = recording(one_shot("result", mutate))
+        result = multiply(b, tamper=hook)
+        np.testing.assert_array_equal(result.value, product)
+        assert result.detected == (first_flags, ())
+        assert result.corrected_blocks == first_flags
+        assert result.rounds == 1
+        assert not result.exhausted
+        assert result.seconds == TAMPERED_SECONDS
+        assert result.flops == TAMPERED_FLOPS
+        assert calls == TAMPERED_CALLS  # same stages, same work charges
 
 
 def test_persistent_tamper_exhausts_identically(matrix, b):
@@ -182,13 +226,86 @@ def test_persistent_tamper_exhausts_identically(matrix, b):
         if stage in ("result", "corrected"):
             data[0] += 5.0
 
-    planned = plan.multiply(b, tamper=persistent)
-    value = planned.value.copy()
-    unplanned = op.multiply(b, tamper=persistent)
-    assert planned.exhausted and unplanned.exhausted
-    assert planned.rounds == 3
-    np.testing.assert_array_equal(value, unplanned.value)
-    _assert_results_identical(planned, unplanned)
+    # Each round recomputes block 0 and re-corrupts its first row; rounds
+    # 2 and 3 also refresh the block's operand checksum.
+    expected = matrix.matvec(b)
+    expected[0] += 5.0
+    expected_calls = [
+        ("result", 5000.0), ("t1", 1026.0), ("beta", 512.0), ("t2", 512.0),
+        ("corrected", 568.0), ("t2", 64.0),
+        ("corrected", 568.0), ("t1", 110.0), ("t2", 64.0),
+        ("corrected", 568.0), ("t1", 110.0), ("t2", 64.0),
+    ]
+    for multiply in (plan.multiply, op.multiply):
+        hook, calls = recording(persistent)
+        result = multiply(b, tamper=hook)
+        assert result.exhausted
+        assert result.rounds == 3
+        np.testing.assert_array_equal(result.value, expected)
+        assert result.detected == ((0,),) * 4
+        assert result.detected[0] == _flags(op, b, expected)
+        assert result.corrected_blocks == (0,)
+        assert result.seconds == float.fromhex("0x1.669ced0b30b5ap-14")
+        assert result.flops == 9200.0
+        assert calls == expected_calls
+
+
+# ----------------------------------------------------------------------
+# FaultTolerantSpMV.multiply: the lazily built one-shard serial plan
+# ----------------------------------------------------------------------
+def test_operator_holds_no_plan_after_construction(matrix, b):
+    op = FaultTolerantSpMV(matrix, block_size=BLOCK)
+    assert op._serial_plan is None
+    assert op._plan is None
+    op.multiply(b)
+    serial = op._serial_plan
+    assert serial is not None
+    assert op._plan is None
+    op.multiply(b)
+    assert op._serial_plan is serial
+
+
+def test_operator_multiply_value_survives_the_next_call(matrix, b):
+    op = FaultTolerantSpMV(matrix, block_size=BLOCK)
+    first = op.multiply(b).value
+    kept = first.copy()
+    second = op.multiply(2.0 * b).value
+    assert second is not first
+    np.testing.assert_array_equal(first, kept)
+    np.testing.assert_array_equal(second, matrix.matvec(2.0 * b))
+
+
+@pytest.mark.parametrize(
+    "variable, value", [(BACKEND_ENV_VAR, "processes"), (FORMAT_ENV_VAR, "bsr")]
+)
+def test_operator_multiply_ignores_plan_overrides(monkeypatch, matrix, b, variable, value):
+    """``op.multiply`` never starts workers or restages ``A``: its plan is
+    one serial CSR shard whatever ``REPRO_PARALLEL``/``REPRO_FORMAT`` say."""
+    monkeypatch.setenv(variable, value)
+    op = FaultTolerantSpMV(matrix, block_size=BLOCK)
+    result = op.multiply(b)
+    plan = op._serial_plan
+    assert plan.backend_name == "serial"
+    assert plan.n_shards == plan.spmv.n_shards == 1
+    assert plan.sparse_format == "csr"
+    np.testing.assert_array_equal(result.value, matrix.matvec(b))
+
+
+def test_operator_multiply_keeps_its_own_cache_slot(matrix, b):
+    """``op.multiply`` is not a ``planned()`` lookup: it bumps no
+    ``plan.cache_hits``, and alternating the two never rebuilds a plan."""
+    telemetry = Telemetry(exporter=InMemoryExporter())
+    op = FaultTolerantSpMV(matrix, block_size=BLOCK, telemetry=telemetry)
+    for _ in range(3):
+        op.multiply(b)
+    assert telemetry.registry.counter("plan.cache_hits").value == 0.0
+    assert all(event["name"] != "plan.cache_hits" for event in telemetry.events())
+    planned = op.planned(sparse_format="csr")
+    serial = op._serial_plan
+    op.multiply(b)
+    assert op.planned(sparse_format="csr") is planned
+    op.multiply(b)
+    assert op._serial_plan is serial
 
 
 def test_plan_without_beta_coefficients_matches(matrix, b):
@@ -332,10 +449,29 @@ def _scrubbed(events):
     return scrubbed
 
 
+#: Events of building an operator with telemetry on (checksum encoding).
+BUILD_EVENTS = [
+    ("hist", "kernel.encode.seconds"),
+    ("span", "checksum.build"),
+    ("gauge", "abft.n_blocks"),
+]
+#: Events of one clean protected multiply: kernel timings of t2 and the
+#: comparison, the check counter, the syndrome margins, then the closing
+#: detect and multiply spans.
+MULTIPLY_EVENTS = [
+    ("hist", "kernel.result_checksums.seconds"),
+    ("hist", "kernel.compare_syndromes.seconds"),
+    ("counter", "abft.checks"),
+    ("hist", "abft.syndrome_margin"),
+    ("span", "abft.detect"),
+    ("span", "abft.multiply"),
+]
+
+
 def test_plan_telemetry_stream_matches_operator(matrix, b):
-    """The *serial* plan emits the unplanned operator's event stream; a
-    fused multi-shard plan adds ``plan.shard`` spans by design (see
-    ``test_threaded_plan_shard_spans_report_owner``)."""
+    """A *serial* plan and ``op.multiply`` emit the recorded event
+    stream; a fused multi-shard plan adds ``plan.shard`` spans by design
+    (see ``test_threaded_plan_shard_spans_report_owner``)."""
     config = AbftConfig(block_size=BLOCK, kernel="vectorized", parallel="serial")
     tel_op = Telemetry(exporter=InMemoryExporter())
     tel_plan = Telemetry(exporter=InMemoryExporter())
@@ -347,4 +483,7 @@ def test_plan_telemetry_stream_matches_operator(matrix, b):
     for _ in range(3):
         op.multiply(b)
         plan.multiply(b)
+    expected = BUILD_EVENTS + 3 * MULTIPLY_EVENTS
+    for telemetry in (tel_op, tel_plan):
+        assert [(e["type"], e["name"]) for e in telemetry.events()] == expected
     assert _scrubbed(tel_plan.events()) == _scrubbed(tel_op.events())

@@ -75,9 +75,10 @@ def test_planned_multiply_allocates_nothing_after_warmup(operator, b):
     assert peak < PEAK_BUDGET, f"steady-state loop transiently allocated {peak} bytes"
 
 
-def test_unplanned_multiply_does_allocate(operator, b):
-    """Sanity check that the assertion above has teeth: the unplanned
-    multiply materializes at least the result vector every call."""
+def test_operator_multiply_allocates_the_value_copy(operator, b):
+    """Sanity check that the assertion above has teeth: ``op.multiply``
+    runs the same kind of plan but hands back a copy of its result
+    buffer, so every call allocates at least one result vector."""
     meter = ExecutionMeter(machine=operator.machine)
     for _ in range(2):
         operator.multiply(b, meter=meter)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.solvers import FtPcgOptions, run_pcg
-from repro.sparse import random_spd
+from repro.sparse import FORMAT_ENV_VAR, random_spd
 
 
 @pytest.fixture(scope="module")
@@ -122,3 +122,32 @@ def test_preconditioner_choice_flows_through(system):
     options = FtPcgOptions(preconditioner="identity")
     result = run_pcg(a, b, scheme="abft", seed=11, options=options)
     assert result.converged
+
+
+#: ``(scheme, error rate, seed, seconds, flops)`` of one small solve per
+#: solver case, recorded as hex floats: scheduling the per-iteration task
+#: graphs once per solve must charge bit-identical simulated cost.  The
+#: hybrid and checkpoint solves each roll back once.
+RECORDED_COSTS = (
+    ("abft", 3e-5, 3, "0x1.58969a0ad8a10p-10", "0x1.3aa4000000000p+16"),
+    ("hybrid", 1e-4, 1, "0x1.05f28848387dep-9", "0x1.edc9000000000p+16"),
+    ("dual", 3e-5, 3, "0x1.5dd4c76d117b4p-10", "0x1.6139000000000p+16"),
+    ("checkpoint", 3e-5, 1, "0x1.85be1a8262457p-9", "0x1.f210000000000p+16"),
+    ("unprotected", 1e-5, 3, "0x1.e5c0b9991361fp-11", "0x1.e892000000000p+15"),
+)
+
+
+@pytest.mark.parametrize("scheme, rate, seed, seconds, flops", RECORDED_COSTS)
+def test_simulated_cost_matches_recorded_bits(
+    monkeypatch, scheme, rate, seed, seconds, flops
+):
+    # REPRO_FORMAT beats a configured format; a non-CSR plan re-associates
+    # the SpMV, which moves which injections get detected.
+    monkeypatch.delenv(FORMAT_ENV_VAR, raising=False)
+    a = random_spd(120, 1000, seed=71)
+    b = a.matvec(np.random.default_rng(71).standard_normal(120))
+    options = FtPcgOptions(max_correction_rounds=2)
+    result = run_pcg(a, b, scheme=scheme, error_rate=rate, seed=seed, options=options)
+    assert result.injections > 0
+    assert result.seconds == float.fromhex(seconds)
+    assert result.flops == float.fromhex(flops)
