@@ -6,7 +6,8 @@ block correction — over a 10k-row random SPD matrix, and records the
 speedup table to ``results/bench_kernels_dispatch.txt``.  The vectorized
 set must beat the naive reference by at least 3x on the detection path
 (the batched kernels exist to make per-block protection affordable, so a
-regression here defeats the subsystem's purpose).
+regression here defeats the subsystem's purpose) and on encoding, which
+every new operator pays (``run_pcg`` builds one per solve).
 
 A second table sweeps the format axis of the registry — the ``csr`` and
 ``bsr`` vectorized sets each running matvec, correction and the
@@ -32,6 +33,7 @@ N_ROWS = 10_000
 NNZ = 120_000
 BLOCK_SIZE = 8
 MIN_DETECTION_SPEEDUP = 3.0
+MIN_ENCODE_SPEEDUP = 3.0
 REPEATS = 5
 
 
@@ -172,6 +174,7 @@ def test_vectorized_beats_naive(matrix, operand, detectors, benchmark):
                 for fmt, leg in format_legs.items()
             },
             "floors": {
+                "encode": MIN_ENCODE_SPEEDUP,
                 "detect": MIN_DETECTION_SPEEDUP,
                 "reverify": MIN_DETECTION_SPEEDUP,
             },
@@ -179,7 +182,9 @@ def test_vectorized_beats_naive(matrix, operand, detectors, benchmark):
         },
     )
 
-    # The acceptance floor: batched detection must be >= 3x the loops.
+    # The acceptance floors: batched encoding and detection must be >= 3x
+    # the loops.
+    assert speedups["encode"] >= MIN_ENCODE_SPEEDUP
     assert speedups["detect"] >= MIN_DETECTION_SPEEDUP
     assert speedups["reverify"] >= MIN_DETECTION_SPEEDUP
 

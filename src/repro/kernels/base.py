@@ -178,7 +178,11 @@ class KernelSet(abc.ABC):
         partition: "BlockPartition",
         weights: np.ndarray,
     ) -> "CsrMatrix":
-        """Build the sparse checksum matrix ``C`` (rows ``c_k = w_k^T A_k``)."""
+        """Build the sparse checksum matrix ``C`` (rows ``c_k = w_k^T A_k``).
+
+        Each ``(block, column)`` entry is summed sequentially in row
+        order, so every implementation yields the same bits.
+        """
 
     # -- detection ---------------------------------------------------------
     @abc.abstractmethod

@@ -41,7 +41,8 @@ class CooMatrix:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        n_rows, n_cols = self.shape
+        # Python ints: deduplicated() sizes its int64 sort key with them.
+        n_rows, n_cols = (int(n) for n in self.shape)
         if n_rows < 0 or n_cols < 0:
             raise SparseFormatError(f"negative dimension in shape {self.shape}")
         row = np.ascontiguousarray(self.row, dtype=np.int64)
@@ -53,10 +54,12 @@ class CooMatrix:
                 f"{row.shape}, {col.shape}, {data.shape}"
             )
         if row.size:
-            if row.min(initial=0) < 0 or (n_rows and row.max(initial=0) >= n_rows):
+            # A zero-length axis admits no index at all.
+            if row.min() < 0 or row.max() >= n_rows:
                 raise SparseFormatError("row index out of range")
-            if col.min(initial=0) < 0 or (n_cols and col.max(initial=0) >= n_cols):
+            if col.min() < 0 or col.max() >= n_cols:
                 raise SparseFormatError("column index out of range")
+        object.__setattr__(self, "shape", (n_rows, n_cols))
         object.__setattr__(self, "row", row)
         object.__setattr__(self, "col", col)
         object.__setattr__(self, "data", data)
@@ -106,7 +109,8 @@ class CooMatrix:
         return self.data.dtype
 
     def transpose(self) -> "CooMatrix":
-        """Return the transpose (swaps row/col index arrays; O(1) copies)."""
+        """Return the transpose: the row and column arrays swap roles
+        (all three arrays are copied)."""
         return CooMatrix(
             (self.shape[1], self.shape[0]), self.col.copy(), self.row.copy(), self.data.copy()
         )
@@ -120,19 +124,53 @@ class CooMatrix:
     def deduplicated(self) -> "CooMatrix":
         """Return an equivalent COO matrix with duplicates summed and sorted.
 
-        Entries come back in row-major (row, then column) order, with exact
-        zeros produced by cancellation retained (they are structural).
+        Contract:
+
+        - Entries come back in row-major (row, then column) order, and
+          duplicates keep their input order inside each ``(row, col)``
+          group (the order of a stable sort).
+        - Each group is summed sequentially, in that order, into a zero
+          of the storage dtype (``np.add.at``), exactly as
+          :meth:`to_dense` sums.  Exact zeros produced by cancellation
+          are retained (they are structural), and a group of ``-0.0``
+          sums to ``+0.0``.
+        - The grouping sorts one int64 key per entry,
+          ``((row * n_cols + col) << s) | position`` with
+          ``s = bit_length(nnz - 1)``.  The keys are unique, so any sort
+          yields the stable order.  When
+          ``bit_length(n_rows * n_cols - 1) + s > 63`` the key would wrap,
+          and a two-key ``np.lexsort`` produces the same order instead.
         """
-        if self.nnz == 0:
+        nnz = self.nnz
+        if nnz == 0:
             return self
-        order = np.lexsort((self.col, self.row))
-        row, col, data = self.row[order], self.col[order], self.data[order]
-        first = np.ones(row.size, dtype=bool)
-        first[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
-        group = np.cumsum(first) - 1
-        summed = np.zeros(int(group[-1]) + 1, dtype=self.data.dtype)
-        np.add.at(summed, group, data)
-        return CooMatrix(self.shape, row[first], col[first], summed)
+        n_rows, n_cols = self.shape
+        shift = (nnz - 1).bit_length()
+        first = np.ones(nnz, dtype=bool)
+        if (n_rows * n_cols - 1).bit_length() + shift > 63:
+            order = np.lexsort((self.col, self.row))
+            row, col = self.row[order], self.col[order]
+            first[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
+            row, col = row[first], col[first]
+        else:
+            key = self.row * n_cols
+            key += self.col
+            key <<= shift
+            key |= np.arange(nnz, dtype=np.int64)
+            key.sort()
+            order = key & ((1 << shift) - 1)
+            key >>= shift
+            np.not_equal(key[1:], key[:-1], out=first[1:])
+            # Integer gathers and a floor division beat a boolean mask
+            # and np.divmod here.
+            cell = key[np.flatnonzero(first)]
+            row = cell // n_cols
+            col = cell - row * n_cols
+        group = np.cumsum(first)
+        group -= 1
+        summed = np.zeros(row.size, dtype=self.data.dtype)
+        np.add.at(summed, group, self.data[order])
+        return CooMatrix(self.shape, row, col, summed)
 
     def to_csr(self):
         """Convert to :class:`repro.sparse.csr.CsrMatrix`, summing duplicates."""

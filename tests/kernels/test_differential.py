@@ -5,8 +5,9 @@ patterns, flag masks, accounting, tamper-call traces — must match at bit
 level; floating-point reductions must agree within the paper's own
 per-block rounding bound (evaluated at the operand norm), which is the
 same criterion the detector itself uses to separate noise from errors.
-Recomputation kernels reduce in the same per-row order in every set, so
-corrected values are asserted bit-identical.
+Recomputation kernels and the encoders reduce in the same per-row order
+in every set, so corrected values and the checksum matrix are asserted
+bit-identical.
 
 Besides the registered sets, every pair includes the ``parallel`` leg:
 the vectorized kernels run block-sharded on the threads backend's pool
@@ -65,7 +66,10 @@ def test_encode_structure_and_values(case, pair, weight_kind):
     a, b = (c.matrix for c in built)
     np.testing.assert_array_equal(a.indptr, b.indptr)
     np.testing.assert_array_equal(a.indices, b.indices)
-    np.testing.assert_allclose(a.data, b.data, rtol=1e-12, atol=1e-12)
+    # Every encoder sums each (block, column) group sequentially in row
+    # order, so C's values agree bit for bit.
+    assert a.data.dtype == b.data.dtype
+    np.testing.assert_array_equal(a.data.view(np.uint64), b.data.view(np.uint64))
     np.testing.assert_array_equal(built[0].nonempty_columns, built[1].nonempty_columns)
     np.testing.assert_allclose(
         built[0].checksum_norms, built[1].checksum_norms, rtol=1e-12, atol=1e-12
