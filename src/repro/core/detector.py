@@ -9,6 +9,7 @@ the paper's runtime advantage rests on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -21,6 +22,7 @@ from repro.core.config import AbftConfig
 from repro.core.dtypes import DtypePolicy, resolve_dtype_policy
 from repro.errors import ShapeMismatchError
 from repro.kernels import resolve_kernels
+from repro.kernels.base import ACCUMULATION_DTYPE
 from repro.obs import Telemetry, resolve_telemetry
 from repro.machine import (
     KernelCost,
@@ -195,10 +197,21 @@ class BlockAbftDetector:
             )
         return self.checksum.result_checksums(r, kernel=self.kernels)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def operand_norm(self, b: np.ndarray) -> float:
-        """beta = ||b||_2 (overflow on corrupted operands propagates as inf)."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(np.linalg.norm(b))
+        """beta = ||b||_2, accumulated in :data:`ACCUMULATION_DTYPE`.
+
+        A float64 operand gets exactly the arithmetic of
+        ``np.linalg.norm`` on a vector, ``sqrt(x . x)`` over
+        ``x = b.ravel(order="K")``, without its dispatch.  A narrower
+        operand is widened first, so a float32 operand whose norm exceeds
+        float32's range still gets a finite beta.  Overflow on corrupted
+        operands propagates as inf.
+        """
+        x = np.asarray(b).ravel(order="K")
+        if x.dtype != ACCUMULATION_DTYPE:
+            x = x.astype(ACCUMULATION_DTYPE)
+        return math.sqrt(x.dot(x))
 
     def compare(
         self,
@@ -235,13 +248,18 @@ class BlockAbftDetector:
             blocks=blocks,
             beta=beta,
         )
-        if (
+        if self.watched:
+            self._record_report(report, exceeded)
+        return report
+
+    @property
+    def watched(self) -> bool:
+        """Whether telemetry or a hook observes invariant evaluations."""
+        return (
             self.telemetry.enabled
             or self.near_miss_hook is not None
             or self.report_hook is not None
-        ):
-            self._record_report(report, exceeded)
-        return report
+        )
 
     def record(self, report: DetectionReport, exceeded: np.ndarray) -> None:
         """Record a report built outside :meth:`compare` (planned paths).
@@ -249,13 +267,9 @@ class BlockAbftDetector:
         :class:`repro.perf.ProtectedPlan` evaluates the invariant in its
         own preallocated buffers and hands the outcome here so telemetry
         and the hooks observe exactly what :meth:`compare` would have
-        emitted.  No-op when none is active.
+        emitted.  No-op unless :attr:`watched`.
         """
-        if (
-            self.telemetry.enabled
-            or self.near_miss_hook is not None
-            or self.report_hook is not None
-        ):
+        if self.watched:
             self._record_report(report, exceeded)
 
     def _record_report(self, report: DetectionReport, exceeded: np.ndarray) -> None:

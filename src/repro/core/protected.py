@@ -24,7 +24,6 @@ realities of injections into the detection path itself:
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, List, Optional, Set, Tuple
 
 import numpy as np
@@ -88,12 +87,14 @@ def block_result(
     """
     return ProtectedSpmvResult(
         value=value,
-        detections=tuple(bool(blocks) for blocks in detected),
+        detections=tuple(map(bool, detected)),
         corrections=tuple(
             partition.bounds(int(block))
             for index in range(rounds)
             for block in detected[index]
-        ),
+        )
+        if rounds
+        else (),
         rounds=rounds,
         seconds=seconds,
         flops=flops,
@@ -197,7 +198,8 @@ class FaultTolerantSpMV:
                 after each numeric stage with stages ``"result"``, ``"t1"``,
                 ``"beta"``, ``"t2"``, ``"corrected"``; campaigns corrupt the
                 passed arrays in place.
-            meter: execution meter to charge; a fresh one is used if omitted.
+            meter: execution meter to charge; without one, none is charged
+                and the result records the same cost a fresh meter would.
         """
         plan = self._serial_plan
         if plan is None:
@@ -208,7 +210,17 @@ class FaultTolerantSpMV:
             )
             self._serial_plan = plan
         result = plan.multiply(b, tamper, meter)
-        return replace(result, value=result.value.copy())
+        return ProtectedSpmvResult(
+            value=result.value.copy(),
+            detections=result.detections,
+            corrections=result.corrections,
+            rounds=result.rounds,
+            seconds=result.seconds,
+            flops=result.flops,
+            exhausted=result.exhausted,
+            detected_blocks=result.detected_blocks,
+            corrected_blocks=result.corrected_blocks,
+        )
 
     def _correction_rounds(
         self,

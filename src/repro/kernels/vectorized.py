@@ -90,6 +90,12 @@ class VectorizedKernels(KernelSet):
             if workspace is None:
                 weighted = weights * r
             else:
+                if r.dtype != workspace.dtype:
+                    # Widen a narrow result in place first: the values the
+                    # mixed-dtype multiply would cast, without its
+                    # transient cast buffer.
+                    np.copyto(workspace, r)
+                    r = workspace
                 np.multiply(weights, r, out=workspace)
                 weighted = workspace
             starts = partition.block_starts()[:-1]

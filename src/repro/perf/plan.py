@@ -18,7 +18,8 @@ depend on the operand:
 * the per-block beta coefficients of the rounding-error bound, so each
   detection fills its threshold buffer with one in-place multiply;
 * the simulated makespan of the detection task graph, charged with a
-  single :meth:`~repro.machine.ExecutionMeter.advance` per call.
+  single :meth:`~repro.machine.ExecutionMeter.advance` per call that
+  passes a meter (a call without one records it on the result).
 
 After the first call the steady-state loop performs **no new array
 allocations** (the tracemalloc regression test pins this).  A CSR plan's
@@ -44,6 +45,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple, Un
 
 import numpy as np
 
+import repro.core.protected as protected
 from repro.core.blocking import BlockPartition
 from repro.core.detector import DetectionReport
 from repro.errors import ConfigurationError, ShapeMismatchError
@@ -77,6 +79,9 @@ ShardCorrection = Tuple[
 
 #: ``alloc(name, shape, dtype)`` hook deciding where a plan buffer lives.
 BufferAllocator = Callable[[str, Tuple[int, ...], str], np.ndarray]
+
+#: Per-check flag history of a multiply whose one check flagged nothing.
+_CLEAN: Tuple[Tuple[int, ...], ...] = ((),)
 
 
 def _heap_alloc(name: str, shape: Tuple[int, ...], dtype: str) -> np.ndarray:
@@ -388,7 +393,7 @@ class SpmvPlan:
         ws = shard.workspace
         # mode="clip" writes the gather straight into the workspace; the
         # default mode buffers a temporary (indices are pre-validated).
-        np.take(b, shard.indices, out=ws, mode="clip")
+        b.take(shard.indices, out=ws, mode="clip")
         np.multiply(ws, shard.data, out=ws)
         if shard.scatter is None:
             np.add.reduceat(ws, shard.starts, out=shard.segment)
@@ -472,12 +477,12 @@ class FusedShardBuffers:
             out=alloc("t1", (n_blocks,), accumulation),
             workspace=alloc("c_workspace", (checksum_matrix.nnz,), accumulation),
         )
-        # The checksum shards gather from an accumulation-dtype operand.
-        # A narrower storage dtype gets it staged once per fused multiply
-        # (:meth:`stage_operand`); a one-shard plan never fans out.
+        # C b and beta read an accumulation-dtype operand.  A narrower
+        # storage dtype gets it staged once per multiply
+        # (:meth:`stage_operand`).
         self.checksum_operand: Optional[np.ndarray] = (
             alloc("b_checksum", (matrix.n_cols,), accumulation)
-            if working != accumulation and block_cuts.size > 2
+            if working != accumulation
             else None
         )
         self.t2 = alloc("t2", (n_blocks,), "float64")
@@ -510,27 +515,34 @@ class FusedShardBuffers:
         Elementwise-identical to
         :meth:`repro.kernels.vectorized.VectorizedKernels.compare_syndromes`
         (subtract, abs-greater, non-finite flag) on the t1/t2 buffers,
-        writing the syndrome/exceeded buffers instead of allocating.
+        writing the syndrome/exceeded buffers instead of allocating.  The
+        caller holds ``np.errstate(invalid="ignore", over="ignore")``, so
+        a corrupted checksum overflows silently.
         """
-        t1 = self.checksum_spmv.out
         syndrome = self.syndrome[c0:c1]
         exceeded = self.exceeded[c0:c1]
+        magnitude = self.abs[c0:c1]
         finite = self.finite[c0:c1]
-        with np.errstate(invalid="ignore", over="ignore"):
-            np.subtract(t1[c0:c1], self.t2[c0:c1], out=syndrome)
-            np.abs(syndrome, out=self.abs[c0:c1])
-            np.greater(self.abs[c0:c1], self.thresholds[c0:c1], out=exceeded)
-            np.isfinite(syndrome, out=finite)
-            np.logical_not(finite, out=finite)
-            np.logical_or(exceeded, finite, out=exceeded)
+        np.subtract(self.checksum_spmv.out[c0:c1], self.t2[c0:c1], out=syndrome)
+        np.abs(syndrome, out=magnitude)
+        np.greater(magnitude, self.thresholds[c0:c1], out=exceeded)
+        np.isfinite(syndrome, out=finite)
+        # finite <= exceeded is (not finite) or exceeded on booleans.
+        np.less_equal(finite, exceeded, out=exceeded)
 
-    def stage_operand(self, b: np.ndarray) -> None:
-        """Widen ``b`` into :attr:`checksum_operand` before the shard tasks
-        run (the same exact conversion the sequential path's
-        ``checksum_spmv.execute`` makes).  A no-op when the storage dtype
-        is the accumulation dtype."""
-        if self.checksum_operand is not None:
-            np.copyto(self.checksum_operand, b)
+    def stage_operand(self, b: np.ndarray) -> np.ndarray:
+        """The accumulation-dtype operand C b and beta read.
+
+        A narrower storage dtype widens ``b`` into
+        :attr:`checksum_operand` (exact, so C b sees the values
+        ``checksum_spmv.execute`` would widen on its own); otherwise ``b``
+        is returned as is.
+        """
+        staged = self.checksum_operand
+        if staged is None:
+            return b
+        np.copyto(staged, b)
+        return staged
 
     def detect_shard(self, i: int, b: np.ndarray) -> None:
         """One fused task: shard SpMV + t1 + t2 + comparison.
@@ -544,11 +556,16 @@ class FusedShardBuffers:
         r0, r1 = self.shard_rows[i]
         with np.errstate(invalid="ignore", over="ignore"):
             ws = self.t2_workspace[r0:r1]
-            np.multiply(self.weights[r0:r1], self.spmv.out[r0:r1], out=ws)
+            r = self.spmv.out[r0:r1]
+            if r.dtype != ws.dtype:
+                # Same widening as the vectorized kernel's t2.
+                np.copyto(ws, r)
+                r = ws
+            np.multiply(self.weights[r0:r1], r, out=ws)
             # reprolint: disable=ABFT002 -- same per-block reduceat order
             # as the vectorized kernels; shards align to block starts
             np.add.reduceat(ws, self.t2_starts[i], out=self.t2[c0:c1])
-        self.compare_range(c0, c1)
+            self.compare_range(c0, c1)
 
     def correct_shard(self, i: int, b: np.ndarray, blocks: np.ndarray) -> ShardCorrection:
         """Recompute + re-verify the flagged blocks owned by shard ``i``.
@@ -742,6 +759,16 @@ class ProtectedPlan:
         self._machine = operator.machine
         self._detect_seconds = operator.machine.makespan(graph)
         self._detect_flops = graph.total_work()
+        # Span attributes and the work each detection stage reports to a
+        # tamper hook (result, t1, beta, t2).
+        self._n_rows = matrix.n_rows
+        self._nnz = matrix.nnz
+        self._stage_work = (
+            2.0 * matrix.nnz,
+            2.0 * detector.checksum.nnz,
+            2.0 * matrix.n_cols,
+            2.0 * matrix.n_rows,
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -778,136 +805,175 @@ class ProtectedPlan:
                 ``"beta"``, ``"t2"``, ``"corrected"``; campaigns corrupt the
                 passed arrays in place.  A hook forces the sequential path
                 even on a multi-shard plan.
-            meter: execution meter to charge; a fresh one is used if omitted.
+            meter: execution meter to charge.  Without one, no meter is
+                charged and the result records the pre-simulated cost, the
+                same values a fresh meter would yield.
 
+        A multiply that flags no block runs only its kernels.  The
+        detection report is built only while
+        :attr:`~repro.core.detector.BlockAbftDetector.watched` is true, and
+        the flag tuples and correction rounds only for a flagged block.
         The result's ``value`` is the plan's reusable buffer — consume it
         before the next call.
         """
-        from repro.core.protected import block_result
-
         operator = self.operator
         detector = operator.detector
-        matrix = detector.matrix
         telemetry = detector.telemetry
-        meter = meter if meter is not None else ExecutionMeter(machine=operator.machine)
-        start_seconds, start_flops = meter.snapshot()
-        # Staging the operand here (validation + BSR padding copy) covers
-        # both execution paths: fused shard fan-out reads the prepared
-        # buffer, the sequential path re-stages idempotently in execute().
-        b = self.spmv.prepare_operand(b)
+        b = self.spmv.check_operand(b)
+        if meter is None and operator.machine is not self._machine:
+            meter = ExecutionMeter(machine=operator.machine)
+        start_seconds, start_flops = meter.snapshot() if meter is not None else (0.0, 0.0)
+        fused = (
+            tamper is None
+            and self.backend.parallel_active
+            and self.spmv.n_shards > 1
+        )
 
-        with telemetry.span("abft.multiply", rows=matrix.n_rows, nnz=matrix.nnz):
-            if meter.machine is self._machine:
-                meter.advance(self._detect_seconds, self._detect_flops)
-            else:
-                meter.run_graph(detector.detection_graph())
-
-            fused = (
-                tamper is None
-                and self.backend.parallel_active
-                and self.spmv.n_shards > 1
-            )
-            if fused:
-                r, t1, beta, report, detected, corrected, rounds, exhausted = (
-                    self._parallel_multiply(b, meter, telemetry)
+        with telemetry.span("abft.multiply", rows=self._n_rows, nnz=self._nnz):
+            if meter is not None:
+                self._charge_detection(meter)
+            with telemetry.span("abft.detect"):
+                if fused:
+                    beta, syndrome, exceeded = self._detect_fused(b, telemetry)
+                else:
+                    beta, syndrome, exceeded = self._detect(b, tamper, telemetry)
+                flagged = (
+                    self._all_blocks[exceeded]
+                    if np.count_nonzero(exceeded)
+                    else self._empty_blocks
                 )
-            else:
-                with telemetry.span("abft.detect"):
-                    r = self.spmv.execute(b)
-                    self._tamper(tamper, "result", r, 2.0 * matrix.nnz)
-                    t1 = self.checksum_spmv.execute(b)
-                    self._tamper(tamper, "t1", t1, 2.0 * detector.checksum.nnz)
-                    self._beta_box[0] = detector.operand_norm(b)
-                    self._tamper(tamper, "beta", self._beta_box, 2.0 * matrix.n_cols)
-                    beta = float(self._beta_box[0])
-                    t2 = detector.checksum.result_checksums(
-                        r,
-                        kernel=detector.kernels,
-                        out=self._t2,
-                        workspace=self._t2_workspace,
+                if detector.watched:
+                    report = DetectionReport(
+                        flagged=flagged,
+                        syndrome=syndrome,
+                        thresholds=self._thresholds,
+                        blocks=self._all_blocks,
+                        beta=beta,
                     )
-                    self._tamper(tamper, "t2", t2, 2.0 * matrix.n_rows)
-                    report, exceeded = self._compare(t1, t2, beta, telemetry)
                     detector.record(report, exceeded)
 
-                detected = [tuple(int(x) for x in report.flagged)]
-                corrected = set()  # type: Set[int]
+            detected: Tuple[Tuple[int, ...], ...] = _CLEAN
+            corrected_blocks: Tuple[int, ...] = ()
+            rounds = 0
+            exhausted = False
+            if flagged.size:
+                if meter is None:
+                    meter = ExecutionMeter(machine=self._machine)
+                    self._charge_detection(meter)
+                corrected: Set[int] = set()
+                history = [tuple(flagged.tolist())]
+                if fused and operator.config.max_correction_rounds >= 1:
+                    flagged = self._parallel_round(
+                        b, beta, flagged, meter, telemetry, corrected
+                    )
+                    rounds = 1
+                    history.append(tuple(flagged.tolist()))
                 rounds, exhausted = operator._correction_rounds(
-                    b, r, t1, beta, report.flagged, tamper, meter,
-                    detected=detected, corrected=corrected,
+                    b, self.spmv.out, self.checksum_spmv.out, beta, flagged,
+                    tamper, meter, detected=history, corrected=corrected,
+                    rounds=rounds,
                 )
+                detected = tuple(history)
+                corrected_blocks = tuple(sorted(corrected))
 
-        seconds, flops = meter.snapshot()
-        return block_result(
+        if meter is None:
+            seconds, flops = self._detect_seconds, self._detect_flops
+        else:
+            end_seconds, end_flops = meter.snapshot()
+            seconds, flops = end_seconds - start_seconds, end_flops - start_flops
+        return protected.block_result(
             detector.partition,
-            value=r,
-            detected=tuple(detected),
-            corrected_blocks=tuple(sorted(corrected)),
+            value=self.spmv.out,
+            detected=detected,
+            corrected_blocks=corrected_blocks,
             rounds=rounds,
-            seconds=seconds - start_seconds,
-            flops=flops - start_flops,
+            seconds=seconds,
+            flops=flops,
             exhausted=exhausted,
         )
 
     # ------------------------------------------------------------------
     # Detection internals
     # ------------------------------------------------------------------
-    @staticmethod
-    def _tamper(
-        tamper: Optional["TamperHook"], stage: str, data: np.ndarray, work: float
-    ) -> None:
+    def _charge_detection(self, meter: ExecutionMeter) -> None:
+        """Charge one detection phase: the pre-simulated cost on the
+        plan's machine, the detection graph on any other."""
+        if meter.machine is self._machine:
+            meter.advance(self._detect_seconds, self._detect_flops)
+        else:
+            meter.run_graph(self.operator.detector.detection_graph())
+
+    # The one errstate of a multiply: corrupted values overflow silently
+    # through every detection stage (the decorator form is the cheap one).
+    @np.errstate(invalid="ignore", over="ignore")
+    def _detect(
+        self, b: np.ndarray, tamper: Optional["TamperHook"], telemetry: Telemetry
+    ) -> Tuple[float, np.ndarray, np.ndarray]:
+        """Sequential detection (Figure 1, steps 1-4) into the plan's
+        buffers, calling the hook after each stage; returns ``(beta,
+        syndrome, exceeded)``."""
+        detector = self.operator.detector
+        r = self.spmv.execute(b)
         if tamper is not None:
-            tamper(stage, data, work)
+            tamper("result", r, self._stage_work[0])
+        staged = self._fused.stage_operand(b)
+        t1 = self.checksum_spmv.execute(staged)
+        if tamper is not None:
+            tamper("t1", t1, self._stage_work[1])
+        beta = detector.operand_norm(staged)
+        if tamper is not None:
+            self._beta_box[0] = beta
+            tamper("beta", self._beta_box, self._stage_work[2])
+            beta = float(self._beta_box[0])
+        t2 = detector.checksum.result_checksums(
+            r, kernel=detector.kernels, out=self._t2, workspace=self._t2_workspace
+        )
+        if tamper is not None:
+            tamper("t2", t2, self._stage_work[3])
+        syndrome, exceeded = self._compare(t1, t2, beta, telemetry)
+        return beta, syndrome, exceeded
+
+    @np.errstate(invalid="ignore", over="ignore")
+    def _detect_fused(
+        self, b: np.ndarray, telemetry: Telemetry
+    ) -> Tuple[float, np.ndarray, np.ndarray]:
+        """Fused detection: beta and the thresholds here, then one task
+        per shard (SpMV, C b, t2 and comparison) on the backend."""
+        self.spmv.prepare_operand(b)
+        staged = self._fused.stage_operand(b)
+        beta = self.operator.detector.operand_norm(staged)
+        self._fill_thresholds(beta)
+        self.backend.run_detect(b, telemetry)
+        return beta, self._syndrome, self._exceeded
 
     def _fill_thresholds(self, beta: float) -> None:
         """``thresholds <- coefficients * beta`` (bit-identical to
         ``bound.thresholds(beta, all_blocks)``; see
-        :meth:`repro.core.bounds.SparseBlockBound.beta_coefficients`)."""
-        with np.errstate(invalid="ignore", over="ignore"):
-            if self._beta_coefficients is not None:
-                np.multiply(self._beta_coefficients, beta, out=self._thresholds)
-            else:
-                self._thresholds[:] = self.operator.detector.bound.thresholds(
-                    beta, self._all_blocks
-                )
-
-    def _flagged(self) -> np.ndarray:
-        """Flagged block ids from the exceeded buffer (no alloc when clean)."""
-        if bool(self._exceeded.any()):
-            return self._all_blocks[self._exceeded]
-        return self._empty_blocks
+        :meth:`repro.core.bounds.SparseBlockBound.beta_coefficients`).
+        Runs under the detection errstate."""
+        if self._beta_coefficients is not None:
+            np.multiply(self._beta_coefficients, beta, out=self._thresholds)
+        else:
+            self._thresholds[:] = self.operator.detector.bound.thresholds(
+                beta, self._all_blocks
+            )
 
     def _compare(
         self, t1: np.ndarray, t2: np.ndarray, beta: float, telemetry: Telemetry
-    ) -> Tuple[DetectionReport, np.ndarray]:
-        """Full-detection comparison into the plan's buffers.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Full-detection comparison; returns ``(syndrome, exceeded)``.
 
         With telemetry enabled the comparison dispatches through the
         operator's kernel set so per-kernel timing events keep flowing;
-        the buffered fused path (identical values) runs otherwise.
+        the buffered fused comparison (identical values) runs otherwise.
         """
         self._fill_thresholds(beta)
         if telemetry.enabled:
-            syndrome, exceeded = self.operator.detector.kernels.compare_syndromes(
+            return self.operator.detector.kernels.compare_syndromes(
                 t1, t2, self._thresholds
             )
-            flagged = (
-                self._all_blocks[exceeded] if bool(exceeded.any())
-                else self._empty_blocks
-            )
-        else:
-            self._fused.compare_range(0, self._all_blocks.size)
-            syndrome = self._syndrome
-            exceeded = self._exceeded
-            flagged = self._flagged()
-        report = DetectionReport(
-            flagged=flagged,
-            syndrome=syndrome,
-            thresholds=self._thresholds,
-            blocks=self._all_blocks,
-            beta=beta,
-        )
-        return report, exceeded
+        self._fused.compare_range(0, self._all_blocks.size)
+        return self._syndrome, self._exceeded
 
     # ------------------------------------------------------------------
     # Fused parallel path
@@ -923,54 +989,6 @@ class ProtectedPlan:
         """Recompute + re-verify the flagged blocks owned by shard ``i``."""
         with telemetry.span("plan.shard", shard=i, blocks=int(blocks.size)):
             return self._fused.correct_shard(i, b, blocks)
-
-    def _parallel_multiply(
-        self, b: np.ndarray, meter: ExecutionMeter, telemetry: Telemetry
-    ) -> Tuple[
-        np.ndarray, np.ndarray, float, DetectionReport,
-        List[Tuple[int, ...]], Set[int], int, bool,
-    ]:
-        """Clean-path multiply with detection fused into the shard tasks."""
-        operator = self.operator
-        detector = operator.detector
-
-        with telemetry.span("abft.detect"):
-            self._beta_box[0] = detector.operand_norm(b)
-            beta = float(self._beta_box[0])
-            self._fill_thresholds(beta)
-            self._fused.stage_operand(b)
-            self.backend.run_detect(b, telemetry)
-            flagged = self._flagged()
-            report = DetectionReport(
-                flagged=flagged,
-                syndrome=self._syndrome,
-                thresholds=self._thresholds,
-                blocks=self._all_blocks,
-                beta=beta,
-            )
-            detector.record(report, self._exceeded)
-
-        r = self.spmv.out
-        t1 = self.checksum_spmv.out
-        detected: List[Tuple[int, ...]] = [tuple(int(x) for x in flagged)]
-        corrected: Set[int] = set()
-        rounds = 0
-        exhausted = False
-        if flagged.size:
-            if operator.config.max_correction_rounds < 1:
-                exhausted = True
-            else:
-                remaining = self._parallel_round(
-                    b, beta, flagged, meter, telemetry, corrected
-                )
-                rounds = 1
-                detected.append(tuple(int(x) for x in remaining))
-                if remaining.size:
-                    rounds, exhausted = operator._correction_rounds(
-                        b, r, t1, beta, remaining, None, meter,
-                        detected=detected, corrected=corrected, rounds=rounds,
-                    )
-        return r, t1, beta, report, detected, corrected, rounds, exhausted
 
     def _parallel_round(
         self,

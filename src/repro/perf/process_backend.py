@@ -163,7 +163,7 @@ def plan_arena_layout(
     a float32 plan's arena is roughly half the float64 footprint —
     while every checksum-side field stays in the accumulation dtype,
     including the widened operand copy ``b_checksum`` a narrow plan
-    stages for its checksum shards.
+    stages for C b and beta.
     """
     working = str(matrix.data.dtype)
     accumulation = str(checksum.data.dtype)
@@ -188,7 +188,7 @@ def plan_arena_layout(
         ("ring", (n_shards,), "int64"),
         ("shard_seconds", (n_shards,), "float64"),
     ]
-    if working != accumulation and n_shards > 1:
+    if working != accumulation:
         fields.append(("b_checksum", (matrix.n_cols,), accumulation))
     return ArenaLayout.build(fields)
 

@@ -29,6 +29,7 @@ graph is scheduled once per solve and its makespan charged per iteration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -272,17 +273,19 @@ def run_pcg(
     if b_norm == 0.0:
         b_norm = 1.0
 
-    with telemetry.span("pcg.solve", scheme=scheme, n=n, seed=seed):
+    # Corrupted values may reach the solver state (undetected errors); they
+    # propagate silently under one errstate for the whole solve — the
+    # iteration / success accounting handles them.
+    with telemetry.span("pcg.solve", scheme=scheme, n=n, seed=seed), np.errstate(
+        invalid="ignore", over="ignore", divide="ignore"
+    ):
         with telemetry.span("pcg.setup"):
             q0, detected0, _, _ = multiply(x)
         detections += int(detected0)
-        # Corrupted values may already be in q0 (undetected errors); let them
-        # propagate silently — the iteration / success accounting handles them.
-        with np.errstate(invalid="ignore", over="ignore"):
-            r = b - q0
-            z = preconditioner.apply(r)
-            p = z.copy()
-            rz = float(np.dot(r, z))
+        r = b - q0
+        z = preconditioner.apply(r)
+        p = z.copy()
+        rz = float(np.dot(r, z))
         state = _PcgState(x, r, p, rz)
 
         store = CheckpointStore() if scheme == "hybrid" else scheme_store
@@ -321,34 +324,33 @@ def run_pcg(
                         telemetry.count("pcg.rollbacks")
                     continue
 
-                with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-                    pq = float(np.dot(state.p, q))
-                    # reprolint: disable=ABFT003 -- CG breakdown guard: only
-                    # exactly zero curvature is fatal; noisy small pq still
-                    # iterates
-                    if pq == 0.0:
-                        break  # exact breakdown
-                    alpha = state.rz / pq
-                    state.x = state.x + alpha * state.p
-                    state.r = state.r - alpha * q
-                    relative = float(np.linalg.norm(state.r)) / b_norm
-                    meter.advance(update_seconds, update_flops)
-                    if telemetry.enabled:
-                        telemetry.gauge("pcg.residual_relative", relative, i=iterations)
-                    if relative < options.tol:
-                        converged = True
-                        break
-                    if not np.isfinite(relative):
-                        # The state is poisoned (inf/NaN reached the
-                        # iterate).  An unprotected run can never recover;
-                        # protected runs only land here if an error evaded
-                        # detection entirely.
-                        break
-                    z = preconditioner.apply(state.r)
-                    rz_next = float(np.dot(state.r, z))
-                    beta = rz_next / state.rz
-                    state.p = z + beta * state.p
-                    state.rz = rz_next
+                pq = float(np.dot(state.p, q))
+                # reprolint: disable=ABFT003 -- CG breakdown guard: only
+                # exactly zero curvature is fatal; noisy small pq still
+                # iterates
+                if pq == 0.0:
+                    break  # exact breakdown
+                alpha = state.rz / pq
+                state.x = state.x + alpha * state.p
+                state.r = state.r - alpha * q
+                relative = float(np.linalg.norm(state.r)) / b_norm
+                meter.advance(update_seconds, update_flops)
+                if telemetry.enabled:
+                    telemetry.gauge("pcg.residual_relative", relative, i=iterations)
+                if relative < options.tol:
+                    converged = True
+                    break
+                if not math.isfinite(relative):
+                    # The state is poisoned (inf/NaN reached the
+                    # iterate).  An unprotected run can never recover;
+                    # protected runs only land here if an error evaded
+                    # detection entirely.
+                    break
+                z = preconditioner.apply(state.r)
+                rz_next = float(np.dot(state.r, z))
+                beta = rz_next / state.rz
+                state.p = z + beta * state.p
+                state.rz = rz_next
 
                 if store is not None and iterations % options.checkpoint_interval == 0:
                     meter.run_kernel(

@@ -46,6 +46,7 @@ def _segment_sums(
     indptr: np.ndarray,
     n_segments: int,
     out: Optional[np.ndarray] = None,
+    lengths: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Sum ``values`` over the segments delimited by ``indptr``.
 
@@ -53,23 +54,36 @@ def _segment_sums(
     yield 0.  This is the reduction at the heart of every CSR row operation
     (SpMV row sums, row norms, row counts).  ``out``, when given, must be an
     array of length ``n_segments`` (the working dtype of the pipeline); it
-    is overwritten and returned.
+    is overwritten and returned.  ``lengths``, when given, is
+    ``np.diff(indptr)`` (e.g. :meth:`CsrMatrix.row_lengths`, which is
+    cached).
     """
+    if values.size == 0:
+        if out is None:
+            return np.zeros(n_segments, dtype=values.dtype)
+        out[:] = 0.0
+        return out
+    if lengths is None:
+        lengths = np.diff(indptr)
+    if np.count_nonzero(lengths) == n_segments:
+        # No empty segment: the starts are indptr itself, and the
+        # reduction writes every output element.
+        if out is None:
+            return np.add.reduceat(values, indptr[:-1])
+        if out.dtype == values.dtype:
+            np.add.reduceat(values, indptr[:-1], out=out)
+        else:
+            out[:] = np.add.reduceat(values, indptr[:-1])
+        return out
     if out is None:
         out = np.zeros(n_segments, dtype=values.dtype)
     else:
         out[:] = 0.0
-    if values.size == 0:
-        return out
-    lengths = np.diff(indptr)
-    nonempty = lengths > 0
-    if not nonempty.any():
-        return out
-    starts = indptr[:-1][nonempty]
     # np.add.reduceat sums values[starts[k]:starts[k+1]]; because segments of
     # empty rows contribute no entries, consecutive non-empty starts delimit
     # exactly one logical row each.
-    out[nonempty] = np.add.reduceat(values, starts)
+    nonempty = np.flatnonzero(lengths)
+    out[nonempty] = np.add.reduceat(values, indptr[nonempty])
     return out
 
 
@@ -228,9 +242,9 @@ class CsrMatrix:
             workspace: optional float64 scratch of length ``nnz`` holding
                 the gathered products; contents are clobbered.
 
-        The buffered path computes bit-identical values to the allocating
-        path (elementwise multiply is commutative; the segment reduction
-        is shared).  The operand is coerced to the matrix's storage dtype:
+        The buffered and the allocating path run the same gather,
+        in-place multiply and segment reduction, so their values are
+        bit-identical.  The operand is coerced to the matrix's storage dtype:
         the working precision of an SpMV follows the data it multiplies.
         """
         b = np.asarray(b, dtype=self.data.dtype)
@@ -238,17 +252,15 @@ class CsrMatrix:
             raise ShapeMismatchError(
                 f"operand has shape {b.shape}, expected ({self.n_cols},)"
             )
-        if workspace is None:
-            products = self.data * b[self.indices]
-        else:
-            # mode="clip" lets numpy gather straight into the workspace;
-            # the default bounds-checking mode buffers an nnz-sized
-            # temporary first.  Column indices are validated in-range at
-            # construction, so clipping never fires.
-            np.take(b, self.indices, out=workspace, mode="clip")
-            np.multiply(workspace, self.data, out=workspace)
-            products = workspace
-        return _segment_sums(products, self.indptr, self.n_rows, out=out)
+        # One gather and an in-place multiply.  mode="clip" lets numpy
+        # gather straight into the buffer; the default bounds-checking mode
+        # buffers an nnz-sized temporary first.  Column indices are
+        # validated in-range at construction, so clipping never fires.
+        products = b.take(self.indices, out=workspace, mode="clip")
+        np.multiply(products, self.data, out=products)
+        return _segment_sums(
+            products, self.indptr, self.n_rows, out=out, lengths=self.row_lengths()
+        )
 
     def __matmul__(self, b: np.ndarray) -> np.ndarray:
         return self.matvec(b)
@@ -346,13 +358,11 @@ class CsrMatrix:
 
     def diagonal(self) -> np.ndarray:
         """Main-diagonal entries as a dense vector (zeros where unstored)."""
-        n = min(self.shape)
-        diag = np.zeros(n, dtype=self.data.dtype)
+        diag = np.zeros(min(self.shape), dtype=self.data.dtype)
         rows = self.entry_rows()
-        on_diag = rows == self.indices
-        diag_rows = rows[on_diag]
-        keep = diag_rows < n
-        diag[diag_rows[keep]] = self.data[on_diag][keep]
+        # A stored (i, i) entry has i < min(n_rows, n_cols) by construction.
+        positions = np.flatnonzero(rows == self.indices)
+        diag[rows[positions]] = self.data[positions]
         return diag
 
     # ------------------------------------------------------------------

@@ -147,3 +147,47 @@ def test_correction_outcome_cost(setup):
     r = a.matvec(b)
     outcome = correct_blocks(a, detector.partition, b, r, np.array([1]))
     assert outcome.cost.work == pytest.approx(2.0 * outcome.nnz_recomputed)
+
+
+def _bits(value):
+    return np.float64(value).view(np.uint64)
+
+
+def _norm_operands():
+    rng = np.random.default_rng(12)
+    base = rng.standard_normal(300)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    yield "random", base
+    yield "strided-view", rng.standard_normal(600)[::2]
+    yield "reversed-view", base[::-1]
+    yield "subnormals", np.arange(1, 301) * tiny
+    yield "mixed-subnormals", np.concatenate([base[:150], np.arange(150) * tiny])
+    yield "overflowing", np.full(300, 1e200)
+    yield "plus-inf", np.concatenate([base[:10], [np.inf], base[11:]])
+    yield "minus-inf", np.concatenate([base[:10], [-np.inf], base[11:]])
+    yield "nan", np.concatenate([base[:10], [np.nan], base[11:]])
+    yield "inf-and-nan", np.array([np.inf, np.nan, -np.inf, 1.0])
+    yield "negative-zeros", np.full(5, -0.0)
+    yield "empty", np.empty(0)
+
+
+@pytest.mark.parametrize(
+    "operand", [value for _, value in _norm_operands()],
+    ids=[name for name, _ in _norm_operands()],
+)
+def test_operand_norm_is_linalg_norm_bit_for_bit(setup, operand):
+    _, detector, _ = setup
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = float(np.linalg.norm(operand))
+    assert _bits(detector.operand_norm(operand)) == _bits(expected)
+
+
+def test_operand_norm_widens_float32_operands(setup):
+    """beta accumulates in float64: a float32 operand whose norm exceeds
+    float32's range still gets the finite float64 norm."""
+    _, detector, _ = setup
+    operand = np.full(300, 3e19, dtype=np.float32)
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.linalg.norm(operand))
+    expected = float(np.linalg.norm(operand.astype(np.float64)))
+    assert _bits(detector.operand_norm(operand)) == _bits(expected)

@@ -223,3 +223,29 @@ def test_float32_protected_spmv_detects_and_corrects():
     hit = spmv.multiply(b, tamper=burst)
     assert any(hit.detections)
     np.testing.assert_array_equal(hit.value, clean.value)
+
+
+def test_float32_operand_beyond_float32_norm_still_flags_a_result_error():
+    """beta is accumulated in float64.  Computed in float32 it overflowed
+    to inf for this operand (|A b| stays well inside float32's range), every
+    threshold became inf, and the 1e30 result error was reported clean."""
+    matrix = random_spd(400, 4000, seed=3, dtype=np.float32)
+    op = FaultTolerantSpMV(matrix, config=AbftConfig(block_size=32, dtype="float32"))
+    b = (np.random.default_rng(3).standard_normal(400) * 3e19).astype(np.float32)
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.linalg.norm(b))
+    assert np.isfinite(op.detector.operand_norm(b))
+
+    clean = op.multiply(b)
+    assert clean.detections == (False,)
+    assert np.isfinite(clean.value).all()
+
+    def corrupt(stage, data, work):
+        if stage == "result":
+            data[7] += np.float32(1e30)
+
+    hit = op.multiply(b, tamper=corrupt)
+    assert hit.detected_blocks[0] == (0,)
+    assert hit.corrected_blocks == (0,)
+    assert not hit.exhausted
+    np.testing.assert_array_equal(hit.value, clean.value)

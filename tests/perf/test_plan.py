@@ -10,14 +10,18 @@ correction costs), and tamper calls and telemetry follow recorded
 sequences — all without per-call allocation.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import repro.perf.backends as backends
 from repro.core import AbftConfig, FaultTolerantSpMV
 from repro.errors import ConfigurationError, ShapeMismatchError
+from repro.machine import ExecutionMeter
 from repro.obs import InMemoryExporter, Telemetry
 from repro.perf import BACKEND_ENV_VAR, ProtectedPlan, SpmvPlan
+from repro.schemes import make_scheme
 from repro.sparse import FORMAT_ENV_VAR, CooMatrix, random_spd
 
 N = 256
@@ -248,6 +252,138 @@ def test_persistent_tamper_exhausts_identically(matrix, b):
         assert result.seconds == float.fromhex("0x1.669ced0b30b5ap-14")
         assert result.flops == 9200.0
         assert calls == expected_calls
+
+
+# ----------------------------------------------------------------------
+# The clean-path contract: every result field, pinned
+# ----------------------------------------------------------------------
+#: SHA-256 prefix of ``matrix.matvec(b)`` at the fixtures (every case
+#: below returns the clean product, corrected or not).
+VALUE_DIGEST = "5c5d93af53b33abf"
+#: Every block the vanishing bound flags, round after round.
+ALL_FLAGGED = (0, 1, 3, 4, 5, 6, 7)
+#: ``(detections, corrections, rounds, seconds, flops, exhausted,
+#: detected_blocks, corrected_blocks)`` per case, recorded: the clean path
+#: may skip work, never change a field.
+CONTRACT = {
+    "clean": (
+        (False,), (), 0, "0x1.abd1aa821f298p-16", "0x1.ba30000000000p+12",
+        False, ((),), (),
+    ),
+    "clean_hook_meter": (
+        (False,), (), 0, "0x1.abd1aa8220000p-16", "0x1.ba30000000000p+12",
+        False, ((),), (),
+    ),
+    "corrected": (
+        (True, False), ((0, 32), (96, 128)), 1, "0x1.7dae81882adc4p-15",
+        "0x1.05b8000000000p+13", False, ((0, 3), ()), (0, 3),
+    ),
+    "exhausted": (
+        (True,) * 4,
+        tuple((32 * k, 32 * k + 32) for k in ALL_FLAGGED) * 3,
+        3, "0x1.669ced0b30b5ap-14", "0x1.6930000000000p+14", True,
+        (ALL_FLAGGED,) * 4, ALL_FLAGGED,
+    ),
+}
+#: Hook calls of one clean multiply: the four detection stages.
+CLEAN_CALLS = [("result", 5000.0), ("t1", 1026.0), ("beta", 512.0), ("t2", 512.0)]
+
+
+def _fields(result):
+    return (
+        result.detections, result.corrections, result.rounds,
+        float(result.seconds).hex(), float(result.flops).hex(), result.exhausted,
+        result.detected_blocks, result.corrected_blocks,
+    )
+
+
+def _contract_plan(matrix, backend, **config_kwargs):
+    op = FaultTolerantSpMV(matrix, config=AbftConfig(block_size=BLOCK, **config_kwargs))
+    n_shards = 1 if backend == "serial" else 3
+    return ProtectedPlan(op, n_shards=n_shards, parallel=backend, sparse_format="csr")
+
+
+def _assert_contract(result, case):
+    assert hashlib.sha256(result.value.tobytes()).hexdigest()[:16] == VALUE_DIGEST
+    assert _fields(result) == CONTRACT[case]
+
+
+@pytest.mark.parametrize("backend", ["serial", "threads"])
+def test_clean_multiply_without_hook_or_meter_keeps_every_field(matrix, b, backend):
+    plan = _contract_plan(matrix, backend)
+    for _ in range(2):
+        _assert_contract(plan.multiply(b), "clean")
+
+
+@pytest.mark.parametrize("backend", ["serial", "threads"])
+def test_clean_multiply_with_noop_hook_and_meter_keeps_every_field(matrix, b, backend):
+    """How ``run_pcg`` calls the plan: a hook that corrupts nothing and
+    the solve's meter, already charged (the result's cost is the
+    difference of two meter snapshots, not the pre-simulated value)."""
+    plan = _contract_plan(matrix, backend)
+    meter = ExecutionMeter(machine=plan.operator.machine)
+    meter.advance(1.0 / 3.0, 7.0)
+    before = meter.snapshot()
+    hook, calls = recording()
+    result = plan.multiply(b, tamper=hook, meter=meter)
+    _assert_contract(result, "clean_hook_meter")
+    assert calls == CLEAN_CALLS
+    assert meter.snapshot() == (
+        before[0] + plan._detect_seconds, before[1] + plan._detect_flops
+    )
+
+
+@pytest.mark.parametrize("backend", ["serial", "threads"])
+def test_corrected_multiply_keeps_every_field(matrix, b, backend):
+    def mutate(d):
+        d[0] += 1.0
+        d[100] -= 2.0
+
+    plan = _contract_plan(matrix, backend)
+    _assert_contract(plan.multiply(b, tamper=one_shot("result", mutate)), "corrected")
+
+
+@pytest.mark.parametrize("backend", ["serial", "threads"])
+def test_exhausted_multiply_keeps_every_field(matrix, b, backend):
+    """No hook: a threads plan takes its fused first round here."""
+    plan = _contract_plan(matrix, backend, bound_scale=1e-12, max_correction_rounds=3)
+    _assert_contract(plan.multiply(b), "exhausted")
+
+
+def test_clean_multiply_without_meter_leaves_a_passed_meter_alone(matrix, b):
+    plan = _contract_plan(matrix, "serial")
+    meter = ExecutionMeter(machine=plan.operator.machine)
+    plan.multiply(b)
+    assert meter.snapshot() == (0.0, 0.0)
+    plan.multiply(b, meter=meter)
+    assert meter.snapshot() == (plan._detect_seconds, plan._detect_flops)
+
+
+def test_vabft_report_hook_sees_every_evaluation(matrix, b):
+    """The clean path skips its report only while nobody watches: vabft's
+    report hook still learns from every check, planned or not."""
+    op = make_scheme("vabft", matrix, config=AbftConfig(block_size=BLOCK))
+    plan = op.planned(sparse_format="csr")
+    before = op.estimator.counts.copy()
+    for _ in range(3):
+        assert plan.multiply(b).clean
+    for _ in range(2):
+        assert op.multiply(b).clean
+    np.testing.assert_array_equal(op.estimator.counts - before, 5)
+
+
+def test_near_miss_hook_sees_every_clean_block(matrix, b):
+    op = FaultTolerantSpMV(
+        matrix, config=AbftConfig(block_size=BLOCK, near_miss_fraction=0.0)
+    )
+    seen = []
+    op.detector.near_miss_hook = seen.append
+    plan = op.planned(sparse_format="csr")
+    for _ in range(2):
+        assert plan.multiply(b).clean
+    assert op.multiply(b).clean
+    n_blocks = op.detector.n_blocks
+    assert [miss.block for miss in seen] == list(range(n_blocks)) * 3
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ import pytest
 from repro.core import FaultTolerantSpMV
 from repro.machine import ExecutionMeter
 from repro.obs import Telemetry
+from repro.perf import ProtectedPlan
 from repro.sparse import random_spd
 
 N = 20_000
@@ -63,16 +64,51 @@ def _traced(callable_, repeats):
     return current - before, peak - before
 
 
+def _assert_steady_state_allocates_nothing(multiply):
+    for _ in range(3):  # warmup: buffers built, caches resolved
+        multiply()
+    net, peak = _traced(multiply, repeats=5)
+    assert net < NET_BUDGET, f"steady-state loop retained {net} bytes"
+    assert peak < PEAK_BUDGET, f"steady-state loop transiently allocated {peak} bytes"
+
+
 def test_planned_multiply_allocates_nothing_after_warmup(operator, b):
     # Budgets are calibrated against CSR shard buffers; pin the format so
     # a REPRO_FORMAT override doesn't change the storage under test.
     plan = operator.planned(sparse_format="csr")
     meter = ExecutionMeter(machine=operator.machine)
-    for _ in range(3):  # warmup: buffers built, caches resolved
-        plan.multiply(b, meter=meter)
-    net, peak = _traced(lambda: plan.multiply(b, meter=meter), repeats=5)
-    assert net < NET_BUDGET, f"steady-state loop retained {net} bytes"
-    assert peak < PEAK_BUDGET, f"steady-state loop transiently allocated {peak} bytes"
+    _assert_steady_state_allocates_nothing(lambda: plan.multiply(b, meter=meter))
+
+
+def _noop(stage, data, work):
+    """A fault hook that corrupts nothing (a fault-free solve's hook)."""
+
+
+def test_planned_multiply_with_noop_hook_allocates_nothing(operator, b):
+    plan = operator.planned(sparse_format="csr")
+    meter = ExecutionMeter(machine=operator.machine)
+    _assert_steady_state_allocates_nothing(
+        lambda: plan.multiply(b, tamper=_noop, meter=meter)
+    )
+
+
+def test_planned_multiply_without_meter_allocates_nothing(operator, b):
+    plan = operator.planned(sparse_format="csr")
+    _assert_steady_state_allocates_nothing(lambda: plan.multiply(b))
+
+
+def test_float32_one_shard_plan_allocates_nothing(b):
+    """C b and beta read the plan's float64 copy of the operand instead
+    of widening it into a fresh array on every call."""
+    operator = FaultTolerantSpMV(
+        random_spd(N, NNZ, seed=5, dtype=np.float32),
+        block_size=BLOCK,
+        telemetry=Telemetry(enabled=False),
+    )
+    plan = ProtectedPlan(operator, n_shards=1, parallel="serial", sparse_format="csr")
+    meter = ExecutionMeter(machine=operator.machine)
+    b32 = b.astype(np.float32)
+    _assert_steady_state_allocates_nothing(lambda: plan.multiply(b32, meter=meter))
 
 
 def test_operator_multiply_allocates_the_value_copy(operator, b):

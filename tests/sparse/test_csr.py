@@ -210,3 +210,74 @@ def test_matvec_rows_buffered_bit_identical(paper_matrix):
         result = paper_matrix.matvec_rows(start, stop, b, out=out, workspace=workspace)
         assert result is out
         np.testing.assert_array_equal(result, expected)
+
+
+def _reference_matvec(matrix, b):
+    """The SpMV arithmetic ``matvec`` is pinned to: a gather, the
+    elementwise product and one ``np.add.reduceat`` over the non-empty
+    row starts, all in the storage dtype (the frozen plain SpMV of the
+    overhead ledger runs the same steps)."""
+    b = np.asarray(b, dtype=matrix.dtype)
+    products = matrix.data * b[matrix.indices]
+    nonempty = np.diff(matrix.indptr) > 0
+    out = np.zeros(matrix.n_rows, dtype=matrix.dtype)
+    if products.size:
+        out[nonempty] = np.add.reduceat(products, matrix.indptr[:-1][nonempty])
+    return out
+
+
+def _with_empty_rows(n, empty, dtype, seed=3):
+    """A random ``n x n`` matrix whose rows in ``empty`` store nothing."""
+    rng = np.random.default_rng(seed)
+    filled = np.setdiff1d(np.arange(n), empty)
+    rows = np.concatenate([filled, rng.choice(filled, size=7 * n)])
+    cols = rng.integers(0, n, size=rows.size)
+    values = rng.standard_normal(rows.size).astype(dtype)
+    return CooMatrix((n, n), rows, cols, values).to_csr()
+
+
+EMPTY_ROWS = {
+    "none": [],
+    "leading": [0, 1, 2],
+    "interior": [7, 50, 51, 120],
+    "trailing": [197, 198, 199],
+    "most": list(range(0, 200, 3)) + list(range(1, 200, 3)),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("empty", EMPTY_ROWS.values(), ids=EMPTY_ROWS.keys())
+def test_matvec_bits_match_reference_with_empty_rows(dtype, empty):
+    matrix = _with_empty_rows(200, empty, dtype)
+    assert np.count_nonzero(matrix.row_lengths() == 0) == len(empty)
+    b = np.random.default_rng(4).standard_normal(200).astype(dtype)
+    expected = _reference_matvec(matrix, b)
+    got = matrix.matvec(b)
+    assert got.dtype == dtype
+    bits = f"u{got.itemsize}"
+    np.testing.assert_array_equal(got.view(bits), expected.view(bits))
+    out = np.full(200, np.nan, dtype=dtype)
+    workspace = np.full(matrix.nnz, np.nan, dtype=dtype)
+    assert matrix.matvec(b, out=out, workspace=workspace) is out
+    np.testing.assert_array_equal(out.view(bits), expected.view(bits))
+
+
+@pytest.mark.parametrize("empty", EMPTY_ROWS.values(), ids=EMPTY_ROWS.keys())
+def test_matvec_float32_into_float64_out_rounds_in_float32(empty):
+    """A wider ``out`` receives the float32 row sums, not a float64 sum."""
+    matrix = _with_empty_rows(200, empty, np.float32)
+    b = np.random.default_rng(5).standard_normal(200).astype(np.float32)
+    out = np.full(200, np.nan)
+    matrix.matvec(b, out=out)
+    np.testing.assert_array_equal(out, _reference_matvec(matrix, b).astype(np.float64))
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (4, 7), (7, 4)])
+def test_diagonal_matches_a_loop_with_missing_entries_and_empty_rows(shape):
+    rng = np.random.default_rng(6)
+    dense = rng.standard_normal(shape) * (rng.random(shape) < 0.5)
+    dense[1, :] = 0.0  # an empty row
+    dense[2, 2] = 0.0  # an unstored diagonal entry
+    csr = CooMatrix.from_dense(dense).to_csr()
+    expected = np.array([dense[i, i] for i in range(min(shape))])
+    np.testing.assert_array_equal(csr.diagonal(), expected)
