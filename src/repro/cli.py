@@ -6,9 +6,13 @@ Regenerates the paper's tables and figures outside pytest, e.g.::
     python -m repro fig5 --quick
     python -m repro pcg --runs 8 --rates 1e-8 1e-6 1e-4
     python -m repro all --quick --output results/
+    python -m repro env
 
 ``--quick`` trades statistical weight for speed (suite subset, fewer
 trials) — handy for smoke runs; the defaults match the benchmark harness.
+``env`` prints how each of the six ``AbftConfig`` selectors resolves in
+this process (value, and whether the environment or the default chose
+it); it is not part of ``all``.
 """
 
 from __future__ import annotations
@@ -143,6 +147,13 @@ def cmd_ablations(args: argparse.Namespace) -> None:
     _emit(args, "ablations", text)
 
 
+def cmd_env(args: argparse.Namespace) -> None:
+    from repro.core.config import selectors
+
+    rows = [(s.name, s.env_var, s.resolve(), s.pick()[1]) for s in selectors()]
+    print(format_table(("selector", "env var", "value", "source"), rows))
+
+
 COMMANDS: Dict[str, Callable[[argparse.Namespace], None]] = {
     "table1": cmd_table1,
     "fig4": cmd_fig4,
@@ -161,8 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(COMMANDS) + ["all"],
-        help="which experiment to run ('all' runs every one)",
+        choices=sorted(COMMANDS) + ["all", "env"],
+        help="which experiment to run ('all' runs every one; 'env' prints "
+        "the resolved selectors)",
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -189,7 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    if args.experiment == "all":
+    if args.experiment == "env":
+        cmd_env(args)
+    elif args.experiment == "all":
         for name in sorted(COMMANDS):
             print(f"=== {name} ===")
             COMMANDS[name](args)

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.kernels import DEFAULT_KERNEL, available_kernels
-from repro.obs import DEFAULT_EXPORTER, available_exporters
+from repro.kernels.base import DEFAULT_KERNEL, KERNEL_SELECTOR
+from repro.obs.exporters import DEFAULT_EXPORTER, TELEMETRY_SELECTOR
+from repro.registry import Selector
 
 #: Double-precision machine epsilon used by the rounding-error bounds
 #: (the paper's eps_M = 2^-53, Section III-C).
@@ -118,36 +119,22 @@ class AbftConfig:
             raise ConfigurationError(
                 f"max_correction_rounds must be >= 1, got {self.max_correction_rounds}"
             )
-        if self.kernel not in available_kernels():
-            raise ConfigurationError(
-                f"unknown kernel {self.kernel!r}; expected one of {available_kernels()}"
-            )
-        if self.telemetry not in available_exporters():
-            raise ConfigurationError(
-                f"unknown telemetry {self.telemetry!r}; expected one of "
-                f"{available_exporters()}"
-            )
         if not 0.0 <= self.near_miss_fraction:
             raise ConfigurationError(
                 f"near_miss_fraction must be >= 0, got {self.near_miss_fraction}"
             )
-        if self.scheme is not None:
-            # Lazy import: the registry depends on this module for defaults.
-            from repro.schemes import canonical_scheme_name
+        for selector in selectors():
+            selector.check(getattr(self, selector.name), "AbftConfig")
 
-            canonical_scheme_name(self.scheme)
-        if self.parallel is not None:
-            # Lazy import: repro.perf depends on core modules.
-            from repro.perf.backends import canonical_backend_name
 
-            canonical_backend_name(self.parallel)
-        if self.sparse_format is not None:
-            # Lazy import: keeps repro.sparse free of config dependencies.
-            from repro.sparse.formats import canonical_format_name
+def selectors() -> Tuple[Selector, ...]:
+    """The six selectors behind :class:`AbftConfig`'s name fields, in
+    field order (each selector's ``name`` is its field)."""
+    # Lazy imports: these subsystems import this module.
+    from repro.core.dtypes import DTYPE_SELECTOR
+    from repro.perf.backends import BACKEND_SELECTOR
+    from repro.schemes.registry import SCHEME_SELECTOR
+    from repro.sparse.formats import FORMAT_SELECTOR
 
-            canonical_format_name(self.sparse_format)
-        if self.dtype is not None:
-            # Lazy import: mirrors the other registry validations above.
-            from repro.core.dtypes import canonical_dtype_name
-
-            canonical_dtype_name(self.dtype)
+    return (KERNEL_SELECTOR, TELEMETRY_SELECTOR, SCHEME_SELECTOR, BACKEND_SELECTOR,
+            FORMAT_SELECTOR, DTYPE_SELECTOR)

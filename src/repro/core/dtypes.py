@@ -18,8 +18,8 @@ selectable:
   name, so forcing ``REPRO_DTYPE=float32`` process-wide cannot loosen
   the bound of a float64 matrix that happens to be in the same process.
 
-Resolution mirrors every other selector in the library (first match
-wins): an explicit ``dtype=`` argument, the :data:`DTYPE_ENV_VAR`
+Resolution follows the selection rule of :mod:`repro.registry` (first
+match wins): an explicit ``dtype=`` argument, the :data:`DTYPE_ENV_VAR`
 environment variable (``REPRO_DTYPE``, overriding *configured*
 selections only), ``AbftConfig.dtype``, then :data:`DEFAULT_DTYPE`
 (``"float64"`` — existing callers see bit-identical results until they
@@ -33,14 +33,14 @@ float32-stored data to carry only bfloat16 precision (``2^-8``).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Tuple, TYPE_CHECKING
+from typing import Mapping, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.registry import Registry, Selector
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.obs import Telemetry
@@ -211,10 +211,16 @@ BFLOAT16_POLICY = DtypePolicy(
     epsilons=_BFLOAT16_EPSILONS, quantized=True,
 )
 
-_POLICIES: Dict[str, DtypePolicy] = {
-    policy.name: policy
-    for policy in (FLOAT64_POLICY, FLOAT32_POLICY, BFLOAT16_POLICY)
-}
+#: Dtype policies by name; spellings fold case and whitespace and
+#: accept :data:`DTYPE_ALIASES`.
+DTYPE_REGISTRY: Registry[DtypePolicy] = Registry(
+    "dtype policy", builtins=BUILTIN_DTYPES, entry_type=DtypePolicy,
+    key=lambda policy: policy.name, fold=True, aliases=DTYPE_ALIASES)
+for _policy in (FLOAT64_POLICY, FLOAT32_POLICY, BFLOAT16_POLICY):
+    DTYPE_REGISTRY.register(_policy)
+
+#: ``REPRO_DTYPE`` overrides ``AbftConfig.dtype``; an explicit ``dtype=`` beats both.
+DTYPE_SELECTOR = Selector("dtype", DTYPE_ENV_VAR, DTYPE_REGISTRY, DEFAULT_DTYPE)
 
 
 # ----------------------------------------------------------------------
@@ -223,33 +229,21 @@ _POLICIES: Dict[str, DtypePolicy] = {
 def canonical_dtype_name(name: object) -> str:
     """Validate a dtype-policy selection, returning its canonical name.
 
-    Accepts the builtin policy names, their aliases and any registered
-    extension; anything else raises
+    Accepts the builtin policy names, their aliases, any registered
+    extension and policy objects; anything else raises
     :class:`~repro.errors.ConfigurationError`.
     """
-    if isinstance(name, DtypePolicy):
-        name = name.name
-    if not isinstance(name, str):
-        raise ConfigurationError(
-            f"dtype policy must be a name, got {type(name).__name__}"
-        )
-    canonical = DTYPE_ALIASES.get(name.strip().lower(), name.strip().lower())
-    if canonical not in _POLICIES:
-        raise ConfigurationError(
-            f"unknown dtype policy {name!r}; expected one of "
-            f"{available_dtypes()}"
-        )
-    return canonical
+    return DTYPE_REGISTRY.canonical(name)
 
 
 def available_dtypes() -> Tuple[str, ...]:
     """Registered dtype-policy names, sorted."""
-    return tuple(sorted(_POLICIES))
+    return DTYPE_REGISTRY.available()
 
 
 def get_dtype_policy(name: object) -> DtypePolicy:
     """The registered policy for ``name`` (aliases accepted)."""
-    return _POLICIES[canonical_dtype_name(name)]
+    return DTYPE_REGISTRY.get(name)
 
 
 def register_dtype_policy(policy: DtypePolicy, replace: bool = False) -> None:
@@ -259,30 +253,12 @@ def register_dtype_policy(policy: DtypePolicy, replace: bool = False) -> None:
     shadowed.  Re-registering an extension name requires
     ``replace=True``.
     """
-    if not isinstance(policy, DtypePolicy):
-        raise ConfigurationError(
-            f"expected a DtypePolicy, got {type(policy).__name__}"
-        )
-    name = policy.name.strip().lower()
-    if name in BUILTIN_DTYPES or name in DTYPE_ALIASES:
-        raise ConfigurationError(
-            f"cannot replace builtin dtype policy {name!r}"
-        )
-    if name in _POLICIES and not replace:
-        raise ConfigurationError(
-            f"dtype policy {name!r} already registered; pass replace=True"
-        )
-    _POLICIES[name] = policy
+    DTYPE_REGISTRY.register(policy, overwrite=replace)
 
 
 def unregister_dtype_policy(name: str) -> None:
     """Remove an extension policy; builtins are protected."""
-    canonical = canonical_dtype_name(name)
-    if canonical in BUILTIN_DTYPES:
-        raise ConfigurationError(
-            f"cannot unregister builtin dtype policy {canonical!r}"
-        )
-    del _POLICIES[canonical]
+    DTYPE_REGISTRY.unregister(name)
 
 
 # ----------------------------------------------------------------------
@@ -295,18 +271,12 @@ def resolve_dtype_name(
 ) -> str:
     """Resolve a dtype-policy selection to a canonical name.
 
-    ``explicit`` (a programmatic argument) beats everything; the
-    :data:`DTYPE_ENV_VAR` environment variable beats the ``configured``
-    name (usually ``AbftConfig.dtype``); ``default`` applies last.
+    Follows the selection rule of :mod:`repro.registry`: ``explicit`` (a
+    programmatic argument), then the :data:`DTYPE_ENV_VAR` environment
+    variable, then the ``configured`` name (usually
+    ``AbftConfig.dtype``), then ``default``.
     """
-    if explicit is not None:
-        return canonical_dtype_name(explicit)
-    env = os.environ.get(DTYPE_ENV_VAR)
-    if env:
-        return canonical_dtype_name(env)
-    if configured is not None:
-        return canonical_dtype_name(configured)
-    return canonical_dtype_name(default)
+    return DTYPE_SELECTOR.resolve(default if configured is None else configured, explicit)
 
 
 def resolve_dtype_policy(
@@ -321,12 +291,7 @@ def resolve_dtype_policy(
     """
     if isinstance(explicit, DtypePolicy):
         return explicit
-    name = resolve_dtype_name(
-        configured=configured,
-        explicit=explicit if explicit is None else canonical_dtype_name(explicit),
-        default=default,
-    )
-    return _POLICIES[name]
+    return DTYPE_SELECTOR.get(default if configured is None else configured, explicit)
 
 
 # ----------------------------------------------------------------------

@@ -42,10 +42,8 @@ from repro.kernels.bsr import BsrNaiveKernels, BsrVectorizedKernels
 from repro.kernels.naive import NaiveKernels
 from repro.kernels.vectorized import VectorizedKernels
 
-register_kernels(NaiveKernels())
-register_kernels(VectorizedKernels())
-register_kernels(BsrNaiveKernels())
-register_kernels(BsrVectorizedKernels())
+for _impl in (NaiveKernels, VectorizedKernels, BsrNaiveKernels, BsrVectorizedKernels):
+    register_kernels(_impl())
 
 __all__ = [
     "BUILTIN_KERNELS",

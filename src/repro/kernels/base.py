@@ -15,7 +15,8 @@ decision (see :mod:`repro.sparse.formats`) and a kernel decision compose
 orthogonally.  CSR remains the home format: format-agnostic callers see
 the historical single-axis registry unchanged.
 
-Selection order for the impl axis (first match wins):
+Selection order for the impl axis follows the rule of
+:mod:`repro.registry` (first match wins):
 
 1. an explicit :class:`KernelSet` instance passed to ``resolve_kernels``;
 2. the :data:`KERNEL_ENV_VAR` environment variable (``REPRO_KERNELS``),
@@ -37,12 +38,12 @@ within the paper's own rounding-error bounds.
 from __future__ import annotations
 
 import abc
-import os
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.registry import Registry, Selector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotations only)
     from repro.core.blocking import BlockPartition
@@ -307,45 +308,31 @@ class KernelSet(abc.ABC):
 #: Format used when a caller does not qualify the kernel lookup.
 DEFAULT_KERNEL_FORMAT = "csr"
 
-_REGISTRY: Dict[Tuple[str, str], KernelSet] = {}
-
-
-def register_kernels(impl: KernelSet, overwrite: bool = False) -> KernelSet:
-    """Register ``impl`` under ``(impl.sparse_format, impl.name)``."""
-    if not isinstance(impl, KernelSet):
-        raise ConfigurationError(
-            f"kernel sets must subclass KernelSet, got {type(impl).__name__}"
-        )
-    key = (impl.sparse_format, impl.name)
-    if key in _REGISTRY and not overwrite:
-        raise ConfigurationError(
-            f"kernel set {impl.sparse_format}:{impl.name} already registered "
-            f"(pass overwrite=True)"
-        )
-    _REGISTRY[key] = impl
-    return impl
-
-
 #: CSR kernel sets that ship with the library (the historical single-axis
 #: registry view; see :data:`BUILTIN_KERNEL_KEYS` for the full matrix).
 BUILTIN_KERNELS = ("naive", "vectorized")
 
 #: Every built-in ``(sparse_format, impl)`` entry; none can be unregistered.
-BUILTIN_KERNEL_KEYS = (
-    ("csr", "naive"),
-    ("csr", "vectorized"),
-    ("bsr", "naive"),
-    ("bsr", "vectorized"),
-)
+BUILTIN_KERNEL_KEYS = tuple((fmt, name) for fmt in ("csr", "bsr") for name in BUILTIN_KERNELS)
+
+#: Kernel sets keyed ``(sparse_format, impl)``.
+KERNEL_REGISTRY: Registry[KernelSet] = Registry(
+    "kernel set", builtins=BUILTIN_KERNEL_KEYS, entry_type=KernelSet,
+    key=lambda impl: (impl.sparse_format, impl.name), scope="format")
+
+#: The impl axis: ``REPRO_KERNELS`` overrides every configured name.
+KERNEL_SELECTOR = Selector("kernel", KERNEL_ENV_VAR, KERNEL_REGISTRY, DEFAULT_KERNEL,
+                           scope=DEFAULT_KERNEL_FORMAT)
+
+
+def register_kernels(impl: KernelSet, overwrite: bool = False) -> KernelSet:
+    """Register ``impl`` under ``(impl.sparse_format, impl.name)``."""
+    return KERNEL_REGISTRY.register(impl, overwrite=overwrite)
 
 
 def unregister_kernels(name: str, sparse_format: str = DEFAULT_KERNEL_FORMAT) -> None:
     """Remove a registered kernel set (primarily for test isolation)."""
-    if (sparse_format, name) in BUILTIN_KERNEL_KEYS:
-        raise ConfigurationError(
-            f"built-in kernel set {sparse_format}:{name} cannot be removed"
-        )
-    _REGISTRY.pop((sparse_format, name), None)
+    KERNEL_REGISTRY.unregister((sparse_format, name))
 
 
 def available_kernels(sparse_format: str = DEFAULT_KERNEL_FORMAT) -> Tuple[str, ...]:
@@ -354,42 +341,22 @@ def available_kernels(sparse_format: str = DEFAULT_KERNEL_FORMAT) -> Tuple[str, 
     The default keeps the historical behavior: format-agnostic callers
     (config validation, benchmarks) see the CSR impl names.
     """
-    names = tuple(sorted(
-        name for fmt, name in _REGISTRY if fmt == sparse_format
-    ))
-    if not names:
-        known = ", ".join(sorted({fmt for fmt, _ in _REGISTRY}))
-        raise ConfigurationError(
-            f"no kernels registered for format {sparse_format!r}; "
-            f"registered formats: {known}"
-        )
-    return names
+    return KERNEL_REGISTRY.available(sparse_format)
 
 
 def available_kernel_keys() -> Tuple[Tuple[str, str], ...]:
     """Every registered ``(sparse_format, impl)`` pair, sorted."""
-    return tuple(sorted(_REGISTRY))
+    return KERNEL_REGISTRY.available()
 
 
-def get_kernels(
-    name: str, sparse_format: Optional[str] = None
-) -> KernelSet:
+def get_kernels(name: str, sparse_format: Optional[str] = None) -> KernelSet:
     """Look up a kernel set by ``(sparse_format, name)`` (format defaults
     to CSR)."""
     fmt = DEFAULT_KERNEL_FORMAT if sparse_format is None else sparse_format
-    try:
-        return _REGISTRY[(fmt, name)]
-    except KeyError:
-        known = tuple(sorted(n for f, n in _REGISTRY if f == fmt))
-        raise ConfigurationError(
-            f"unknown kernel set {name!r} for format {fmt!r}; expected one "
-            f"of {known or available_kernel_keys()}"
-        ) from None
+    return KERNEL_REGISTRY.get((fmt, name))
 
 
-def resolve_kernels(
-    kernel: object = None, sparse_format: Optional[str] = None
-) -> KernelSet:
+def resolve_kernels(kernel: object = None, sparse_format: Optional[str] = None) -> KernelSet:
     """Resolve a kernel selection to a concrete :class:`KernelSet`.
 
     ``kernel`` may be a :class:`KernelSet` (returned as-is), a registered
@@ -400,13 +367,4 @@ def resolve_kernels(
     """
     if isinstance(kernel, KernelSet):
         return kernel
-    env = os.environ.get(KERNEL_ENV_VAR)
-    if env:
-        return get_kernels(env, sparse_format)
-    if kernel is None:
-        return get_kernels(DEFAULT_KERNEL, sparse_format)
-    if not isinstance(kernel, str):
-        raise ConfigurationError(
-            f"kernel must be a name or KernelSet, got {type(kernel).__name__}"
-        )
-    return get_kernels(kernel, sparse_format)
+    return KERNEL_SELECTOR.get(kernel, scope=sparse_format)

@@ -4,8 +4,8 @@ The runtime cannot see protocol slips that only manifest as *missing*
 protection: a mutated matrix whose checksums were never rebuilt still
 detects nothing, a wrong comparison still returns a boolean, and a
 swallowed injection error still looks like a clean trial.  This subsystem
-closes that gap statically with a pluggable rule registry (mirroring
-:mod:`repro.kernels`), an initial pack of six ABFT rules (ABFT001-006),
+closes that gap statically with a pluggable rule registry (a
+:class:`repro.registry.Registry`), an initial pack of six ABFT rules (ABFT001-006),
 inline ``# reprolint: disable=RULE -- reason`` suppressions, a committed
 baseline so pre-existing findings warn instead of fail, and text / JSON /
 SARIF reporters.
@@ -54,7 +54,7 @@ from repro.lint.rules.base import ProjectRule
 from repro.lint.suppressions import SuppressionIndex, parse_suppressions
 
 for _rule in (*ABFT_RULES, *PROJECT_RULES):
-    register_rule(_rule, overwrite=True)
+    register_rule(_rule)
 
 __all__ = [
     "Finding",

@@ -21,7 +21,7 @@ import ast
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.lint.rules.abft import PROTECTED_ATTRS, REFRESH_CALLS
-from repro.lint.rules.base import dotted_name, terminal_name
+from repro.lint.rules.base import dotted_name, registry_method, terminal_name
 
 #: Registry mutators across the four runtime registries (kernels, schemes,
 #: plan backends, telemetry exporters) plus the lint registry itself.
@@ -34,6 +34,10 @@ REGISTRY_MUTATORS = frozenset(
         "register_rule", "unregister_rule",
     }
 )
+
+#: The same mutation as a method call on a generic
+#: :class:`repro.registry.Registry` (``KERNEL_REGISTRY.register(impl)``).
+REGISTRY_MUTATOR_METHODS = frozenset({"register", "unregister"})
 
 #: Call names that hand a callable to a thread-execution primitive.
 THREAD_SPAWN_CALLS = frozenset({"submit", "Thread", "map"})
@@ -350,9 +354,9 @@ class _SummaryExtractor(ast.NodeVisitor):
         dotted = dotted_name(node.func)
         if name in REFRESH_CALLS:
             facts.refreshes = True
-        if name in REGISTRY_MUTATORS:
+        if name in REGISTRY_MUTATORS or registry_method(node) in REGISTRY_MUTATOR_METHODS:
             facts.registry_calls.append(
-                {"line": node.lineno, "col": node.col_offset + 1, "name": name}
+                {"line": node.lineno, "col": node.col_offset + 1, "name": dotted or name}
             )
         self._record_allocation(node, name, dotted, facts)
         self._record_spawn(node, name, facts)

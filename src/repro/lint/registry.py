@@ -1,4 +1,4 @@
-"""Pluggable rule registry (mirrors the :mod:`repro.kernels` registry).
+"""Pluggable rule registry, one :class:`repro.registry.Registry`.
 
 Rules are registered under their rule id; the engine runs every registered
 rule unless the caller selects or ignores a subset.  Like kernel sets, the
@@ -8,67 +8,40 @@ rules it added itself.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
-from repro.errors import ConfigurationError
 from repro.lint.rules.base import LintRule
+from repro.registry import Registry
 
-_REGISTRY: Dict[str, LintRule] = {}
+#: Rule ids that ship with the package and cannot be unregistered,
+#: ABFT001-ABFT013.  ABFT001-007 and 013 are per-file rules; ABFT008-012
+#: are project rules that only fire in project mode
+#: (:mod:`repro.lint.project`).
+BUILTIN_RULES = tuple(f"ABFT{number:03d}" for number in range(1, 14))
 
-#: Rule ids that ship with the package and cannot be unregistered.
-#: ABFT001-007 are per-file rules; ABFT008-012 are project rules that
-#: only fire in project mode (:mod:`repro.lint.project`).
-BUILTIN_RULES = (
-    "ABFT001",
-    "ABFT002",
-    "ABFT003",
-    "ABFT004",
-    "ABFT005",
-    "ABFT006",
-    "ABFT007",
-    "ABFT008",
-    "ABFT009",
-    "ABFT010",
-    "ABFT011",
-    "ABFT012",
-    "ABFT013",
-)
+#: Lint rules by rule id.
+RULE_REGISTRY: Registry[LintRule] = Registry(
+    "lint rule", builtins=BUILTIN_RULES, entry_type=LintRule, key=lambda rule: rule.rule_id)
 
 
 def register_rule(rule: LintRule, overwrite: bool = False) -> LintRule:
     """Register ``rule`` under ``rule.rule_id``; returns it for chaining."""
-    if not isinstance(rule, LintRule):
-        raise ConfigurationError(
-            f"lint rules must subclass LintRule, got {type(rule).__name__}"
-        )
-    if rule.rule_id in _REGISTRY and not overwrite:
-        raise ConfigurationError(
-            f"lint rule {rule.rule_id!r} already registered (pass overwrite=True)"
-        )
-    _REGISTRY[rule.rule_id] = rule
-    return rule
+    return RULE_REGISTRY.register(rule, overwrite=overwrite)
 
 
 def unregister_rule(rule_id: str) -> None:
     """Remove a registered rule (primarily for test isolation)."""
-    if rule_id in BUILTIN_RULES:
-        raise ConfigurationError(f"built-in lint rule {rule_id!r} cannot be removed")
-    _REGISTRY.pop(rule_id, None)
+    RULE_REGISTRY.unregister(rule_id)
 
 
 def available_rules() -> Tuple[str, ...]:
     """Registered rule ids, sorted."""
-    return tuple(sorted(_REGISTRY))
+    return RULE_REGISTRY.available()
 
 
 def get_rule(rule_id: str) -> LintRule:
     """Look up a rule by id."""
-    try:
-        return _REGISTRY[rule_id]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown lint rule {rule_id!r}; expected one of {available_rules()}"
-        ) from None
+    return RULE_REGISTRY.get(rule_id)
 
 
 def resolve_rules(
@@ -82,7 +55,7 @@ def resolve_rules(
     in a CI configuration must fail loudly, not silently lint nothing.
     """
     for rule_id in (select or ()) + (ignore or ()):
-        get_rule(rule_id)
+        RULE_REGISTRY.canonical(rule_id)
     chosen = select if select else available_rules()
     ignored = set(ignore or ())
     return tuple(get_rule(rule_id) for rule_id in chosen if rule_id not in ignored)

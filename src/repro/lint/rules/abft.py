@@ -59,12 +59,16 @@ SELECTOR_PARAMS = frozenset(
      "detector", "sparse_format"}
 )
 
-#: Calls accepted as delegated validation of a selector (ABFT006).
+#: Calls accepted as delegated validation of a selector (ABFT006).  The
+#: ``registry.*`` entries are the methods of a :mod:`repro.registry`
+#: registry or selector that raise on a bad name (``pick`` validates
+#: nothing).
 VALIDATOR_CALLS = frozenset(
     {"resolve_kernels", "make_weights", "make_bound", "validate_blocks", "AbftConfig",
      "make_scheme", "resolve_scheme", "canonical_scheme_name",
      "canonical_format_name", "resolve_format_name", "select_format",
-     "build_format"}
+     "build_format", "registry.available", "registry.canonical", "registry.check",
+     "registry.get", "registry.register", "registry.resolve", "registry.unregister"}
 )
 
 #: Protection-scheme classes that must be built through the

@@ -161,8 +161,27 @@ def terminal_name(node: ast.AST) -> str:
     return ""
 
 
+def registry_method(node: ast.Call) -> str:
+    """Method name of a call on a :mod:`repro.registry` object, else ``""``.
+
+    Registries and selectors are module constants named ``*_REGISTRY``
+    and ``*_SELECTOR``: ``KERNEL_REGISTRY.register(impl)`` yields
+    ``"register"``, ``atexit.register(fn)`` yields ``""``.
+    """
+    func = node.func
+    if isinstance(func, ast.Attribute) and terminal_name(func.value).lower().endswith(
+        ("registry", "selector")
+    ):
+        return func.attr
+    return ""
+
+
 def call_names(body: List[ast.stmt]) -> set[str]:
-    """Terminal names of every call made anywhere inside ``body``."""
+    """Terminal names of every call made anywhere inside ``body``.
+
+    A method call on a registry or selector (:func:`registry_method`) is
+    also reported as ``"registry.<method>"``.
+    """
     names: set[str] = set()
     for stmt in body:
         for node in ast.walk(stmt):
@@ -170,6 +189,8 @@ def call_names(body: List[ast.stmt]) -> set[str]:
                 name = terminal_name(node.func)
                 if name:
                     names.add(name)
+                if registry_method(node):
+                    names.add(f"registry.{name}")
     return names
 
 

@@ -44,8 +44,6 @@ from repro.obs.exporters import (
     TextSummaryExporter,
     available_exporters,
     make_exporter,
-    register_exporter,
-    unregister_exporter,
 )
 from repro.obs.instruments import (
     DEFAULT_FRACTION_BUCKETS,
@@ -83,8 +81,10 @@ from repro.obs.summary import (
 from repro.obs.telemetry import (
     Span,
     Telemetry,
+    register_exporter,
     reset_telemetry_cache,
     resolve_telemetry,
+    unregister_exporter,
 )
 from repro.obs.timing import TimedKernels
 

@@ -21,10 +21,10 @@ span completion.  Five ship built in:
 * ``"text"`` — :class:`TextSummaryExporter`, buffers like ``"memory"``
   and renders the human-readable summary on :meth:`close`.
 
-The registry mirrors :mod:`repro.kernels` / :mod:`repro.lint`: built-ins
-are protected, custom exporters register a *factory* under a name and are
-selectable through ``AbftConfig.telemetry`` or the ``REPRO_OBS``
-environment override.
+The registry is a :class:`repro.registry.Registry`: built-ins are
+protected, custom exporters register a *factory* under a name (exact
+spelling) and are selectable through ``AbftConfig.telemetry`` or the
+``REPRO_OBS`` environment override (:data:`TELEMETRY_SELECTOR`).
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
 from repro.errors import ConfigurationError
+from repro.registry import Registry, Selector
 
 #: Environment variable overriding the configured exporter name.
 OBS_ENV_VAR = "REPRO_OBS"
@@ -395,56 +396,24 @@ ExporterFactory = Callable[[], Exporter]
 #: Exporter names that ship with the package and cannot be unregistered.
 BUILTIN_EXPORTERS = ("off", "memory", "jsonl", "ring", "text")
 
-_REGISTRY: Dict[str, ExporterFactory] = {
-    "off": NullExporter,
-    "memory": InMemoryExporter,
-    "jsonl": JsonlExporter,
-    "ring": RingBufferExporter,
-    "text": TextSummaryExporter,
-}
+#: Exporter factories by name.
+EXPORTER_REGISTRY: Registry[ExporterFactory] = Registry("exporter", builtins=BUILTIN_EXPORTERS)
+for _factory in (NullExporter, InMemoryExporter, JsonlExporter, RingBufferExporter,
+                 TextSummaryExporter):
+    EXPORTER_REGISTRY.register(_factory, _factory.name)
 
-
-def register_exporter(
-    name: str, factory: ExporterFactory, overwrite: bool = False
-) -> ExporterFactory:
-    """Register an exporter factory under ``name``; returns the factory."""
-    if not name or not isinstance(name, str):
-        raise ConfigurationError(f"exporter name must be a non-empty string, got {name!r}")
-    if not callable(factory):
-        raise ConfigurationError(
-            f"exporter factory for {name!r} must be callable, got {type(factory).__name__}"
-        )
-    if name in BUILTIN_EXPORTERS:
-        raise ConfigurationError(f"built-in exporter {name!r} cannot be replaced")
-    if name in _REGISTRY and not overwrite:
-        raise ConfigurationError(
-            f"exporter {name!r} already registered (pass overwrite=True)"
-        )
-    _REGISTRY[name] = factory
-    return factory
-
-
-def unregister_exporter(name: str) -> None:
-    """Remove a registered exporter (primarily for test isolation)."""
-    if name in BUILTIN_EXPORTERS:
-        raise ConfigurationError(f"built-in exporter {name!r} cannot be removed")
-    _REGISTRY.pop(name, None)
+#: ``REPRO_OBS`` overrides every configured exporter name.
+TELEMETRY_SELECTOR = Selector("telemetry", OBS_ENV_VAR, EXPORTER_REGISTRY, DEFAULT_EXPORTER)
 
 
 def available_exporters() -> Tuple[str, ...]:
     """Registered exporter names, sorted."""
-    return tuple(sorted(_REGISTRY))
+    return EXPORTER_REGISTRY.available()
 
 
 def make_exporter(name: str) -> Exporter:
     """Instantiate the exporter registered under ``name``."""
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown exporter {name!r}; expected one of {available_exporters()}"
-        ) from None
-    exporter = factory()
+    exporter = EXPORTER_REGISTRY.get(name)()
     if not isinstance(exporter, Exporter):
         raise ConfigurationError(
             f"exporter factory {name!r} returned {type(exporter).__name__}, "

@@ -11,7 +11,7 @@ Time comes from an injectable monotonic clock (``time.perf_counter`` by
 default): tests inject a fake clock and get bit-identical event streams
 from identical seeded runs.
 
-Resolution mirrors :func:`repro.kernels.resolve_kernels`:
+Resolution follows the selection rule of :mod:`repro.registry`:
 
 1. an explicit :class:`Telemetry` instance passes through untouched;
 2. the ``REPRO_OBS`` environment variable overrides any *name*;
@@ -25,7 +25,6 @@ protected multiply around it and the PCG loop above both — all configured
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from types import TracebackType
@@ -34,10 +33,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
 from repro.errors import ConfigurationError
 from repro.kernels.base import KernelSet
 from repro.obs.exporters import (
-    DEFAULT_EXPORTER,
-    OBS_ENV_VAR,
+    EXPORTER_REGISTRY,
+    TELEMETRY_SELECTOR,
     Event,
     Exporter,
+    ExporterFactory,
     InMemoryExporter,
     NullExporter,
     make_exporter,
@@ -335,17 +335,7 @@ def resolve_telemetry(telemetry: object = None) -> Telemetry:
     """
     if isinstance(telemetry, Telemetry):
         return telemetry
-    env = os.environ.get(OBS_ENV_VAR)
-    if env:
-        name = env
-    elif telemetry is None:
-        name = DEFAULT_EXPORTER
-    elif isinstance(telemetry, str):
-        name = telemetry
-    else:
-        raise ConfigurationError(
-            f"telemetry must be a name or Telemetry, got {type(telemetry).__name__}"
-        )
+    name = TELEMETRY_SELECTOR.resolve(telemetry)
     if name == "off":
         return Telemetry.disabled()
     cached = _BY_NAME.get(name)
@@ -354,6 +344,31 @@ def resolve_telemetry(telemetry: object = None) -> Telemetry:
         _BY_NAME[name] = cached
         _register_flush_at_exit()
     return cached
+
+
+def register_exporter(
+    name: str, factory: ExporterFactory, overwrite: bool = False
+) -> ExporterFactory:
+    """Register an exporter factory under ``name``; returns the factory.
+
+    Overwriting evicts the telemetry cached for ``name`` (flushed first,
+    as at exit), so the next resolution builds the new exporter.
+    """
+    EXPORTER_REGISTRY.register(factory, name, overwrite)
+    _evict(name)
+    return factory
+
+
+def unregister_exporter(name: str) -> None:
+    """Remove a registered exporter and evict its cached telemetry."""
+    EXPORTER_REGISTRY.unregister(name)
+    _evict(name)
+
+
+def _evict(name: str) -> None:
+    cached = _BY_NAME.pop(name, None)
+    if cached is not None:
+        cached.flush()
 
 
 def reset_telemetry_cache() -> None:

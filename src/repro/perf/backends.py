@@ -17,7 +17,7 @@ latter is a registered **backend**:
   *processes* mapping the plan's buffers zero-copy from shared memory
   (:mod:`repro.perf.process_backend`), the true-multicore path.
 
-Selection mirrors :mod:`repro.kernels` and :mod:`repro.schemes`: a
+Selection follows the rule of :mod:`repro.registry`: a
 registered name is chosen via ``AbftConfig(parallel=...)``, overridden
 process-wide by the :data:`BACKEND_ENV_VAR` environment variable
 (``REPRO_PARALLEL``), with an explicit ``parallel=`` argument to
@@ -35,11 +35,12 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.registry import Registry, Selector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotations only)
     from repro.obs import Telemetry
@@ -195,61 +196,35 @@ class ThreadsBackend(PlanBackend):
 # ----------------------------------------------------------------------
 BackendFactory = Callable[..., PlanBackend]
 
-_REGISTRY: Dict[str, BackendFactory] = {}
-_PROTECTED: Set[str] = set()
+#: Backend factories by name.
+BACKEND_REGISTRY: Registry[BackendFactory] = Registry("backend", builtins=BUILTIN_BACKENDS)
+
+#: ``REPRO_PARALLEL`` overrides ``AbftConfig.parallel``; ``ProtectedPlan(parallel=...)`` beats both.
+BACKEND_SELECTOR = Selector("parallel", BACKEND_ENV_VAR, BACKEND_REGISTRY, DEFAULT_BACKEND)
 
 
-def register_backend(
-    name: str, factory: BackendFactory, overwrite: bool = False
-) -> None:
+def register_backend(name: str, factory: BackendFactory, overwrite: bool = False) -> None:
     """Register a plan-backend factory under ``name``.
 
     The factory is called as ``factory(plan, **options)`` and must
     return a :class:`PlanBackend` bound to that plan.
     """
-    if not name or not isinstance(name, str):
-        raise ConfigurationError(f"backend name must be a non-empty string, got {name!r}")
-    if not callable(factory):
-        raise ConfigurationError(f"backend factory for {name!r} must be callable")
-    if name in _REGISTRY and not overwrite:
-        raise ConfigurationError(
-            f"backend {name!r} is already registered; pass overwrite=True to replace"
-        )
-    if name in _PROTECTED and name not in BUILTIN_BACKENDS:
-        raise ConfigurationError(f"backend {name!r} is protected")
-    _REGISTRY[name] = factory
+    BACKEND_REGISTRY.register(factory, name, overwrite)
 
 
 def unregister_backend(name: str) -> None:
     """Remove a registered backend (built-ins are protected)."""
-    if name in _PROTECTED:
-        raise ConfigurationError(f"built-in backend {name!r} cannot be unregistered")
-    if name not in _REGISTRY:
-        raise ConfigurationError(
-            f"unknown backend {name!r}; expected one of {available_backends()}"
-        )
-    del _REGISTRY[name]
+    BACKEND_REGISTRY.unregister(name)
 
 
 def available_backends() -> Tuple[str, ...]:
     """Sorted names of all registered backends."""
-    return tuple(sorted(_REGISTRY))
-
-
-def get_backend_factory(name: str) -> BackendFactory:
-    """Look up a backend factory by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown backend {name!r}; expected one of {available_backends()}"
-        ) from None
+    return BACKEND_REGISTRY.available()
 
 
 def canonical_backend_name(name: str) -> str:
     """Validate ``name`` against the registry and return it."""
-    get_backend_factory(name)
-    return name
+    return BACKEND_REGISTRY.canonical(name)
 
 
 def resolve_backend_name(
@@ -259,49 +234,30 @@ def resolve_backend_name(
 ) -> str:
     """Resolve a backend selection to a registered name.
 
-    Priority mirrors :func:`repro.kernels.resolve_kernels`:
-
-    1. an ``explicit`` name passed in code (tests pinning a backend);
-    2. the :data:`BACKEND_ENV_VAR` environment variable, which
-       overrides every *configured* name process-wide;
-    3. the ``configured`` name (``AbftConfig.parallel``);
-    4. the caller's ``default``.
+    Follows the selection rule of :mod:`repro.registry`: an ``explicit``
+    name passed in code (tests pinning a backend), then the
+    :data:`BACKEND_ENV_VAR` environment variable, then the
+    ``configured`` name (``AbftConfig.parallel``), then ``default``.
     """
-    if explicit is not None:
-        return canonical_backend_name(explicit)
-    env = os.environ.get(BACKEND_ENV_VAR)
-    if env:
-        try:
-            return canonical_backend_name(env)
-        except ConfigurationError:
-            raise ConfigurationError(
-                f"{BACKEND_ENV_VAR}={env!r} does not name a registered backend; "
-                f"expected one of {available_backends()}"
-            ) from None
-    if configured is not None:
-        return canonical_backend_name(configured)
-    return canonical_backend_name(default)
+    return BACKEND_SELECTOR.resolve(default if configured is None else configured, explicit)
 
 
 def make_backend(name: str, plan: "ProtectedPlan", **options: object) -> PlanBackend:
     """Instantiate the named backend for ``plan``."""
-    return get_backend_factory(name)(plan, **options)
+    return BACKEND_REGISTRY.get(name)(plan, **options)
 
 
-def _serial_factory(plan: "ProtectedPlan", **options: object) -> PlanBackend:
-    if options:
-        raise ConfigurationError(
-            f"serial backend accepts no options, got {sorted(options)}"
-        )
-    return PlanBackend(plan)
+def _optionless(cls: Type[PlanBackend]) -> BackendFactory:
+    """Factory of a backend class that accepts no options."""
 
+    def factory(plan: "ProtectedPlan", **options: object) -> PlanBackend:
+        if options:
+            raise ConfigurationError(
+                f"{cls.name} backend accepts no options, got {sorted(options)}"
+            )
+        return cls(plan)
 
-def _threads_factory(plan: "ProtectedPlan", **options: object) -> PlanBackend:
-    if options:
-        raise ConfigurationError(
-            f"threads backend accepts no options, got {sorted(options)}"
-        )
-    return ThreadsBackend(plan)
+    return factory
 
 
 def _processes_factory(plan: "ProtectedPlan", **options: object) -> PlanBackend:
@@ -310,7 +266,6 @@ def _processes_factory(plan: "ProtectedPlan", **options: object) -> PlanBackend:
     return ProcessBackend(plan, **options)  # type: ignore[arg-type]
 
 
-register_backend("serial", _serial_factory)
-register_backend("threads", _threads_factory)
+register_backend("serial", _optionless(PlanBackend))
+register_backend("threads", _optionless(ThreadsBackend))
 register_backend("processes", _processes_factory)
-_PROTECTED.update(BUILTIN_BACKENDS)

@@ -691,9 +691,7 @@ class ProtectedPlan:
                 ),
             )
         else:
-            self.format_choice, built = select_format(
-                matrix, requested, measure=True
-            )
+            self.format_choice, built = select_format(matrix, requested)
             if self.format_choice.format != "csr":
                 storage = built
         self.sparse_format = self.format_choice.format

@@ -11,8 +11,8 @@ behind one registry with one driver contract:
   kernels and telemetry);
 * a process-wide registry (:func:`register_scheme` /
   :func:`make_scheme` / :func:`resolve_scheme`) with protected built-ins
-  and the ``REPRO_SCHEME`` environment override, mirroring
-  :mod:`repro.kernels` and the :mod:`repro.obs` exporters.
+  and the ``REPRO_SCHEME`` environment override, built on the one
+  registry and selector of :mod:`repro.registry`.
 
 Built-ins: ``abft`` (the paper's scheme), ``dense_check``, ``complete``,
 ``bisection``, ``checkpoint``, ``redundancy`` (DWC), ``tmr`` and
@@ -40,14 +40,8 @@ from repro.schemes.registry import (
 )
 from repro.schemes.result import ProtectedSpmvResult
 
-register_scheme("abft", _builtins.make_abft, overwrite=True)
-register_scheme("bisection", _builtins.make_bisection, overwrite=True)
-register_scheme("checkpoint", _builtins.make_checkpoint, overwrite=True)
-register_scheme("complete", _builtins.make_complete, overwrite=True)
-register_scheme("dense_check", _builtins.make_dense_check, overwrite=True)
-register_scheme("redundancy", _builtins.make_redundancy, overwrite=True)
-register_scheme("tmr", _builtins.make_tmr, overwrite=True)
-register_scheme("vabft", _builtins.make_vabft, overwrite=True)
+for _name in BUILTIN_SCHEMES:
+    register_scheme(_name, getattr(_builtins, f"make_{_name}"))
 
 __all__ = [
     "ProtectedSpmvResult",

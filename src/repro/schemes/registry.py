@@ -1,19 +1,21 @@
 """Process-wide registry of protection schemes.
 
-Mirrors the :mod:`repro.kernels` registry: named factories, protected
-built-ins, and an environment override.  Entries are *factories* rather
-than instances because a scheme is bound to one matrix — campaigns build
-a fresh scheme object per matrix via :func:`make_scheme`.
+One :class:`repro.registry.Registry` and :class:`~repro.registry.Selector`:
+named factories, protected built-ins, and an environment override.
+Entries are *factories* rather than instances because a scheme is bound
+to one matrix — campaigns build a fresh scheme object per matrix via
+:func:`make_scheme`.
 
 Selection order for :func:`resolve_scheme` (first match wins):
 
-1. an explicit :class:`~repro.schemes.base.ProtectionScheme` instance is
-   returned as-is;
+1. the ``scheme`` argument: a
+   :class:`~repro.schemes.base.ProtectionScheme` instance is returned
+   as-is, a name beats everything below;
 2. the :data:`SCHEME_ENV_VAR` environment variable (``REPRO_SCHEME``)
    overrides a *defaulted* selection — it fills in when no name was
    requested, so CI can steer whole runs without breaking call sites
    that ask for a specific scheme by name;
-3. the name passed in (usually ``AbftConfig.scheme``);
+3. ``config.scheme`` (:class:`~repro.core.AbftConfig`);
 4. :data:`DEFAULT_SCHEME`.
 
 Explicit lookups (:func:`make_scheme`) never consult the environment.
@@ -21,10 +23,10 @@ Explicit lookups (:func:`make_scheme`) never consult the environment.
 
 from __future__ import annotations
 
-import os
-from typing import TYPE_CHECKING, Dict, Optional, Protocol, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Protocol, Tuple, Union
 
 from repro.errors import ConfigurationError
+from repro.registry import Registry, Selector
 from repro.schemes.base import ProtectionScheme
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -78,55 +80,38 @@ class SchemeFactory(Protocol):
     ) -> ProtectionScheme: ...
 
 
-_REGISTRY: Dict[str, SchemeFactory] = {}
+#: Scheme factories by name.
+SCHEME_REGISTRY: Registry[SchemeFactory] = Registry("scheme", builtins=BUILTIN_SCHEMES)
+
+#: ``REPRO_SCHEME`` fills in only when no name was requested in code.
+SCHEME_SELECTOR = Selector("scheme", SCHEME_ENV_VAR, SCHEME_REGISTRY, DEFAULT_SCHEME)
 
 
 def register_scheme(
     name: str, factory: SchemeFactory, overwrite: bool = False
 ) -> SchemeFactory:
     """Register ``factory`` under ``name``; returns it for chaining."""
-    if not name or not isinstance(name, str):
-        raise ConfigurationError(f"scheme name must be a non-empty string, got {name!r}")
-    if not callable(factory):
-        raise ConfigurationError(
-            f"scheme factory for {name!r} must be callable, got {type(factory).__name__}"
-        )
-    if name in _REGISTRY and not overwrite:
-        raise ConfigurationError(
-            f"scheme {name!r} already registered (pass overwrite=True)"
-        )
-    _REGISTRY[name] = factory
-    return factory
+    return SCHEME_REGISTRY.register(factory, name, overwrite)
 
 
 def unregister_scheme(name: str) -> None:
     """Remove a registered scheme (primarily for test isolation)."""
-    if name in BUILTIN_SCHEMES:
-        raise ConfigurationError(f"built-in scheme {name!r} cannot be removed")
-    _REGISTRY.pop(name, None)
+    SCHEME_REGISTRY.unregister(name)
 
 
 def available_schemes() -> Tuple[str, ...]:
     """Registered scheme names, sorted."""
-    return tuple(sorted(_REGISTRY))
+    return SCHEME_REGISTRY.available()
 
 
 def canonical_scheme_name(name: str) -> str:
     """Validate that ``name`` is registered and return it."""
-    if not isinstance(name, str):
-        raise ConfigurationError(
-            f"scheme must be a name or ProtectionScheme, got {type(name).__name__}"
-        )
-    if name not in _REGISTRY:
-        raise ConfigurationError(
-            f"unknown scheme {name!r}; expected one of {available_schemes()}"
-        )
-    return name
+    return SCHEME_REGISTRY.canonical(name)
 
 
 def get_scheme_factory(name: str) -> SchemeFactory:
     """Look up a scheme factory by name."""
-    return _REGISTRY[canonical_scheme_name(name)]
+    return SCHEME_REGISTRY.get(name)
 
 
 def make_scheme(
@@ -185,18 +170,7 @@ def resolve_scheme(
     """
     if isinstance(scheme, ProtectionScheme) and not isinstance(scheme, str):
         return scheme
-    if scheme is None:
-        env = os.environ.get(SCHEME_ENV_VAR)
-        if env:
-            scheme = env
-        elif config is not None and config.scheme is not None:
-            scheme = config.scheme
-        else:
-            scheme = DEFAULT_SCHEME
-    if not isinstance(scheme, str):
-        raise ConfigurationError(
-            f"scheme must be a name or ProtectionScheme, got {type(scheme).__name__}"
-        )
+    scheme = SCHEME_SELECTOR.resolve(None if config is None else config.scheme, scheme)
     return make_scheme(
         scheme,
         matrix,

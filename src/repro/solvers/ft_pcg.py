@@ -41,7 +41,7 @@ from repro.core.config import AbftConfig
 from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
 from repro.faults.process import ErrorProcess
-from repro.kernels import DEFAULT_KERNEL, available_kernels
+from repro.kernels.base import DEFAULT_KERNEL, KERNEL_SELECTOR
 from repro.machine import (
     ExecutionMeter,
     Machine,
@@ -56,6 +56,7 @@ from repro.schemes import BUILTIN_SCHEMES, canonical_scheme_name, make_scheme
 from repro.solvers.pcg import DEFAULT_TOLERANCE, MAX_ITERATION_FACTOR
 from repro.solvers.preconditioners import make_preconditioner
 from repro.sparse.csr import CsrMatrix
+from repro.sparse.formats import FORMAT_SELECTOR
 
 #: Solver-level cases handled here rather than by a registered scheme.
 SOLVER_SCHEMES = ("unprotected", "dual", "hybrid")
@@ -93,14 +94,8 @@ class FtPcgOptions:
             raise ConfigurationError(
                 f"checkpoint_interval must be >= 1, got {self.checkpoint_interval}"
             )
-        if self.kernel not in available_kernels():
-            raise ConfigurationError(
-                f"unknown kernel {self.kernel!r}; expected one of {available_kernels()}"
-            )
-        if self.sparse_format is not None:
-            from repro.sparse.formats import canonical_format_name
-
-            canonical_format_name(self.sparse_format)
+        KERNEL_SELECTOR.check(self.kernel, "FtPcgOptions")
+        FORMAT_SELECTOR.check(self.sparse_format, "FtPcgOptions")
 
 
 @dataclass(frozen=True)

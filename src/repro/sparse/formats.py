@@ -4,9 +4,9 @@ The kernel engine executes planned SpMVs against one of two storage
 formats — ``"csr"`` (the paper's baseline and the library default) and
 ``"bsr"`` (dense tiles; wins on block-structured matrices) — plus the
 pseudo-format ``"auto"`` which picks one at plan time from the BSR fill
-ratio with an optional measured fallback to CSR.
+ratio.  Names fold case and surrounding whitespace.
 
-Selection order mirrors the kernel registry (first match wins):
+Selection follows the rule of :mod:`repro.registry` (first match wins):
 
 1. an explicit ``sparse_format=`` argument to
    :meth:`repro.core.FaultTolerantSpMV.planned` or
@@ -27,11 +27,10 @@ contract, tested in ``tests/sparse/test_formats.py``):
   Tile edges below 8 never pay for the gather/einsum overhead on the
   measured NumPy pipeline, which is why smaller candidates are not
   probed.
-* Everything else falls back to CSR.  With ``measure=True`` a BSR
-  candidate must additionally beat a timed CSR probe by
-  :data:`MEASURED_MIN_GAIN`; the measured fallback protects against
-  matrices that satisfy the fill heuristic but lose on the actual
-  pipeline.
+* Everything else falls back to CSR.
+
+The choice is a pure function of the sparsity pattern: no timer is
+read, so two plans built for one matrix always run the same format.
 
 Every decision is recorded as a :class:`FormatChoice` (format, reason,
 fill ratio, tile shape) which planned executors attach to the plan and
@@ -40,14 +39,13 @@ emit as ``plan.format`` telemetry.
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass
 from typing import Optional, Protocol, Tuple, Union, runtime_checkable
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.registry import Registry, Selector
 from repro.sparse.bsr import BsrMatrix
 from repro.sparse.csr import CsrMatrix
 
@@ -75,15 +73,6 @@ BSR_BLOCK_CANDIDATES = (8, 16)
 #: and discarded, so effective arithmetic scales with 1/fill; below ~0.85
 #: the tile pipeline's win on block-structured matrices evaporates.
 BSR_MIN_FILL = 0.85
-
-#: Measured fallback: a candidate format must beat the timed CSR probe
-#: by this factor, or auto-selection falls back to CSR.
-MEASURED_MIN_GAIN = 1.05
-
-#: Matrices below this nnz skip the timed probe (measurement noise would
-#: dominate; the structural heuristics decide alone).
-MEASURE_MIN_NNZ = 200_000
-
 
 @runtime_checkable
 class SparseFormat(Protocol):
@@ -125,8 +114,6 @@ class FormatChoice:
         reason: one-line human-readable justification.
         fill_ratio: BSR fill ratio at ``block_shape`` (NaN when not probed).
         block_shape: tile shape used/probed for BSR, or None.
-        measured_gain: timed speedup of the chosen format over CSR when
-            the measured fallback ran (NaN otherwise).
     """
 
     format: str
@@ -134,7 +121,6 @@ class FormatChoice:
     reason: str
     fill_ratio: float = float("nan")
     block_shape: Optional[Tuple[int, int]] = None
-    measured_gain: float = float("nan")
 
 
 def canonical_format_name(name: object) -> str:
@@ -143,21 +129,12 @@ def canonical_format_name(name: object) -> str:
     Accepts the builtin storage formats plus ``"auto"``; anything else
     raises :class:`~repro.errors.ConfigurationError`.
     """
-    if not isinstance(name, str):
-        raise ConfigurationError(
-            f"sparse format must be a name, got {type(name).__name__}"
-        )
-    canonical = name.strip().lower()
-    if canonical not in FORMAT_NAMES:
-        raise ConfigurationError(
-            f"unknown sparse format {name!r}; expected one of {FORMAT_NAMES}"
-        )
-    return canonical
+    return FORMAT_REGISTRY.canonical(name)
 
 
 def available_formats() -> Tuple[str, ...]:
     """Selectable format names, sorted (storage formats plus ``auto``)."""
-    return tuple(sorted(FORMAT_NAMES))
+    return FORMAT_REGISTRY.available()
 
 
 def resolve_format_name(
@@ -171,14 +148,7 @@ def resolve_format_name(
     :data:`FORMAT_ENV_VAR` environment variable beats the ``configured``
     name (usually ``AbftConfig.sparse_format``); ``default`` applies last.
     """
-    if explicit is not None:
-        return canonical_format_name(explicit)
-    env = os.environ.get(FORMAT_ENV_VAR)
-    if env:
-        return canonical_format_name(env)
-    if configured is not None:
-        return canonical_format_name(configured)
-    return canonical_format_name(default)
+    return FORMAT_SELECTOR.resolve(default if configured is None else configured, explicit)
 
 
 # ----------------------------------------------------------------------
@@ -222,20 +192,6 @@ def probe_block_shape(
     return best_shape, max(best_fill, 0.0)
 
 
-def _measured_gain(csr: CsrMatrix, candidate: FormatMatrix, repeats: int = 3) -> float:
-    """Timed speedup of ``candidate.matvec`` over ``csr.matvec`` (best-of)."""
-    b = np.linspace(-1.0, 1.0, num=csr.n_cols)
-    best_csr = best_fmt = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        csr.matvec(b)
-        best_csr = min(best_csr, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        candidate.matvec(b)
-        best_fmt = min(best_fmt, time.perf_counter() - t0)
-    return best_csr / best_fmt if best_fmt > 0 else float("inf")
-
-
 # ----------------------------------------------------------------------
 # Selection + construction
 # ----------------------------------------------------------------------
@@ -263,17 +219,12 @@ def build_format(
     )
 
 
-def select_format(
-    csr: CsrMatrix,
-    requested: str,
-    measure: bool = False,
-) -> Tuple[FormatChoice, FormatMatrix]:
+def select_format(csr: CsrMatrix, requested: str) -> Tuple[FormatChoice, FormatMatrix]:
     """Resolve ``requested`` to a concrete storage matrix plus the evidence.
 
     Explicit names are honored as-is (probing only to pick BSR's tile
-    shape); ``"auto"`` applies the documented fill heuristic, optionally
-    backed by the measured CSR fallback (``measure=True``; skipped below
-    :data:`MEASURE_MIN_NNZ` nnz where timing noise dominates).
+    shape); ``"auto"`` applies the documented fill heuristic.  The choice
+    is a pure function of the sparsity pattern: no timer is read.
     """
     requested = canonical_format_name(requested)
 
@@ -302,27 +253,18 @@ def select_format(
         )
         return choice, csr
 
-    matrix = BsrMatrix.from_csr(csr, block_shape)
-    if not (measure and csr.nnz >= MEASURE_MIN_NNZ):
-        choice = FormatChoice(
-            "bsr", requested, f"fill {fill:.2f} >= {BSR_MIN_FILL} at {tiles}",
-            fill_ratio=fill, block_shape=block_shape,
-        )
-        return choice, matrix
-
-    gain = _measured_gain(csr, matrix)
-    if gain >= MEASURED_MIN_GAIN:
-        choice = FormatChoice(
-            "bsr", requested,
-            f"fill {fill:.2f} >= {BSR_MIN_FILL} at {tiles}; measured "
-            f"{gain:.2f}x >= {MEASURED_MIN_GAIN}x over CSR",
-            fill_ratio=fill, block_shape=block_shape, measured_gain=gain,
-        )
-        return choice, matrix
     choice = FormatChoice(
-        "csr", requested,
-        f"measured fallback: BSR at {tiles} reached only {gain:.2f}x "
-        f"< {MEASURED_MIN_GAIN}x over CSR",
-        fill_ratio=fill, block_shape=block_shape, measured_gain=gain,
+        "bsr", requested, f"fill {fill:.2f} >= {BSR_MIN_FILL} at {tiles}",
+        fill_ratio=fill, block_shape=block_shape,
     )
-    return choice, csr
+    return choice, BsrMatrix.from_csr(csr, block_shape)
+
+
+#: Selectable formats: the storage classes, and ``"auto"`` -> the selector.
+FORMAT_REGISTRY: Registry[object] = Registry("sparse format", builtins=FORMAT_NAMES, fold=True)
+for _name, _entry in zip(FORMAT_NAMES, (CsrMatrix, BsrMatrix, select_format)):
+    FORMAT_REGISTRY.register(_entry, _name)
+
+#: ``REPRO_FORMAT`` overrides ``AbftConfig.sparse_format``; an explicit
+#: ``sparse_format=`` argument beats both.
+FORMAT_SELECTOR = Selector("sparse_format", FORMAT_ENV_VAR, FORMAT_REGISTRY, DEFAULT_FORMAT)

@@ -62,3 +62,22 @@ def test_ablations_quick(capsys):
     assert "bound family" in out
     assert "stream overlap" in out
     assert "redundant execution" in out
+
+
+def test_env_reports_each_selector_and_its_source(monkeypatch, capsys):
+    from repro.core.config import selectors
+
+    for selector in selectors():
+        monkeypatch.delenv(selector.env_var, raising=False)
+    monkeypatch.setenv("REPRO_FORMAT", "bsr")
+    monkeypatch.setenv("REPRO_DTYPE", "f32")
+    assert main(["env"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+    assert {row[0]: (row[2], row[3]) for row in rows} == {
+        "kernel": ("vectorized", "default"),
+        "telemetry": ("off", "default"),
+        "scheme": ("abft", "default"),
+        "parallel": ("serial", "default"),
+        "sparse_format": ("bsr", "env"),
+        "dtype": ("float32", "env"),
+    }

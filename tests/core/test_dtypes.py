@@ -70,11 +70,11 @@ def test_register_and_unregister_extension_policy():
 
 
 def test_builtin_policies_are_protected():
-    with pytest.raises(ConfigurationError, match="builtin"):
+    with pytest.raises(ConfigurationError, match="built-in"):
         register_dtype_policy(
             DtypePolicy(name="float64", working="float64", accumulation="float64")
         )
-    with pytest.raises(ConfigurationError, match="builtin"):
+    with pytest.raises(ConfigurationError, match="built-in"):
         unregister_dtype_policy("float32")
 
 

@@ -2,6 +2,7 @@
 
 from repro.core import make_bound
 from repro.sparse import canonical_format_name
+from repro.sparse.formats import FORMAT_SELECTOR
 
 
 def make_detector(matrix, kind="block"):
@@ -25,3 +26,8 @@ def _private_helper(matrix, kind="block"):
 
 def typed_selector(matrix, mode: int = 0):
     return (mode, matrix)
+
+
+def resolve_format(matrix, sparse_format="csr"):
+    name = FORMAT_SELECTOR.resolve(sparse_format)
+    return (name, matrix)

@@ -6,12 +6,14 @@ tile edges) are part of the documented contract in
 """
 
 import re
+import time
 
 import numpy as np
 import pytest
 
-from repro.core import AbftConfig
+from repro.core import AbftConfig, FaultTolerantSpMV
 from repro.errors import ConfigurationError
+from repro.perf import ProtectedPlan
 from repro.sparse import (
     BSR_BLOCK_CANDIDATES,
     BSR_MIN_FILL,
@@ -147,7 +149,7 @@ def test_auto_keeps_csr_on_regular_rows():
 def test_auto_resolves_bcsstk13_to_csr():
     # Near-regular rows but low tile fill: CSR is the faster format here.
     csr = suite_matrix("bcsstk13")
-    choice, matrix = select_format(csr, "auto", measure=True)
+    choice, matrix = select_format(csr, "auto")
     assert choice.format == "csr"
     assert matrix is csr
 
@@ -157,7 +159,6 @@ def test_auto_falls_back_to_csr_on_hostile_matrix():
     choice, matrix = select_format(csr, "auto")
     assert choice.format == "csr"
     assert matrix is csr
-    assert np.isnan(choice.measured_gain)  # structural rejection, no probe
 
 
 def test_auto_on_empty_matrix():
@@ -167,10 +168,20 @@ def test_auto_on_empty_matrix():
     assert "empty matrix" in choice.reason
 
 
-def test_measured_fallback_skipped_below_nnz_floor():
-    # Small matrices skip the timed probe: the structural decision stands
-    # and measured_gain stays NaN.
-    csr = block_stencil_spd(36, 8, seed=8)
-    choice, _ = select_format(csr, "auto", measure=True)
-    assert choice.format == "bsr"
-    assert np.isnan(choice.measured_gain)
+def test_auto_never_reads_the_clock(monkeypatch):
+    # Above 200k nnz, where plans used to time BSR against CSR: the auto
+    # choice is a pure function of the matrix, so two plans built for it
+    # always run the same format.
+    csr = block_stencil_spd(700, 8, seed=8)
+    assert csr.nnz >= 200_000
+    operator = FaultTolerantSpMV(csr)
+
+    def no_clock():
+        raise AssertionError("auto format selection read the clock")
+
+    monkeypatch.setattr(time, "perf_counter", no_clock)
+    first, _ = select_format(csr, "auto")
+    second, _ = select_format(csr, "auto")
+    plan = ProtectedPlan(operator, parallel="serial", sparse_format="auto")
+    assert first == second == plan.format_choice
+    assert first.format == "bsr"
