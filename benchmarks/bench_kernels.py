@@ -67,27 +67,6 @@ def test_kernel_spmm(benchmark, matrix):
     assert result.shape == (matrix.n_rows, 8)
 
 
-def test_kernel_checksum_matrix_spmm(benchmark, matrix):
-    from repro.core import ProtectedSpMM
-
-    scheme = ProtectedSpMM(matrix, block_size=32)
-    block = np.random.default_rng(3).standard_normal((matrix.n_cols, 4))
-    result = benchmark(scheme.multiply, block)
-    assert result.clean
-
-
-def test_kernel_forward_substitution(benchmark):
-    from repro.core.triangular import forward_substitution
-    from repro.sparse import CooMatrix, random_spd
-
-    spd = random_spd(1000, 8000, seed=9)
-    lower = CooMatrix.from_dense(np.tril(spd.to_dense())).to_csr()
-    rhs = lower.matvec(np.ones(1000))
-    x = np.empty(1000)
-    benchmark(forward_substitution, lower, rhs, x)
-    np.testing.assert_allclose(x, np.ones(1000), rtol=1e-9)
-
-
 def test_kernel_rcm_reordering(benchmark, matrix):
     from repro.sparse import reverse_cuthill_mckee
 

@@ -1,13 +1,10 @@
 """Protected applications built on the core scheme (paper Section III-E).
 
-Each application's inner loop multiplies a fixed sparse matrix every step,
+The application's inner loop multiplies a fixed sparse matrix every step,
 the data-reuse pattern under which the checksum-matrix setup amortizes:
-
-* :func:`power_iteration` / :func:`pagerank` — graph analytics;
-* :func:`jacobi_solve` — a splitting solver counterpart to PCG.
+:func:`power_iteration` / :func:`pagerank` — graph analytics.
 """
 
-from repro.apps.jacobi import JacobiResult, jacobi_solve
 from repro.apps.power import (
     PowerIterationResult,
     build_link_matrix,
@@ -20,6 +17,4 @@ __all__ = [
     "pagerank",
     "build_link_matrix",
     "PowerIterationResult",
-    "jacobi_solve",
-    "JacobiResult",
 ]

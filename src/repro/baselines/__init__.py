@@ -30,11 +30,10 @@ from repro.baselines.checkpoint import (
 from repro.baselines.complete import CompleteRecomputationSpMV
 from repro.baselines.dense_check import DenseCheckReport, DenseCheckSpMV, DenseChecksum
 from repro.baselines.redundancy import DwcSpMV, TmrSpMV
-from repro.baselines.scheme import BaselineContext, SpmvScheme
+from repro.baselines.scheme import BaselineContext
 
 __all__ = [
     "BaselineContext",
-    "SpmvScheme",
     "DenseChecksum",
     "DenseCheckReport",
     "DenseCheckSpMV",

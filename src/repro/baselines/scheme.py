@@ -1,4 +1,4 @@
-"""Baseline plumbing: the shared result type and execution context.
+"""Baseline plumbing: the execution context every baseline shares.
 
 The baselines mirror :class:`repro.core.FaultTolerantSpMV`'s driver contract
 — ``multiply(b, tamper=None, meter=None)`` with the same tamper-hook stages
@@ -10,7 +10,7 @@ schemes leave its block-id fields empty).
 
 from __future__ import annotations
 
-from typing import Optional, Protocol
+from typing import Optional
 
 import numpy as np
 
@@ -18,23 +18,7 @@ from repro.core.corrector import TamperHook
 from repro.kernels import KernelSet, resolve_kernels
 from repro.machine import ExecutionMeter, Machine
 from repro.obs import Telemetry, resolve_telemetry
-from repro.schemes.result import ProtectedSpmvResult
 from repro.sparse.csr import CsrMatrix
-
-class SpmvScheme(Protocol):
-    """Anything that can run one protected SpMV (ours or a baseline).
-
-    Superseded by the richer :class:`repro.schemes.ProtectionScheme`;
-    kept because the narrower surface (just ``multiply``) is all some
-    campaign code needs.
-    """
-
-    def multiply(
-        self,
-        b: np.ndarray,
-        tamper: TamperHook | None = None,
-        meter: ExecutionMeter | None = None,
-    ) -> ProtectedSpmvResult: ...
 
 
 class BaselineContext:

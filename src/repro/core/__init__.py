@@ -11,7 +11,6 @@ Public surface:
 """
 
 from repro.core.algebraic import AlgebraicSpmvResult, DualChecksumSpMV
-from repro.core.autotune import DEFAULT_CANDIDATES, TuningResult, choose_block_size
 from repro.core.blocking import BlockPartition
 from repro.core.calibration import EmpiricalBound
 from repro.core.bounds import (
@@ -51,8 +50,6 @@ from repro.core.dtypes import (
     resolve_dtype_policy,
     unregister_dtype_policy,
 )
-from repro.core.multivector import ProtectedSpMM, SpmmResult
-from repro.core.triangular import ProtectedTriangularSolve, TriangularSolveResult
 from repro.core.protected import FaultTolerantSpMV, plain_spmv
 
 __all__ = [
@@ -60,13 +57,6 @@ __all__ = [
     "DualChecksumSpMV",
     "AlgebraicSpmvResult",
     "EmpiricalBound",
-    "choose_block_size",
-    "TuningResult",
-    "DEFAULT_CANDIDATES",
-    "ProtectedSpMM",
-    "SpmmResult",
-    "ProtectedTriangularSolve",
-    "TriangularSolveResult",
     "MACHINE_EPSILON",
     "DEFAULT_BLOCK_SIZE",
     "BOUND_KINDS",

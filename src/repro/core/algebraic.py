@@ -37,6 +37,7 @@ from repro.core.bounds import SparseBlockBound
 from repro.core.checksum import ChecksumMatrix
 from repro.core.config import AbftConfig
 from repro.core.corrector import TamperHook, correct_blocks
+from repro.core.dtypes import resolve_dtype_policy
 from repro.kernels import resolve_kernels
 from repro.errors import ConfigurationError
 from repro.machine import (
@@ -124,7 +125,8 @@ class DualChecksumSpMV:
         self.position_checksum = ChecksumMatrix.build(
             matrix, block_size, "linear", self.kernels
         )
-        self.bound = SparseBlockBound.from_checksum(self.value_checksum)
+        epsilon = resolve_dtype_policy().epsilon_for(matrix.dtype)
+        self.bound = SparseBlockBound.from_checksum(self.value_checksum, epsilon=epsilon)
 
     @property
     def partition(self) -> BlockPartition:

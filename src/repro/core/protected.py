@@ -144,7 +144,7 @@ class FaultTolerantSpMV:
                 f"config.block_size={config.block_size}"
             )
         if config is None:
-            config = AbftConfig(block_size=block_size) if block_size else AbftConfig()
+            config = AbftConfig() if block_size is None else AbftConfig(block_size=block_size)
         self.config = config
         self.machine = machine or Machine()
         self.detector = BlockAbftDetector(

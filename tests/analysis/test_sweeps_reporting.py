@@ -51,6 +51,11 @@ def test_detection_overhead_rejects_unknown_method(small_suite):
         detection_overhead(small_suite[0][1], "bogus")
 
 
+def test_detection_overhead_rejects_nonpositive_block_size(small_suite):
+    with pytest.raises(ConfigurationError, match="block_size must be >= 1"):
+        detection_overhead(small_suite[0][1], "abft", block_size=0)
+
+
 def test_block_size_sweep_structure(small_suite):
     sweep = sweep_block_sizes(small_suite, block_sizes=(1, 32, 512))
     assert sweep.block_sizes == (1, 32, 512)
@@ -60,6 +65,23 @@ def test_block_size_sweep_structure(small_suite):
     assert sweep.average(32) < sweep.average(1)
     assert sweep.average(32) < sweep.average(512)
     assert sweep.best_block_size() == 32
+
+
+def test_figure4_grid_overheads_positive(small_suite):
+    sweep = sweep_block_sizes(small_suite)
+    assert sweep.block_sizes == FIGURE4_BLOCK_SIZES
+    for overheads in sweep.per_matrix.values():
+        assert all(overhead > 0 for overhead in overheads)
+
+
+def test_single_matrix_optimum_in_figure4_region(small_suite):
+    # Per matrix the optimum moves, but bcsstk13's detection-only
+    # minimum stays inside the paper's 16-128 valley.
+    bcsstk13 = [entry for entry in small_suite if entry[0].name == "bcsstk13"]
+    sweep = sweep_block_sizes(bcsstk13)
+    best = sweep.best_block_size()
+    assert 16 <= best <= 128
+    assert sweep.average(best) == min(sweep.averages())
 
 
 def test_detection_comparison_reduction_positive(small_suite):

@@ -114,3 +114,57 @@ def test_power_iteration_on_banded(spd):
     result = power_iteration(a, protected=True, tol=1e-11)
     assert result.converged
     assert result.eigenvalue > 0
+
+
+def poison_every_result(stage, data, work):
+    if stage == "result":
+        data[0] = np.nan
+
+
+def test_power_iteration_budget_respected(spd):
+    result = power_iteration(spd, tol=1e-300, max_iterations=7, protected=False)
+    assert not result.converged
+    assert result.iterations == 7
+
+
+def test_unprotected_power_iteration_poisoned_by_nan(spd):
+    """A NaN in the product ends an unprotected run at its first step."""
+    result = power_iteration(spd, protected=False, tamper=poison_every_result)
+    assert not result.converged
+    assert result.iterations == 1
+
+
+def test_protected_power_iteration_repairs_every_nan(spd):
+    reference = power_iteration(spd, protected=True, seed=1)
+    result = power_iteration(spd, protected=True, seed=1, tamper=poison_every_result)
+    assert result.converged
+    assert result.detections == result.iterations == reference.iterations
+    np.testing.assert_array_equal(result.vector, reference.vector)
+    assert result.seconds > reference.seconds
+
+
+def test_pagerank_protected_rides_through_errors():
+    rng = np.random.default_rng(6)
+    link = build_link_matrix(rng.integers(0, 300, size=(2400, 2)), 300)
+    injector = FaultInjector.seeded(6)
+    process = ErrorProcess(2e-5, injector.rng)
+
+    def tamper(stage, data, work):
+        for _ in range(process.events_in(work)):
+            if data.size:
+                injector.corrupt_random_element(data, target=stage)
+
+    plain, _ = pagerank(link, protected=False)
+    protected, diag = pagerank(link, protected=True, tamper=tamper)
+    assert diag.converged
+    assert injector.log and diag.detections > 0
+    np.testing.assert_allclose(protected, plain, rtol=1e-8, atol=1e-12)
+
+
+def test_unprotected_pagerank_poisoned_by_nan():
+    link = build_link_matrix(np.array([[0, 1], [1, 2], [2, 0], [1, 0]]), 3)
+    ranks, diag = pagerank(link, protected=False, tamper=poison_every_result)
+    assert not diag.converged
+    assert diag.iterations == 1
+    # The poisoned step is discarded: the ranks stay the uniform start.
+    np.testing.assert_array_equal(ranks, np.full(3, 1.0 / 3.0))

@@ -130,6 +130,21 @@ def test_block_size_one(matrix, b):
     np.testing.assert_allclose(result.value, matrix.matvec(b), rtol=1e-12)
 
 
+def test_float32_bound_uses_the_storage_epsilon():
+    # A float64 roundoff bound on float32 data flags every block of a
+    # clean multiply; the float32 unit roundoff must hold them all clean.
+    matrix32 = random_spd(400, 4000, seed=1).astype(np.float32)
+    b32 = np.random.default_rng(1).standard_normal(400).astype(np.float32)
+    scheme = DualChecksumSpMV(matrix32, block_size=32)
+    assert scheme.multiply(b32).clean
+    result = scheme.multiply(
+        b32, tamper=one_shot("result", lambda d: d.__setitem__(70, d[70] + 2.5))
+    )
+    assert result.detected == (2,)
+    assert not result.exhausted
+    np.testing.assert_array_equal(result.value, matrix32.matvec(b32))
+
+
 def test_validation():
     m = random_spd(16, 40, seed=1)
     with pytest.raises(ConfigurationError):

@@ -6,6 +6,7 @@ import pytest
 from repro.core import AbftConfig, FaultTolerantSpMV, plain_spmv
 from repro.errors import ConfigurationError
 from repro.machine import ExecutionMeter
+from repro.schemes.vabft import VarianceAdaptiveSpMV
 from repro.sparse import random_spd
 
 
@@ -149,6 +150,13 @@ def test_conflicting_block_size_rejected(ft):
 
 def test_default_config_used_when_unspecified(ft):
     assert FaultTolerantSpMV(ft.matrix).config.block_size == 32
+
+
+@pytest.mark.parametrize("cls", [FaultTolerantSpMV, VarianceAdaptiveSpMV])
+def test_zero_block_size_rejected(ft, cls):
+    # 0 is a block size, not "unspecified": it must not fall back to 32.
+    with pytest.raises(ConfigurationError, match="block_size must be >= 1"):
+        cls(ft.matrix, block_size=0)
 
 
 def test_setup_cost_exposed(ft):

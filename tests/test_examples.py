@@ -1,12 +1,15 @@
-"""Smoke tests: the fast examples must run end to end."""
+"""Smoke tests: the fast examples and the tutorial must run end to end."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "examples"
+TUTORIAL = ROOT / "docs" / "tutorial.md"
 
 
 def _run(name: str, timeout: int = 240) -> str:
@@ -39,3 +42,17 @@ def test_block_size_tuning_example():
 )
 def test_heavier_examples(name, marker):
     assert marker in _run(name)
+
+
+def test_tutorial_runs():
+    # Later snippets reuse earlier names, so the blocks run in order in
+    # one script, i.e. one namespace.
+    blocks = re.findall(r"^```python\n(.*?)^```", TUTORIAL.read_text(), re.M | re.S)
+    assert blocks, "no python blocks found in docs/tutorial.md"
+    process = subprocess.run(
+        [sys.executable, "-c", "\n".join(blocks)],
+        capture_output=True,
+        text=True,
+        timeout=240,
+    )
+    assert process.returncode == 0, process.stderr[-2000:]
