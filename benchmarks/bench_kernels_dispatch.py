@@ -8,13 +8,6 @@ set must beat the naive reference by at least 3x on the detection path
 (the batched kernels exist to make per-block protection affordable, so a
 regression here defeats the subsystem's purpose) and on encoding, which
 every new operator pays (``run_pcg`` builds one per solve).
-
-A second table sweeps the format axis of the registry — the ``csr`` and
-``bsr`` vectorized sets each running matvec, correction and the
-``t1``-refresh on their own storage — so the dispatch cost of every
-registered ``(format, impl)`` pair is on record.  No floor: this matrix
-is unstructured, the regime where CSR is *expected* to win (the format
-floors live in ``bench_formats``).
 """
 
 import time
@@ -24,10 +17,8 @@ import pytest
 
 from benchmarks.conftest import bench_env, write_json, write_result
 from repro.core import AbftConfig, BlockAbftDetector, ChecksumMatrix
-from repro.core.blocking import BlockPartition
 from repro.core.corrector import correct_blocks
-from repro.kernels import get_kernels
-from repro.sparse import BUILTIN_FORMATS, build_format, random_spd
+from repro.sparse import random_spd
 
 N_ROWS = 10_000
 NNZ = 120_000
@@ -92,36 +83,8 @@ def _timings(matrix, operand, detectors):
     return rows
 
 
-def _format_timings(matrix, operand):
-    """The format axis: each storage format's vectorized kernels on
-    their own storage (matvec, block correction, t1 refresh)."""
-    partition = BlockPartition(matrix.n_rows, BLOCK_SIZE)
-    blocks = np.arange(partition.n_blocks, dtype=np.int64)[::4]
-    rows_refresh = np.arange(matrix.n_rows, dtype=np.int64)[::16]
-    legs = {}
-    for fmt in BUILTIN_FORMATS:
-        storage = build_format(matrix, fmt)
-        kernels = get_kernels("vectorized", fmt)
-        scratch = storage.matvec(operand)
-        legs[fmt] = {
-            "matvec": _best_of(lambda s=storage: s.matvec(operand)),
-            "correct": _best_of(
-                lambda k=kernels, s=storage, r=scratch: k.correct_blocks(
-                    s, partition, operand, r, blocks
-                )
-            ),
-            "row_checksums": _best_of(
-                lambda k=kernels, s=storage: k.row_checksums(
-                    s, rows_refresh, operand
-                )
-            ),
-        }
-    return legs
-
-
 def test_vectorized_beats_naive(matrix, operand, detectors, benchmark):
     timings = _timings(matrix, operand, detectors)
-    format_legs = _format_timings(matrix, operand)
     stages = ("encode", "detect", "reverify", "correct")
     speedups = {
         stage: timings["naive"][stage] / timings["vectorized"][stage]
@@ -140,19 +103,6 @@ def test_vectorized_beats_naive(matrix, operand, detectors, benchmark):
             f"{1e3 * timings['vectorized'][stage]:>16.3f} "
             f"{speedups[stage]:>8.1f}x"
         )
-    lines += [
-        "",
-        "format axis (vectorized kernels on their own storage; "
-        "unstructured matrix, CSR expected to win):",
-        f"{'format':<10} {'matvec [ms]':>12} {'correct [ms]':>13} "
-        f"{'t1 refresh [ms]':>16}",
-    ]
-    for fmt, leg in format_legs.items():
-        lines.append(
-            f"{fmt:<10} {1e3 * leg['matvec']:>12.3f} "
-            f"{1e3 * leg['correct']:>13.3f} "
-            f"{1e3 * leg['row_checksums']:>16.3f}"
-        )
     write_result("bench_kernels_dispatch", "\n".join(lines))
     write_json(
         "kernels_dispatch",
@@ -169,10 +119,6 @@ def test_vectorized_beats_naive(matrix, operand, detectors, benchmark):
                 for name, row in timings.items()
             },
             "speedups": speedups,
-            "format_timings_ms": {
-                fmt: {stage: 1e3 * v for stage, v in leg.items()}
-                for fmt, leg in format_legs.items()
-            },
             "floors": {
                 "encode": MIN_ENCODE_SPEEDUP,
                 "detect": MIN_DETECTION_SPEEDUP,

@@ -10,7 +10,6 @@ Public surface:
 * the rounding-error bounds of Section III-C.
 """
 
-from repro.core.algebraic import AlgebraicSpmvResult, DualChecksumSpMV
 from repro.core.blocking import BlockPartition
 from repro.core.calibration import EmpiricalBound
 from repro.core.bounds import (
@@ -54,8 +53,6 @@ from repro.core.protected import FaultTolerantSpMV, plain_spmv
 
 __all__ = [
     "AbftConfig",
-    "DualChecksumSpMV",
-    "AlgebraicSpmvResult",
     "EmpiricalBound",
     "MACHINE_EPSILON",
     "DEFAULT_BLOCK_SIZE",

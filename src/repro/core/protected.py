@@ -234,20 +234,19 @@ class FaultTolerantSpMV:
         *,
         detected: List[Tuple[int, ...]],
         corrected: Set[int],
-        rounds: int = 0,
     ) -> Tuple[int, bool]:
         """Figure 1 step 5: correct + re-verify until clean.
 
-        Called by :meth:`repro.perf.ProtectedPlan.multiply`: runs
-        correction rounds until ``flagged`` is empty or the round budget
-        runs out, mutating ``detected``/``corrected`` in place and
-        returning the final ``(rounds, exhausted)`` pair.  ``rounds`` seeds
-        the round counter so a caller that already performed in-shard
-        corrections continues the budget rather than restarting it.
+        Called by :meth:`repro.perf.ProtectedPlan.multiply` on every
+        backend and format: runs correction rounds in the calling process
+        until ``flagged`` is empty or the round budget runs out, mutating
+        ``detected``/``corrected`` in place and returning the final
+        ``(rounds, exhausted)`` pair.
         """
         detector = self.detector
         matrix = detector.matrix
         telemetry = detector.telemetry
+        rounds = 0
         exhausted = False
         while flagged.size:
             if rounds >= self.config.max_correction_rounds:

@@ -1,22 +1,20 @@
 """Kernel registry and dispatch for the ABFT hot paths.
 
 The scheme's per-multiply cost is dominated by a handful of kernels:
-checksum encoding, result-checksum evaluation (full, per-block and
-multi-RHS), syndrome/threshold comparison, and block recomputation.  Each
-of these exists in more than one implementation — the reference per-block
-Python loops (``"naive"``) and the batched/vectorized NumPy versions
-(``"vectorized"``) — grouped into a :class:`KernelSet` and selected by
-name through a process-wide registry.
+checksum encoding, result-checksum evaluation (full and per-block),
+syndrome/threshold comparison, block recomputation and the ``t1``
+refresh.  Each of these exists in more than one implementation — the
+reference per-block Python loops (``"naive"``) and the
+batched/vectorized NumPy versions (``"vectorized"``) — grouped into a
+:class:`KernelSet` and selected by name through a process-wide
+registry.
 
-Registry entries are keyed ``(sparse_format, impl)``: the same impl name
-exists once per storage format it supports — ``("csr", "vectorized")``,
-``("bsr", "vectorized")``, ``("bsr", "naive")`` and so on — so a format
-decision (see :mod:`repro.sparse.formats`) and a kernel decision compose
-orthogonally.  CSR remains the home format: format-agnostic callers see
-the historical single-axis registry unchanged.
+Every kernel that touches a matrix takes CSR: the operator's matrix or
+its checksum matrix.  A plan that multiplies in another storage format
+(see :mod:`repro.sparse.formats`) still detects against the CSR checksum
+matrix and recomputes flagged blocks through these kernels.
 
-Selection order for the impl axis follows the rule of
-:mod:`repro.registry` (first match wins):
+Selection follows the rule of :mod:`repro.registry` (first match wins):
 
 1. an explicit :class:`KernelSet` instance passed to ``resolve_kernels``;
 2. the :data:`KERNEL_ENV_VAR` environment variable (``REPRO_KERNELS``),
@@ -24,10 +22,6 @@ Selection order for the impl axis follows the rule of
    without touching code;
 3. the name passed in (usually ``AbftConfig.kernel``);
 4. :data:`DEFAULT_KERNEL`.
-
-The format axis never comes from ``REPRO_KERNELS``; it is resolved
-separately (``AbftConfig.sparse_format`` / ``REPRO_FORMAT``) and passed
-as ``sparse_format`` by format-aware callers.
 
 Every implementation pair is held to the differential-testing contract of
 ``tests/kernels``: structural outputs (sparsity patterns, flag masks,
@@ -152,20 +146,14 @@ class KernelSet(abc.ABC):
     """One named implementation family of the ABFT hot-path kernels.
 
     All methods are pure computations over the arrays passed in, except
-    the two correction kernels which scatter into the result in place and
-    invoke the tamper hook once per recomputed block/cell (the hook-call
+    the correction kernel, which scatters into the result in place and
+    invokes the tamper hook once per recomputed block (the hook-call
     sequence is part of the contract — fault campaigns replay identically
     under every kernel set).
     """
 
-    #: Impl half of the registry key; subclasses override.
+    #: Registry key; subclasses override.
     name: str = "abstract"
-
-    #: Storage format this set's matrix-touching kernels expect (the
-    #: format half of the registry key).  CSR sets take
-    #: :class:`~repro.sparse.csr.CsrMatrix`; ``"bsr"`` sets take a
-    #: :class:`~repro.sparse.bsr.BsrMatrix` in ``encode``/``correct_*``.
-    sparse_format: str = "csr"
 
     # -- weights / encoding ------------------------------------------------
     @abc.abstractmethod
@@ -253,118 +241,52 @@ class KernelSet(abc.ABC):
         Returns ``(values, nnz_touched)``; empty rows contribute 0.
         """
 
-    # -- multi-RHS (SpMM) --------------------------------------------------
-    @abc.abstractmethod
-    def result_checksums_multi(
-        self,
-        r: np.ndarray,
-        partition: "BlockPartition",
-        weights: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """``T2[k, j] = w_k^T R[block_k, j]`` for a 2-D result block.
-
-        ``weights=None`` means all-ones (plain segmented column sums).
-        """
-
-    @abc.abstractmethod
-    def result_checksums_multi_for_blocks(
-        self,
-        r: np.ndarray,
-        partition: "BlockPartition",
-        blocks: np.ndarray,
-        weights: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Rows of ``T2`` restricted to ``blocks`` (SpMM re-verification)."""
-
-    @abc.abstractmethod
-    def compare_syndromes_multi(
-        self, t1: np.ndarray, t2: np.ndarray, thresholds: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """2-D variant of :meth:`compare_syndromes` over ``(block, column)``."""
-
-    @abc.abstractmethod
-    def correct_cells(
-        self,
-        matrix: "CsrMatrix",
-        partition: "BlockPartition",
-        b: np.ndarray,
-        r: np.ndarray,
-        cells: np.ndarray,
-        tamper: Tamper = None,
-    ) -> Tuple[int, int]:
-        """Recompute the ``(block, column)`` cells of a 2-D result in place.
-
-        Returns ``(rows_recomputed, nnz_recomputed)`` (rows counted once
-        per cell, as each cell is an independent partial SpMV).
-        """
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<KernelSet {self.sparse_format}:{self.name}>"
+        return f"<KernelSet {self.name}>"
 
 
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-#: Format used when a caller does not qualify the kernel lookup.
-DEFAULT_KERNEL_FORMAT = "csr"
-
-#: CSR kernel sets that ship with the library (the historical single-axis
-#: registry view; see :data:`BUILTIN_KERNEL_KEYS` for the full matrix).
+#: Kernel sets that ship with the library (and cannot be unregistered).
 BUILTIN_KERNELS = ("naive", "vectorized")
 
-#: Every built-in ``(sparse_format, impl)`` entry; none can be unregistered.
-BUILTIN_KERNEL_KEYS = tuple((fmt, name) for fmt in ("csr", "bsr") for name in BUILTIN_KERNELS)
-
-#: Kernel sets keyed ``(sparse_format, impl)``.
+#: Kernel sets keyed by name.
 KERNEL_REGISTRY: Registry[KernelSet] = Registry(
-    "kernel set", builtins=BUILTIN_KERNEL_KEYS, entry_type=KernelSet,
-    key=lambda impl: (impl.sparse_format, impl.name), scope="format")
+    "kernel set", builtins=BUILTIN_KERNELS, entry_type=KernelSet,
+    key=lambda impl: impl.name)
 
-#: The impl axis: ``REPRO_KERNELS`` overrides every configured name.
-KERNEL_SELECTOR = Selector("kernel", KERNEL_ENV_VAR, KERNEL_REGISTRY, DEFAULT_KERNEL,
-                           scope=DEFAULT_KERNEL_FORMAT)
+#: ``REPRO_KERNELS`` overrides every configured name.
+KERNEL_SELECTOR = Selector("kernel", KERNEL_ENV_VAR, KERNEL_REGISTRY, DEFAULT_KERNEL)
 
 
 def register_kernels(impl: KernelSet, overwrite: bool = False) -> KernelSet:
-    """Register ``impl`` under ``(impl.sparse_format, impl.name)``."""
+    """Register ``impl`` under ``impl.name``."""
     return KERNEL_REGISTRY.register(impl, overwrite=overwrite)
 
 
-def unregister_kernels(name: str, sparse_format: str = DEFAULT_KERNEL_FORMAT) -> None:
+def unregister_kernels(name: str) -> None:
     """Remove a registered kernel set (primarily for test isolation)."""
-    KERNEL_REGISTRY.unregister((sparse_format, name))
+    KERNEL_REGISTRY.unregister(name)
 
 
-def available_kernels(sparse_format: str = DEFAULT_KERNEL_FORMAT) -> Tuple[str, ...]:
-    """Registered impl names for one storage format, sorted.
-
-    The default keeps the historical behavior: format-agnostic callers
-    (config validation, benchmarks) see the CSR impl names.
-    """
-    return KERNEL_REGISTRY.available(sparse_format)
-
-
-def available_kernel_keys() -> Tuple[Tuple[str, str], ...]:
-    """Every registered ``(sparse_format, impl)`` pair, sorted."""
+def available_kernels() -> Tuple[str, ...]:
+    """Registered kernel-set names, sorted."""
     return KERNEL_REGISTRY.available()
 
 
-def get_kernels(name: str, sparse_format: Optional[str] = None) -> KernelSet:
-    """Look up a kernel set by ``(sparse_format, name)`` (format defaults
-    to CSR)."""
-    fmt = DEFAULT_KERNEL_FORMAT if sparse_format is None else sparse_format
-    return KERNEL_REGISTRY.get((fmt, name))
+def get_kernels(name: str) -> KernelSet:
+    """Look up a kernel set by name."""
+    return KERNEL_REGISTRY.get(name)
 
 
-def resolve_kernels(kernel: object = None, sparse_format: Optional[str] = None) -> KernelSet:
+def resolve_kernels(kernel: object = None) -> KernelSet:
     """Resolve a kernel selection to a concrete :class:`KernelSet`.
 
     ``kernel`` may be a :class:`KernelSet` (returned as-is), a registered
-    impl name, or ``None``.  The :data:`KERNEL_ENV_VAR` environment
-    variable overrides any *name* (but never an explicit instance).
-    ``sparse_format`` picks the format axis of the registry key; ``None``
-    keeps the historical CSR resolution.
+    name, or ``None``.  The :data:`KERNEL_ENV_VAR` environment variable
+    overrides any *name* (but never an explicit instance).
     """
     if isinstance(kernel, KernelSet):
         return kernel
-    return KERNEL_SELECTOR.get(kernel, scope=sparse_format)
+    return KERNEL_SELECTOR.get(kernel)

@@ -1,4 +1,4 @@
-"""Reference kernel set: one Python iteration per block/cell.
+"""Reference kernel set: one Python iteration per block.
 
 These are the pre-registry hot-path loops, kept verbatim as the semantic
 baseline the vectorized set is differentially tested against.  Per-block
@@ -159,79 +159,3 @@ class NaiveKernels(KernelSet):
             values[i] = csr.matvec_rows(row, row + 1, b)[0]
             nnz += csr.nnz_in_rows(row, row + 1)
         return values, nnz
-
-    # -- multi-RHS (SpMM) --------------------------------------------------
-    def result_checksums_multi(
-        self,
-        r: np.ndarray,
-        partition: "BlockPartition",
-        weights: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        out = np.empty((partition.n_blocks, r.shape[1]), dtype=ACCUMULATION_DTYPE)
-        with np.errstate(invalid="ignore", over="ignore"):
-            for block, start, stop in partition:
-                segment = r[start:stop]
-                if weights is None:
-                    # reprolint: disable=ABFT002 -- reference column reduction
-                    out[block] = segment.sum(axis=0)
-                else:
-                    # reprolint: disable=ABFT002 -- reference weighted reduction
-                    out[block] = weights[start:stop] @ segment
-        return out
-
-    def result_checksums_multi_for_blocks(
-        self,
-        r: np.ndarray,
-        partition: "BlockPartition",
-        blocks: np.ndarray,
-        weights: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        blocks = validate_blocks(blocks, partition.n_blocks)
-        out = np.empty((blocks.size, r.shape[1]), dtype=ACCUMULATION_DTYPE)
-        with np.errstate(invalid="ignore", over="ignore"):
-            for i, block in enumerate(blocks):
-                start, stop = partition.bounds(int(block))
-                segment = r[start:stop]
-                if weights is None:
-                    # reprolint: disable=ABFT002 -- reference column reduction
-                    out[i] = segment.sum(axis=0)
-                else:
-                    # reprolint: disable=ABFT002 -- reference weighted reduction
-                    out[i] = weights[start:stop] @ segment
-        return out
-
-    def compare_syndromes_multi(
-        self, t1: np.ndarray, t2: np.ndarray, thresholds: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        n_blocks, k = np.shape(t1)
-        syndrome = np.empty((n_blocks, k), dtype=ACCUMULATION_DTYPE)
-        flags = np.zeros((n_blocks, k), dtype=bool)
-        for i in range(n_blocks):
-            for j in range(k):
-                s = float(t1[i, j]) - float(t2[i, j])
-                syndrome[i, j] = s
-                flags[i, j] = abs(s) > float(thresholds[i, j]) or not math.isfinite(s)
-        return syndrome, flags
-
-    def correct_cells(
-        self,
-        matrix: "CsrMatrix",
-        partition: "BlockPartition",
-        b: np.ndarray,
-        r: np.ndarray,
-        cells: np.ndarray,
-        tamper: Tamper = None,
-    ) -> Tuple[int, int]:
-        rows = 0
-        nnz = 0
-        for block, col in np.asarray(cells, dtype=np.int64).reshape(-1, 2):
-            block, col = int(block), int(col)
-            start, stop = partition.bounds(block)
-            segment = matrix.matvec_rows(start, stop, b[:, col])
-            cell_nnz = matrix.nnz_in_rows(start, stop)
-            if tamper is not None:
-                tamper("corrected", segment, 2.0 * cell_nnz)
-            r[start:stop, col] = segment
-            rows += stop - start
-            nnz += cell_nnz
-        return rows, nnz

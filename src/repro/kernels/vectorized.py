@@ -174,80 +174,3 @@ class VectorizedKernels(KernelSet):
         )
         products = csr.data[entry_indices] * b[csr.indices[entry_indices]]
         return segment_sums(products, entry_offsets), int(entry_indices.size)
-
-    # -- multi-RHS (SpMM) --------------------------------------------------
-    def result_checksums_multi(
-        self,
-        r: np.ndarray,
-        partition: "BlockPartition",
-        weights: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        if partition.n_blocks == 0:
-            return np.empty((0, r.shape[1]), dtype=ACCUMULATION_DTYPE)
-        with np.errstate(invalid="ignore", over="ignore"):
-            values = r if weights is None else weights[:, None] * r
-            # reprolint: disable=ABFT002 -- left-to-right segment order is the
-            # kernel contract, differentially tested against the naive set
-            return np.add.reduceat(values, partition.block_starts()[:-1], axis=0)
-
-    def result_checksums_multi_for_blocks(
-        self,
-        r: np.ndarray,
-        partition: "BlockPartition",
-        blocks: np.ndarray,
-        weights: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        blocks = validate_blocks(blocks, partition.n_blocks)
-        if blocks.size == 0:
-            return np.empty((0, r.shape[1]), dtype=ACCUMULATION_DTYPE)
-        starts = partition.block_starts()
-        indices, offsets = flat_segment_indices(starts[blocks], starts[blocks + 1])
-        with np.errstate(invalid="ignore", over="ignore"):
-            values = r[indices] if weights is None else weights[indices, None] * r[indices]
-            # Blocks always span >= 1 row, so no reduceat empty-segment quirk.
-            # reprolint: disable=ABFT002 -- left-to-right segment order is the
-            # kernel contract, differentially tested against the naive set
-            return np.add.reduceat(values, offsets[:-1], axis=0)
-
-    def compare_syndromes_multi(
-        self, t1: np.ndarray, t2: np.ndarray, thresholds: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        return self.compare_syndromes(t1, t2, thresholds)
-
-    def correct_cells(
-        self,
-        matrix: "CsrMatrix",
-        partition: "BlockPartition",
-        b: np.ndarray,
-        r: np.ndarray,
-        cells: np.ndarray,
-        tamper: Tamper = None,
-    ) -> Tuple[int, int]:
-        cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
-        blocks = validate_blocks(cells[:, 0], partition.n_blocks)
-        columns = validate_blocks(cells[:, 1], r.shape[1])
-        starts = partition.block_starts()
-        block_lo, block_hi = starts[blocks], starts[blocks + 1]
-        row_indices, row_offsets = flat_segment_indices(block_lo, block_hi)
-        column_per_row = np.repeat(columns, block_hi - block_lo)
-        entry_indices, entry_offsets = flat_segment_indices(
-            matrix.indptr[row_indices], matrix.indptr[row_indices + 1]
-        )
-        column_per_entry = np.repeat(
-            column_per_row, matrix.indptr[row_indices + 1] - matrix.indptr[row_indices]
-        )
-        products = matrix.data[entry_indices] * b[
-            matrix.indices[entry_indices], column_per_entry
-        ]
-        sums = segment_sums(products, entry_offsets)
-        if tamper is None:
-            r[row_indices, column_per_row] = sums
-        else:
-            cell_nnz = matrix.indptr[block_hi] - matrix.indptr[block_lo]
-            for i in range(blocks.size):
-                segment = sums[row_offsets[i] : row_offsets[i + 1]]
-                tamper("corrected", segment, 2.0 * float(cell_nnz[i]))
-                r[block_lo[i] : block_hi[i], columns[i]] = segment
-        # reprolint: disable=ABFT002 -- integer nnz accounting; exact in any order
-        nnz = int((matrix.indptr[block_hi] - matrix.indptr[block_lo]).sum())
-        return int(row_indices.size), nnz

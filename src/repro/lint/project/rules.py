@@ -301,7 +301,7 @@ class HotPathAllocationRule(ProjectRule):
     def _prune_reachable(project: ProjectContext, root: FuncId) -> Set[FuncId]:
         """Hot-path closure of one root.
 
-        Traversal prunes correction functions (``correct_shard`` and
+        Traversal prunes correction functions (``correct_blocks`` and
         friends allocate by design — correction is the rare path) and
         telemetry modules (spans are diagnostic no-ops unless enabled).
         """

@@ -131,51 +131,5 @@ class TimedKernels(KernelSet):
         self._record("row_checksums", t0)
         return out
 
-    # -- multi-RHS (SpMM) --------------------------------------------------
-    def result_checksums_multi(
-        self,
-        r: np.ndarray,
-        partition: "BlockPartition",
-        weights: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        t0 = self._telemetry.now()
-        out = self.inner.result_checksums_multi(r, partition, weights)
-        self._record("result_checksums_multi", t0)
-        return out
-
-    def result_checksums_multi_for_blocks(
-        self,
-        r: np.ndarray,
-        partition: "BlockPartition",
-        blocks: np.ndarray,
-        weights: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        t0 = self._telemetry.now()
-        out = self.inner.result_checksums_multi_for_blocks(r, partition, blocks, weights)
-        self._record("result_checksums_multi_for_blocks", t0)
-        return out
-
-    def compare_syndromes_multi(
-        self, t1: np.ndarray, t2: np.ndarray, thresholds: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        t0 = self._telemetry.now()
-        out = self.inner.compare_syndromes_multi(t1, t2, thresholds)
-        self._record("compare_syndromes_multi", t0)
-        return out
-
-    def correct_cells(
-        self,
-        matrix: "CsrMatrix",
-        partition: "BlockPartition",
-        b: np.ndarray,
-        r: np.ndarray,
-        cells: np.ndarray,
-        tamper: Tamper = None,
-    ) -> Tuple[int, int]:
-        t0 = self._telemetry.now()
-        out = self.inner.correct_cells(matrix, partition, b, r, cells, tamper)
-        self._record("correct_cells", t0)
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<TimedKernels {self.name!r}>"

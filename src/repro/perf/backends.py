@@ -3,7 +3,8 @@
 A :class:`~repro.perf.plan.ProtectedPlan` separates *what* each shard
 computes (the fused SpMV + checksum + comparison pipeline, bit-identical
 across every execution strategy) from *where* the shards run.  The
-latter is a registered **backend**:
+latter is a registered **backend**.  Backends only detect: every flagged
+block is corrected in the calling process, whatever the backend.
 
 * ``"serial"`` — shards run one after another in the calling thread
   (the reference semantics every other backend is differentially tested
@@ -35,7 +36,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Type
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from repro.registry import Registry, Selector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotations only)
     from repro.obs import Telemetry
-    from repro.perf.plan import ProtectedPlan, ShardCorrection
+    from repro.perf.plan import ProtectedPlan
 
 #: Environment variable overriding the configured backend process-wide.
 BACKEND_ENV_VAR = "REPRO_PARALLEL"
@@ -54,9 +55,6 @@ DEFAULT_BACKEND = "serial"
 
 #: Names that ship built in (and cannot be unregistered).
 BUILTIN_BACKENDS = ("processes", "serial", "threads")
-
-#: ``(shard_id, owned flagged blocks)`` pairs of one correction round.
-Owned = Sequence[Tuple[int, np.ndarray]]
 
 #: Upper bound on the default worker count of the parallel backends.
 DEFAULT_MAX_WORKERS = 4
@@ -104,10 +102,10 @@ class PlanBackend:
       hands out ordinary heap arrays; the process backend carves the
       same buffers out of a :class:`~repro.perf.shm.Arena` so workers
       can map them;
-    * :meth:`run_detect` / :meth:`run_correct` — execute the fused
-      per-shard tasks.  Implementations may distribute them anywhere
-      but must preserve the per-shard math bit for bit (the
-      cross-backend differential matrix enforces this);
+    * :meth:`run_detect` — execute the fused per-shard detect tasks.
+      Implementations may distribute them anywhere but must preserve
+      the per-shard math bit for bit (the cross-backend differential
+      matrix enforces this);
     * :meth:`close` — release whatever the strategy holds (threads and
       serial hold nothing; processes hold workers and shared memory).
     """
@@ -135,15 +133,6 @@ class PlanBackend:
         """Run every shard's fused detect task."""
         for i in range(self.plan.spmv.n_shards):
             self.plan._detect_shard(i, b, telemetry)
-
-    def run_correct(
-        self, b: np.ndarray, owned: Owned, telemetry: "Telemetry"
-    ) -> List["ShardCorrection"]:
-        """Run the owned correction tasks; results in ``owned`` order."""
-        return [
-            self.plan._correct_shard(shard_id, b, blocks, telemetry)
-            for shard_id, blocks in owned
-        ]
 
     def close(self) -> None:
         """Release backend resources (idempotent; no-op by default)."""
@@ -176,19 +165,6 @@ class ThreadsBackend(PlanBackend):
         ]
         for future in futures:
             future.result()
-
-    def run_correct(
-        self, b: np.ndarray, owned: Owned, telemetry: "Telemetry"
-    ) -> List["ShardCorrection"]:
-        if len(owned) == 1:
-            shard_id, blocks = owned[0]
-            return [self.plan._correct_shard(shard_id, b, blocks, telemetry)]
-        executor = get_executor(self.n_workers)
-        futures = [
-            executor.submit(self.plan._correct_shard, shard_id, b, blocks, telemetry)
-            for shard_id, blocks in owned
-        ]
-        return [future.result() for future in futures]
 
 
 # ----------------------------------------------------------------------

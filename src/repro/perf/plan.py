@@ -27,16 +27,17 @@ products are bit-identical to :meth:`repro.sparse.csr.CsrMatrix.matvec`
 for any shard count and backend, and its first check flags exactly the
 blocks :meth:`repro.core.detector.BlockAbftDetector.detect` flags.
 
-Multi-shard clean multiplies run *fused*: each shard task executes its
-SpMV, operand checksum, result checksum and invariant comparison in one
-unit, and a flagged block is recomputed by the shard that owns it.
-*Where* those tasks run is delegated to a registered execution backend
-(:mod:`repro.perf.backends`): ``"serial"`` in the calling thread,
-``"threads"`` on the shared thread pool, or ``"processes"`` on a
-persistent multicore worker pool mapping the plan's buffers from shared
-memory (:mod:`repro.perf.process_backend`).  Fault campaigns (a tamper
-hook) always fall back to the sequential path — the hook-call sequence
-is part of the contract.
+Multi-shard hook-free multiplies detect *fused*: each shard task
+executes its SpMV, operand checksum, result checksum and invariant
+comparison in one unit.  *Where* those tasks run is delegated to a
+registered execution backend (:mod:`repro.perf.backends`): ``"serial"``
+in the calling thread, ``"threads"`` on the shared thread pool, or
+``"processes"`` on a persistent multicore worker pool mapping the plan's
+buffers from shared memory (:mod:`repro.perf.process_backend`).  Fault
+campaigns (a tamper hook) always detect sequentially — the hook-call
+sequence is part of the contract.  Every flagged block, on every
+backend and format, is repaired in the calling process by
+:meth:`repro.core.protected.FaultTolerantSpMV._correction_rounds`.
 """
 
 from __future__ import annotations
@@ -49,10 +50,8 @@ import repro.core.protected as protected
 from repro.core.blocking import BlockPartition
 from repro.core.detector import DetectionReport
 from repro.errors import ConfigurationError, ShapeMismatchError
-from repro.kernels.base import KernelSet
-from repro.kernels.vectorized import VectorizedKernels
 from repro.machine import ExecutionMeter
-from repro.obs import DEFAULT_FRACTION_BUCKETS, Telemetry
+from repro.obs import Telemetry
 from repro.perf.backends import (
     PlanBackend,
     default_shard_count,
@@ -68,14 +67,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotations only)
     from repro.schemes.result import ProtectedSpmvResult
     from repro.sparse.bsr import BsrMatrix
     from repro.sparse.formats import FormatMatrix
-
-#: ``(rows, nnz, recheck, syndrome, thresholds, exceeded, still_flagged)``
-#: returned by one shard's correction task.  Every member is either a
-#: scalar or a freshly materialized array, so the tuple crosses process
-#: boundaries by value.
-ShardCorrection = Tuple[
-    int, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray
-]
 
 #: ``alloc(name, shape, dtype)`` hook deciding where a plan buffer lives.
 BufferAllocator = Callable[[str, Tuple[int, ...], str], np.ndarray]
@@ -407,7 +398,7 @@ class SpmvPlan:
 class FusedShardBuffers:
     """Backend-portable state and math of the fused per-shard pipeline.
 
-    Everything a fused detect/correct task touches lives here, allocated
+    Everything a fused detect task touches lives here, allocated
     through an injectable ``alloc(name, shape, dtype)`` hook: the plan
     normally allocates on the heap, while the ``processes`` backend maps
     the same named buffers out of a shared-memory arena so workers can
@@ -425,10 +416,10 @@ class FusedShardBuffers:
     """
 
     __slots__ = (
-        "matrix", "checksum_matrix", "partition", "weights", "block_cuts",
+        "checksum_matrix", "weights", "block_cuts",
         "spmv", "checksum_spmv", "checksum_operand", "t2", "t2_workspace",
         "syndrome", "thresholds", "exceeded", "abs", "finite", "t2_starts",
-        "shard_rows", "shard_blocks", "kernels", "storage",
+        "shard_rows", "shard_blocks",
     )
 
     def __init__(
@@ -440,18 +431,14 @@ class FusedShardBuffers:
         block_cuts: np.ndarray,
         alloc: Optional[BufferAllocator] = None,
         storage: Optional["FormatMatrix"] = None,
-        kernels: Optional[KernelSet] = None,
     ) -> None:
         if alloc is None:
             alloc = _heap_alloc
         n_blocks = partition.n_blocks
         block_starts = partition.block_starts()
-        self.matrix = matrix
         self.checksum_matrix = checksum_matrix
-        self.partition = partition
         self.weights = weights
         self.block_cuts = block_cuts
-        self.storage = storage
         # Non-CSR storage keeps its scratch shard-private inside SpmvPlan;
         # the flat nnz workspace is a CSR-only buffer.  The checksum
         # multiply below always stays CSR regardless of storage.  Working
@@ -492,7 +479,6 @@ class FusedShardBuffers:
         self.exceeded = alloc("exceeded", (n_blocks,), "bool")
         self.abs = np.empty(n_blocks, dtype=np.float64)
         self.finite = np.empty(n_blocks, dtype=bool)
-        self.kernels = kernels if kernels is not None else VectorizedKernels()
 
         # Per-shard t2 reduceat offsets (blocks never span shards).
         self.t2_starts: List[np.ndarray] = []
@@ -567,29 +553,6 @@ class FusedShardBuffers:
             np.add.reduceat(ws, self.t2_starts[i], out=self.t2[c0:c1])
             self.compare_range(c0, c1)
 
-    def correct_shard(self, i: int, b: np.ndarray, blocks: np.ndarray) -> ShardCorrection:
-        """Recompute + re-verify the flagged blocks owned by shard ``i``.
-
-        With non-CSR storage the recompute runs the format's own kernels
-        over the format matrix, so corrected rows are bit-identical to the
-        clean planned multiply (both replay the format's partial-multiply
-        contract).
-        """
-        kernels = self.kernels
-        source = self.storage if self.storage is not None else self.matrix
-        rows, nnz = kernels.correct_blocks(
-            source, self.partition, b, self.spmv.out, blocks, None
-        )
-        recheck = kernels.result_checksums_for_blocks(
-            self.weights, self.spmv.out, self.partition, blocks
-        )
-        thresholds = self.thresholds[blocks]
-        with np.errstate(invalid="ignore", over="ignore"):
-            syndrome = self.checksum_spmv.out[blocks] - recheck
-            exceeded = np.abs(syndrome) > thresholds
-            exceeded |= ~np.isfinite(syndrome)
-        return rows, nnz, recheck, syndrome, thresholds, exceeded, blocks[exceeded]
-
 
 class ProtectedPlan:
     """A planned, bufferized protected multiply bound to one operator.
@@ -633,9 +596,9 @@ class ProtectedPlan:
             Detection always compares against the CSR-encoded checksum
             matrix; non-CSR results agree with CSR within the scheme's
             own rounding-error bounds (summation association differs),
-            and any correction round run by the sequential fallback
-            recomputes flagged blocks with the CSR reference kernels —
-            still within bounds, re-verified against the same thresholds.
+            and every correction round recomputes flagged blocks with
+            the CSR kernels — still within bounds, re-verified against
+            the same thresholds.
 
     Plans over the ``processes`` backend own worker processes and a
     shared-memory segment; release them deterministically with
@@ -700,12 +663,6 @@ class ProtectedPlan:
             self.backend_name, self, **(backend_options or {})
         )
 
-        format_kernels: Optional[KernelSet] = None
-        if storage is not None:
-            from repro.kernels.base import get_kernels
-
-            format_kernels = get_kernels("vectorized", self.sparse_format)
-
         self._fused = FusedShardBuffers(
             matrix,
             detector.checksum.matrix,
@@ -714,7 +671,6 @@ class ProtectedPlan:
             self.block_cuts,
             alloc=self.backend.alloc,
             storage=storage,
-            kernels=format_kernels,
         )
         # Emitted only when format machinery is in play: a CSR plan's
         # telemetry stream carries protocol events only.
@@ -801,7 +757,7 @@ class ProtectedPlan:
             tamper: optional fault hook ``tamper(stage, data, work)`` called
                 after each numeric stage with stages ``"result"``, ``"t1"``,
                 ``"beta"``, ``"t2"``, ``"corrected"``; campaigns corrupt the
-                passed arrays in place.  A hook forces the sequential path
+                passed arrays in place.  A hook forces sequential detection
                 even on a multi-shard plan.
             meter: execution meter to charge.  Without one, no meter is
                 charged and the result records the pre-simulated cost, the
@@ -860,16 +816,9 @@ class ProtectedPlan:
                     self._charge_detection(meter)
                 corrected: Set[int] = set()
                 history = [tuple(flagged.tolist())]
-                if fused and operator.config.max_correction_rounds >= 1:
-                    flagged = self._parallel_round(
-                        b, beta, flagged, meter, telemetry, corrected
-                    )
-                    rounds = 1
-                    history.append(tuple(flagged.tolist()))
                 rounds, exhausted = operator._correction_rounds(
                     b, self.spmv.out, self.checksum_spmv.out, beta, flagged,
                     tamper, meter, detected=history, corrected=corrected,
-                    rounds=rounds,
                 )
                 detected = tuple(history)
                 corrected_blocks = tuple(sorted(corrected))
@@ -973,69 +922,7 @@ class ProtectedPlan:
         self._fused.compare_range(0, self._all_blocks.size)
         return self._syndrome, self._exceeded
 
-    # ------------------------------------------------------------------
-    # Fused parallel path
-    # ------------------------------------------------------------------
     def _detect_shard(self, i: int, b: np.ndarray, telemetry: Telemetry) -> None:
         """One worker's fused task: shard SpMV + t1 + t2 + comparison."""
         with telemetry.span("plan.shard", shard=i):
             self._fused.detect_shard(i, b)
-
-    def _correct_shard(
-        self, i: int, b: np.ndarray, blocks: np.ndarray, telemetry: Telemetry
-    ) -> ShardCorrection:
-        """Recompute + re-verify the flagged blocks owned by shard ``i``."""
-        with telemetry.span("plan.shard", shard=i, blocks=int(blocks.size)):
-            return self._fused.correct_shard(i, b, blocks)
-
-    def _parallel_round(
-        self,
-        b: np.ndarray,
-        beta: float,
-        flagged: np.ndarray,
-        meter: ExecutionMeter,
-        telemetry: Telemetry,
-        corrected: Set[int],
-    ) -> np.ndarray:
-        """First correction round with shard-owner affinity.
-
-        Each shard recomputes and re-verifies the flagged blocks it owns;
-        telemetry and simulated cost match one sequential round exactly
-        (same counters, same ``abft.correct`` span, same correction
-        graph).  Returns the blocks still flagged after re-verification.
-        """
-        operator = self.operator
-        detector = operator.detector
-        if telemetry.enabled:
-            telemetry.count("abft.corrections")
-            telemetry.count("abft.blocks_recomputed", float(flagged.size))
-            telemetry.observe(
-                "abft.block_recompute_fraction",
-                flagged.size / detector.n_blocks,
-                buckets=DEFAULT_FRACTION_BUCKETS,
-            )
-        with telemetry.span("abft.correct", round=1, blocks=int(flagged.size)):
-            cuts = self.block_cuts
-            owned: List[Tuple[int, np.ndarray]] = []
-            for i in range(cuts.size - 1):
-                lo = int(np.searchsorted(flagged, cuts[i]))
-                hi = int(np.searchsorted(flagged, cuts[i + 1]))
-                if hi > lo:
-                    owned.append((i, flagged[lo:hi]))
-            results = self.backend.run_correct(b, owned, telemetry)
-            corrected.update(int(x) for x in flagged)
-            rows = sum(result[0] for result in results)
-            nnz = sum(result[1] for result in results)
-            report = DetectionReport(
-                flagged=np.concatenate([result[6] for result in results]),
-                syndrome=np.concatenate([result[3] for result in results]),
-                thresholds=np.concatenate([result[4] for result in results]),
-                blocks=flagged,
-                beta=beta,
-            )
-            exceeded = np.concatenate([result[5] for result in results])
-            detector.record(report, exceeded)
-        meter.run_graph(
-            operator._correction_graph(1, nnz, rows, len(flagged), 0)
-        )
-        return report.flagged

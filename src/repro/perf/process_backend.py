@@ -9,15 +9,15 @@ output/scratch arrays and a small result ring — into one
 :class:`~repro.perf.shm.Arena`.  Workers attach lazily on the first
 above-cutoff multiply, rebuild the identical
 :class:`~repro.perf.plan.FusedShardBuffers` over zero-copy views, and
-then serve ``detect``/``correct`` commands over a pipe; the only
-per-multiply traffic is the operand copy (parent side) and a few control
-bytes.
+then serve ``detect`` commands over a pipe; the only per-multiply
+traffic is the operand copy (parent side) and a few control bytes.
+Flagged blocks are corrected by the parent, directly in the arena's
+result buffer.
 
 Correctness and failure semantics:
 
 * **bit-identity** — workers run the very same
-  :meth:`~repro.perf.plan.FusedShardBuffers.detect_shard` /
-  :meth:`~repro.perf.plan.FusedShardBuffers.correct_shard` code over the
+  :meth:`~repro.perf.plan.FusedShardBuffers.detect_shard` code over the
   very same bytes, so results match the serial path bit for bit (the
   cross-backend differential matrix pins this);
 * **publication** — a worker bumps its slot in the shared ``ring`` to
@@ -35,9 +35,10 @@ Correctness and failure semantics:
 
 Telemetry crosses the process border as registry *deltas*: when the
 parent's telemetry is enabled, each command carries an observe flag, the
-worker records real ``plan.shard`` spans and ``kernel.<op>.seconds``
-timings into a local :class:`~repro.obs.pipeline.WorkerRecorder`, and the
-``ok`` ack piggybacks the delta (counter increments, histogram bucket
+worker records a real ``plan.shard`` span and a
+``kernel.detect_shard.seconds`` timing into a local
+:class:`~repro.obs.pipeline.WorkerRecorder`, and the ``ok`` ack
+piggybacks the delta (counter increments, histogram bucket
 deltas) back over the result pipe.  The parent merges the deltas in
 ascending worker order after the barrier — never in wall-clock answer
 order — so merged aggregates and event streams stay deterministic.  A
@@ -57,7 +58,7 @@ import time
 import traceback
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -69,7 +70,7 @@ from repro.errors import (
     WorkerTimeoutError,
 )
 from repro.obs.instruments import DEFAULT_TIME_BUCKETS
-from repro.perf.backends import Owned, PlanBackend
+from repro.perf.backends import PlanBackend
 from repro.perf.shm import Arena, ArenaLayout
 from repro.sparse.csr import CsrMatrix
 
@@ -80,7 +81,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotations only)
 
     from repro.obs import Telemetry
     from repro.obs.pipeline import WorkerRecorder
-    from repro.perf.plan import ProtectedPlan, ShardCorrection
+    from repro.perf.plan import ProtectedPlan
 
 #: Environment variable selecting the multiprocessing start method.
 START_METHOD_ENV_VAR = "REPRO_PROCESS_START"
@@ -248,16 +249,15 @@ def _worker_main(worker_id: int, conn: "Connection", arena_name: str, spec: Work
     the loop survives them, keeping the pool healthy.
 
     When a command's observe flag is set, a lazily created
-    :class:`~repro.obs.pipeline.WorkerRecorder` wraps the fused kernels
-    and records a real ``plan.shard`` span; the registry delta since the
-    previous ack rides back as the fourth ack element (``None`` when
-    telemetry is off or nothing was recorded).
+    :class:`~repro.obs.pipeline.WorkerRecorder` records a real
+    ``plan.shard`` span; the registry delta since the previous ack rides
+    back as the third ack element (``None`` when telemetry is off or
+    nothing was recorded).
     """
     arena = Arena.attach(arena_name, spec.layout)
     recorder: Optional["WorkerRecorder"] = None
     try:
         fused = _fused_from_arena(arena, spec)
-        plain_kernels = fused.kernels
         b = arena.array("b")
         ring = arena.array("ring")
         shard_seconds = arena.array("shard_seconds")
@@ -271,31 +271,19 @@ def _worker_main(worker_id: int, conn: "Connection", arena_name: str, spec: Work
                 break
             generation = int(message[1])
             try:
+                if op != "detect":
+                    raise ConfigurationError(f"unknown worker command {op!r}")
                 want_obs = bool(message[-1])
                 if want_obs and recorder is None:
                     from repro.obs.pipeline import WorkerRecorder
 
                     recorder = WorkerRecorder()
-                    fused.kernels = recorder.telemetry.wrap_kernels(plain_kernels)
                 started = time.perf_counter()
-                payload: Optional["ShardCorrection"] = None
-                if op == "detect":
-                    if want_obs and recorder is not None:
-                        with recorder.telemetry.span("plan.shard", shard=worker_id):
-                            fused.detect_shard(worker_id, b)
-                    else:
+                if want_obs and recorder is not None:
+                    with recorder.telemetry.span("plan.shard", shard=worker_id):
                         fused.detect_shard(worker_id, b)
-                elif op == "correct":
-                    blocks = message[2]
-                    if want_obs and recorder is not None:
-                        with recorder.telemetry.span(
-                            "plan.shard", shard=worker_id, blocks=int(len(blocks))
-                        ):
-                            payload = fused.correct_shard(worker_id, b, blocks)
-                    else:
-                        payload = fused.correct_shard(worker_id, b, blocks)
                 else:
-                    raise ConfigurationError(f"unknown worker command {op!r}")
+                    fused.detect_shard(worker_id, b)
                 elapsed = time.perf_counter() - started
                 shard_seconds[worker_id] = elapsed
                 delta = None
@@ -303,14 +291,14 @@ def _worker_main(worker_id: int, conn: "Connection", arena_name: str, spec: Work
                     telemetry = recorder.telemetry
                     if telemetry.enabled:
                         telemetry.observe(
-                            f"kernel.{op}_shard.seconds",
+                            "kernel.detect_shard.seconds",
                             elapsed,
                             buckets=DEFAULT_TIME_BUCKETS,
                             shard=worker_id,
                         )
                     delta = recorder.delta()
                 ring[worker_id] = generation
-                conn.send(("ok", generation, payload, delta))
+                conn.send(("ok", generation, delta))
             # reprolint: disable=ABFT005 -- marshalled across the process
             # border; the parent re-raises it as ParallelBackendError
             except BaseException:
@@ -368,14 +356,14 @@ class ProcessPool:
 
     def dispatch(
         self, generation: int, commands: Dict[int, Tuple[object, ...]]
-    ) -> Dict[int, Tuple[object, object]]:
+    ) -> Dict[int, object]:
         """Send one command per targeted worker; gather all acks.
 
-        Each ack unpacks to ``(payload, delta)`` — the shard result and
-        the worker's telemetry delta (``None`` when telemetry is off).
-        Raises the typed :class:`~repro.errors.ParallelBackendError`
-        family on remote exceptions, dead workers or timeouts.  The
-        caller is responsible for reaping the pool afterwards.
+        Each ack yields the worker's telemetry delta (``None`` when
+        telemetry is off).  Raises the typed
+        :class:`~repro.errors.ParallelBackendError` family on remote
+        exceptions, dead workers or timeouts.  The caller is responsible
+        for reaping the pool afterwards.
         """
         op = "command"
         for worker_id, command in commands.items():
@@ -387,14 +375,14 @@ class ProcessPool:
                     f"worker {worker_id} is gone before {op!r} could be sent: {exc}"
                 ) from None
         deadline = time.monotonic() + self._timeout
-        payloads: Dict[int, Tuple[object, object]] = {}
-        for worker_id in sorted(commands):
-            payloads[worker_id] = self._collect(worker_id, generation, op, deadline)
-        return payloads
+        return {
+            worker_id: self._collect(worker_id, generation, op, deadline)
+            for worker_id in sorted(commands)
+        }
 
     def _collect(
         self, worker_id: int, generation: int, op: str, deadline: float
-    ) -> Tuple[object, object]:
+    ) -> object:
         worker = self.workers[worker_id]
         while True:
             remaining = deadline - time.monotonic()
@@ -426,14 +414,14 @@ class ProcessPool:
             raise ParallelBackendError(
                 f"worker {worker_id} raised during {op!r}:\n{message[2]}"
             )
-        if message[0] != "ok" or int(message[1]) != generation or len(message) != 4:
+        if message[0] != "ok" or int(message[1]) != generation or len(message) != 3:
             # Protocol corruption — treat like a crash so the pool is
             # retired rather than trusted with the next command.
             raise WorkerCrashError(
                 f"worker {worker_id} answered out of sequence during {op!r}: "
                 f"expected generation {generation}, got {message[:2]!r}"
             )
-        return message[2], message[3]
+        return message[2]
 
     def stop(self, grace: float = 2.0) -> None:
         """Best-effort graceful shutdown, then terminate stragglers."""
@@ -488,7 +476,7 @@ def shutdown_all_process_backends() -> None:
 
 
 class ProcessBackend(PlanBackend):
-    """Plan backend executing fused shard tasks on worker processes.
+    """Plan backend executing fused shard detection on worker processes.
 
     Args:
         plan: the owning :class:`~repro.perf.plan.ProtectedPlan`.
@@ -608,30 +596,6 @@ class ProcessBackend(PlanBackend):
         replies = self._dispatch(pool, generation, commands)
         self._merge_worker_deltas(telemetry, replies)
 
-    def run_correct(
-        self, b: np.ndarray, owned: Owned, telemetry: "Telemetry"
-    ) -> List["ShardCorrection"]:
-        assert self._arena is not None
-        pool = self._ensure_pool()
-        np.copyto(self._arena.array("b"), b)
-        generation = self._next_generation()
-        want_obs = telemetry.enabled
-        commands: Dict[int, Tuple[object, ...]] = {
-            shard_id: (
-                "correct",
-                generation,
-                np.ascontiguousarray(blocks, dtype=np.int64),
-                want_obs,
-            )
-            for shard_id, blocks in owned
-        }
-        replies = self._dispatch(pool, generation, commands)
-        self._merge_worker_deltas(telemetry, replies)
-        results: List["ShardCorrection"] = []
-        for shard_id, _blocks in owned:
-            results.append(replies[shard_id][0])  # type: ignore[arg-type]
-        return results
-
     def close(self) -> None:
         """Stop workers and unlink the arena.  Idempotent."""
         if self._closed:
@@ -685,9 +649,7 @@ class ProcessBackend(PlanBackend):
         return self._pool
 
     def _merge_worker_deltas(
-        self,
-        telemetry: "Telemetry",
-        replies: Dict[int, Tuple[object, object]],
+        self, telemetry: "Telemetry", replies: Dict[int, object]
     ) -> None:
         """Fold piggybacked worker deltas into the parent telemetry.
 
@@ -700,7 +662,7 @@ class ProcessBackend(PlanBackend):
         from repro.obs.pipeline import RegistryDelta, merge_delta
 
         for worker_id in sorted(replies):
-            delta: Optional[RegistryDelta] = replies[worker_id][1]  # type: ignore[assignment]
+            delta: Optional[RegistryDelta] = replies[worker_id]  # type: ignore[assignment]
             merge_delta(telemetry, worker_id, delta)
 
     def _dispatch(
@@ -708,9 +670,9 @@ class ProcessBackend(PlanBackend):
         pool: ProcessPool,
         generation: int,
         commands: Dict[int, Tuple[object, ...]],
-    ) -> Dict[int, Tuple[object, object]]:
+    ) -> Dict[int, object]:
         try:
-            payloads = pool.dispatch(generation, commands)
+            replies = pool.dispatch(generation, commands)
         except (WorkerCrashError, WorkerTimeoutError):
             # Dead or untrustworthy pool: retire it (lazy respawn later).
             # A marshalled in-worker exception is NOT reaped — the worker
@@ -726,7 +688,7 @@ class ProcessBackend(PlanBackend):
                     f"worker {worker_id} acked generation {generation} without "
                     f"publishing it (ring={int(ring[worker_id])})"
                 )
-        return payloads
+        return replies
 
     def _reap(self) -> None:
         """Tear down a broken pool; the arena survives for respawn."""

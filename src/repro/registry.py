@@ -12,6 +12,8 @@ six behind an :class:`~repro.core.AbftConfig` field declare one
 
 Registry contract:
 
+* every key is a non-empty string name; a registry with a key function
+  also accepts an entry wherever it accepts that entry's name.
 * :meth:`Registry.register` refuses a key already taken unless
   ``overwrite=True``.  Built-in keys are sealed once registered: they
   can be neither replaced nor removed.
@@ -72,23 +74,18 @@ class Registry(Generic[T]):
         fold: names are folded to lower case without surrounding
             whitespace; otherwise they must match exactly.
         aliases: extra (folded) spellings mapped to a key.
-        scope: noun of the first half of two-part keys
-            ``(scope, name)`` — ``"format"`` for kernel sets, whose names
-            repeat once per storage format; ``None`` for plain names.
     """
 
-    def __init__(self, kind: str, *, builtins: Iterable[Any] = (),
-                 entry_type: Optional[type] = None, key: Optional[Callable[[T], Any]] = None,
-                 fold: bool = False, aliases: Optional[Mapping[str, str]] = None,
-                 scope: Optional[str] = None) -> None:
+    def __init__(self, kind: str, *, builtins: Iterable[str] = (),
+                 entry_type: Optional[type] = None, key: Optional[Callable[[T], str]] = None,
+                 fold: bool = False, aliases: Optional[Mapping[str, str]] = None) -> None:
         self.kind = kind
         self.builtins = frozenset(builtins)
-        self.scope = scope
         self._entry_type = entry_type
         self._key = key
         self._fold = fold
         self._aliases = dict(aliases or {})
-        self._entries: Dict[Any, T] = {}
+        self._entries: Dict[str, T] = {}
 
     def register(self, entry: T, name: Any = None, overwrite: bool = False) -> T:
         """Add ``entry`` under ``name`` (default: its key); returns it."""
@@ -102,7 +99,7 @@ class Registry(Generic[T]):
             if key in self.builtins:
                 raise self._sealed(key, "replaced")
             if not overwrite:
-                raise ConfigurationError(f"{self.kind} {self._label(key)} already registered")
+                raise ConfigurationError(f"{self.kind} {key!r} already registered")
         self._entries[key] = entry
         return entry
 
@@ -113,24 +110,17 @@ class Registry(Generic[T]):
             raise self._sealed(key, "removed")
         self._entries.pop(key, None)
 
-    def available(self, scope: Optional[str] = None) -> Tuple:
-        """Registered keys, sorted; with ``scope``, the names inside it
-        (a scope without entries raises)."""
-        names = tuple(sorted(self._entries if scope is None else self._names(scope)))
-        if scope is not None and not names:
-            known = ", ".join(sorted({s for s, _ in self._entries}))
-            raise ConfigurationError(f"no {self.kind} registered for {self.scope} {scope!r}; "
-                                     f"registered {self.scope}s: {known}")
-        return names
+    def available(self) -> Tuple[str, ...]:
+        """Registered keys, sorted."""
+        return tuple(sorted(self._entries))
 
-    def canonical(self, name: object, origin: str = "") -> Any:
+    def canonical(self, name: object, origin: str = "") -> str:
         """The key ``name`` spells; ``origin`` names where it came from."""
         key = self._key_of(name, origin)
         if key not in self._entries:
-            choices = tuple(self._entries if self.scope is None else self._names(key[0]))
             raise ConfigurationError(
-                f"unknown {self.kind} {self._label(key)}{_from(origin)}; "
-                f"expected one of {choices or tuple(self._entries)}"
+                f"unknown {self.kind} {key!r}{_from(origin)}; "
+                f"expected one of {tuple(self._entries)}"
             )
         return key
 
@@ -141,17 +131,11 @@ class Registry(Generic[T]):
         except (KeyError, TypeError):
             return self._entries[self.canonical(name, origin)]
 
-    def _key_of(self, name: Any, origin: str = "") -> Any:
+    def _key_of(self, name: Any, origin: str = "") -> str:
         """Apply the accepted spellings to ``name`` without a lookup."""
         key, entry_type = self._key, self._entry_type
         if key is not None and entry_type is not None and isinstance(name, entry_type):
             name = key(name)  # an entry spells its own key
-        if self.scope is None:
-            return self._spell(name, origin)
-        scope, name = name
-        return scope, self._spell(name, origin)
-
-    def _spell(self, name: object, origin: str) -> str:
         if not isinstance(name, str) or not name:
             alternative = f" or {self._entry_type.__name__}" if self._entry_type else ""
             raise _wrong_type(f"{self.kind}{_from(origin)}", f"be a name{alternative}", name)
@@ -159,14 +143,8 @@ class Registry(Generic[T]):
             name = name.strip().lower()
         return self._aliases.get(name, name)
 
-    def _names(self, scope: Any) -> Iterable[str]:
-        return (name for s, name in self._entries if s == scope)
-
-    def _label(self, key: Any) -> str:
-        return repr(key) if self.scope is None else f"{key[1]!r} for {self.scope} {key[0]!r}"
-
-    def _sealed(self, key: Any, verb: str) -> ConfigurationError:
-        return ConfigurationError(f"built-in {self.kind} {self._label(key)} cannot be {verb}")
+    def _sealed(self, key: str, verb: str) -> ConfigurationError:
+        return ConfigurationError(f"built-in {self.kind} {key!r} cannot be {verb}")
 
 
 @dataclass(frozen=True)
@@ -179,15 +157,12 @@ class Selector(Generic[T]):
         env_var: environment variable overriding configured values.
         registry: validates and looks up the winning value.
         default: the value when nothing else selects one.
-        scope: for a scoped registry, the scope of a lookup that names
-            none (kernel sets: the CSR format).
     """
 
     name: str
     env_var: str
     registry: Registry[T]
     default: str
-    scope: Optional[str] = None
 
     def pick(self, configured: object = None, explicit: object = None) -> Tuple[object, str]:
         """The winning raw value and its source: ``"explicit"``, ``"env"``,
@@ -204,24 +179,17 @@ class Selector(Generic[T]):
     def resolve(self, configured: object = None, explicit: object = None) -> str:
         """The canonical name of the winning value."""
         value, source = self.pick(configured, explicit)
-        key = self.registry.canonical(self._key(value), self.env_var if source == "env" else "")
-        return key if self.scope is None else key[1]
+        return self.registry.canonical(value, self.env_var if source == "env" else "")
 
-    def get(self, configured: object = None, explicit: object = None,
-            scope: Optional[str] = None) -> T:
-        """The registry entry of the winning value (in ``scope``, if scoped)."""
+    def get(self, configured: object = None, explicit: object = None) -> T:
+        """The registry entry of the winning value."""
         value, source = self.pick(configured, explicit)
-        return self.registry.get(self._key(value, scope), self.env_var if source == "env" else "")
+        return self.registry.get(value, self.env_var if source == "env" else "")
 
     def check(self, value: object, owner: str) -> None:
         """Validate ``owner``'s configured value (``None`` selects nothing)."""
         if value is not None:
-            self.registry.canonical(self._key(value), f"{owner}.{self.name}")
-
-    def _key(self, value: object, scope: Optional[str] = None) -> object:
-        if self.scope is None:
-            return value
-        return (self.scope if scope is None else scope, value)
+            self.registry.canonical(value, f"{owner}.{self.name}")
 
 
 __all__ = ["Registry", "Selector"]

@@ -5,14 +5,12 @@ The scheme is selected by name through the :mod:`repro.schemes` registry
 (any registered scheme works, e.g. ``"abft"`` — the proposed block-ABFT
 SpMV of the paper — ``"bisection"``, or ``"checkpoint"``, whose detections
 roll the solver back to the last snapshot taken every 20 iterations into
-reliable storage), plus three solver-level cases:
+reliable storage), plus two solver-level cases:
 
 * ``"unprotected"`` — plain SpMV; errors propagate freely.
 
-Two extension schemes go beyond the paper:
+One extension scheme goes beyond the paper:
 
-* ``"dual"`` — the dual-checksum SpMV of :mod:`repro.core.algebraic`
-  (single-row algebraic repair with block-recompute fallback);
 * ``"hybrid"`` — the proposed ABFT multiply backed by checkpoints: partial
   recomputation handles everything correctable, and only an *uncorrectable*
   multiply (correction rounds exhausted) triggers a rollback.  This
@@ -36,7 +34,6 @@ from typing import Optional
 import numpy as np
 
 from repro.baselines.checkpoint import DEFAULT_CHECKPOINT_INTERVAL, CheckpointStore
-from repro.core.algebraic import DualChecksumSpMV
 from repro.core.config import AbftConfig
 from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
@@ -59,7 +56,7 @@ from repro.sparse.csr import CsrMatrix
 from repro.sparse.formats import FORMAT_SELECTOR
 
 #: Solver-level cases handled here rather than by a registered scheme.
-SOLVER_SCHEMES = ("unprotected", "dual", "hybrid")
+SOLVER_SCHEMES = ("unprotected", "hybrid")
 
 #: Scheme identifiers accepted by :func:`run_pcg` (any custom registered
 #: scheme also works).
@@ -218,20 +215,6 @@ def run_pcg(
             return result.value, not result.clean, result.exhausted, int(
                 result.rounds > 0
             )
-
-    elif scheme == "dual":
-        operator = DualChecksumSpMV(
-            matrix,
-            block_size=options.block_size,
-            machine=machine,
-            max_rounds=options.max_correction_rounds,
-            kernel=options.kernel,
-        )
-
-        def multiply(p_vec: np.ndarray) -> tuple[np.ndarray, bool, bool, int]:
-            result = operator.multiply(p_vec, tamper=tamper, meter=meter)
-            detected = bool(result.detected)
-            return result.value, detected, result.exhausted, int(detected)
 
     elif scheme == "unprotected":
         plain_cost = spmv_cost(matrix.nnz, int(matrix.row_lengths().max(initial=1)))

@@ -3,9 +3,10 @@
 Every case is a ``(name, matrix, block_size)`` triple chosen to stress a
 specific structural edge: random sparsity patterns, blocks whose rows are
 all empty, single-row blocks, ragged last blocks, rectangular shapes,
-structurally-stored zeros from exact cancellation, and the degenerate
-zero-row matrix.  All generation is seeded — the corpus is identical on
-every run.
+structurally-stored zeros from exact cancellation, the degenerate
+zero-row and zero-column matrices, a single-row matrix, a dense arrow
+row, float32 storage and subnormal values.  All generation is seeded —
+the corpus is identical on every run.
 """
 
 from __future__ import annotations
@@ -72,6 +73,29 @@ def _no_rows_matrix() -> CsrMatrix:
     )
 
 
+def _no_cols_matrix() -> CsrMatrix:
+    """Zero-column matrix: rows and blocks exist, but no operand entries."""
+    return CsrMatrix(
+        (9, 0),
+        np.zeros(10, dtype=np.int64),
+        np.empty(0, dtype=np.int64),
+        np.empty(0, dtype=np.float64),
+    )
+
+
+def _arrow_matrix(n: int = 33) -> CsrMatrix:
+    """Row 0 holds every column; every other row holds its diagonal and
+    column 0.  One block carries most of the work."""
+    rng = np.random.default_rng(7)
+    others = np.arange(1, n, dtype=np.int64)
+    rows = np.concatenate([np.zeros(n, dtype=np.int64), others, others])
+    cols = np.concatenate(
+        [np.arange(n, dtype=np.int64), others, np.zeros(n - 1, dtype=np.int64)]
+    )
+    data = rng.standard_normal(rows.size)
+    return CooMatrix((n, n), rows, cols, data).to_csr()
+
+
 def corpus() -> List[Tuple[str, CsrMatrix, int]]:
     """The full differential-testing corpus."""
     return [
@@ -85,6 +109,11 @@ def corpus() -> List[Tuple[str, CsrMatrix, int]]:
         ("cancellation-zeros", _cancellation_matrix(), 2),
         ("all-rows-empty", _zero_rows_matrix(), 4),
         ("no-rows", _no_rows_matrix(), 4),
+        ("float32-storage", random_spd(64, 400, seed=6).astype(np.float32), 8),
+        ("no-cols", _no_cols_matrix(), 4),
+        ("single-row", _random_rectangular(1, 30, 20, seed=9), 4),
+        ("arrow-dense-row", _arrow_matrix(), 8),
+        ("subnormal-values", random_spd(40, 200, seed=8).scaled(1e-310), 8),
     ]
 
 

@@ -1,11 +1,10 @@
 """The ``parallel`` leg of the kernel suites: block-sharded threaded execution.
 
-A ``threads`` plan never runs detection or correction as one
-whole-matrix kernel call.  :class:`repro.perf.plan.FusedShardBuffers`
-cuts the blocks into nnz-balanced, block-aligned shards
+A ``threads`` plan never runs detection as one whole-matrix kernel
+call.  :class:`repro.perf.plan.FusedShardBuffers` cuts the blocks into
+nnz-balanced, block-aligned shards
 (:func:`repro.perf.sharding.shard_blocks`); each shard reduces its own
-result checksums and compares them, and a correction round hands each
-shard the flagged blocks it owns, all on the shared pool of
+result checksums and compares them, all on the shared pool of
 :func:`repro.perf.backends.get_executor` (the ``processes`` backend runs
 the same shard tasks in worker processes).  That is only sound if every
 kernel's per-block output depends on the block's own rows and nothing
@@ -22,8 +21,8 @@ straddles two shards, so the stitched result must match the vectorized
 set bit for bit.
 
 Calls with a tamper hook run unsharded: the hook fires once per block in
-block order, which concurrent shards cannot keep (a plan likewise takes
-the fused shard path only when no hook is installed).
+block order, which concurrent shards cannot keep (a plan likewise
+detects shard by shard only when no hook is installed).
 """
 
 from __future__ import annotations
@@ -115,8 +114,7 @@ class ShardedKernels(VectorizedKernels):
         indptr: Optional[np.ndarray] = None,
     ) -> List[T]:
         """Run ``task(positions)`` once per shard with the positions in
-        ``blocks`` that the shard owns (the plan's split of the flagged
-        blocks before a correction round), concurrently."""
+        ``blocks`` that the shard owns, concurrently."""
         spans = self._spans(partition, indptr)
         cuts = np.array([c0 for c0, _, _, _ in spans], dtype=np.int64)
         owner = np.searchsorted(cuts, blocks, side="right") - 1
@@ -248,65 +246,6 @@ class ShardedKernels(VectorizedKernels):
         # A checksum row is one block's row of the checksum matrix.
         rows_as_blocks = BlockPartition(csr.n_rows, 1)
         return values, sum(self._each_owner(rows_as_blocks, rows, shard, csr.indptr))
-
-    # -- multi-RHS (SpMM) ----------------------------------------------------
-    def result_checksums_multi(
-        self,
-        r: np.ndarray,
-        partition: BlockPartition,
-        weights: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        base = super()
-        out = np.empty((partition.n_blocks, r.shape[1]), dtype=ACCUMULATION_DTYPE)
-
-        def shard(c0: int, c1: int, r0: int, r1: int) -> None:
-            out[c0:c1] = base.result_checksums_multi(
-                r[r0:r1], self._sub(partition, r0, r1),
-                None if weights is None else weights[r0:r1],
-            )
-
-        self._each_span(partition, shard)
-        return out
-
-    def result_checksums_multi_for_blocks(
-        self,
-        r: np.ndarray,
-        partition: BlockPartition,
-        blocks: np.ndarray,
-        weights: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        base = super()
-        blocks = validate_blocks(blocks, partition.n_blocks)
-        out = np.empty((blocks.size, r.shape[1]), dtype=ACCUMULATION_DTYPE)
-
-        def shard(owned: np.ndarray) -> None:
-            out[owned] = base.result_checksums_multi_for_blocks(
-                r, partition, blocks[owned], weights
-            )
-
-        self._each_owner(partition, blocks, shard)
-        return out
-
-    def correct_cells(
-        self,
-        matrix: CsrMatrix,
-        partition: BlockPartition,
-        b: np.ndarray,
-        r: np.ndarray,
-        cells: np.ndarray,
-        tamper: Tamper = None,
-    ) -> Tuple[int, int]:
-        base = super()
-        if tamper is not None:
-            return base.correct_cells(matrix, partition, b, r, cells, tamper)
-        cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
-        blocks = validate_blocks(cells[:, 0], partition.n_blocks)
-
-        def shard(owned: np.ndarray) -> Tuple[int, int]:
-            return base.correct_cells(matrix, partition, b, r, cells[owned])
-
-        counts = self._each_owner(partition, blocks, shard, matrix.indptr)
-        return sum(rows for rows, _ in counts), sum(nnz for _, nnz in counts)
 
 
 @contextlib.contextmanager

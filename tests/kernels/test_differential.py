@@ -19,7 +19,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core import ChecksumMatrix, make_weights
+from repro.core import ChecksumMatrix
 from repro.core.blocking import BlockPartition
 from repro.core.bounds import SparseBlockBound
 from repro.core.corrector import correct_blocks
@@ -230,72 +230,3 @@ def test_row_checksums_bit_identical(case, pair):
     (vals_a, nnz_a), (vals_b, nnz_b) = results
     np.testing.assert_array_equal(vals_a, vals_b)
     assert nnz_a == nnz_b == checksum.nnz
-
-
-@_case_params()
-@_pair_params()
-@pytest.mark.parametrize("weighted", [False, True], ids=["ones", "weighted"])
-def test_multi_rhs_checksums_within_rounding_bound(case, pair, weighted):
-    _, matrix, block_size = case
-    partition = BlockPartition(matrix.n_rows, block_size)
-    rng = np.random.default_rng(11)
-    r = rng.standard_normal((matrix.n_rows, 3))
-    weights = make_weights("random", partition) if weighted else None
-    full = [
-        get_kernels(name).result_checksums_multi(r, partition, weights)
-        for name in pair
-    ]
-    assert full[0].shape == full[1].shape == (partition.n_blocks, 3)
-    np.testing.assert_allclose(full[0], full[1], rtol=1e-11, atol=1e-11)
-    blocks = np.arange(partition.n_blocks, dtype=np.int64)[::2]
-    sub = [
-        get_kernels(name).result_checksums_multi_for_blocks(
-            r, partition, blocks, weights
-        )
-        for name in pair
-    ]
-    assert sub[0].shape == sub[1].shape == (blocks.size, 3)
-    np.testing.assert_allclose(sub[0], sub[1], rtol=1e-11, atol=1e-11)
-    # The subset path agrees with the full pass rows it re-evaluates.
-    np.testing.assert_allclose(sub[0], full[0][blocks], rtol=1e-11, atol=1e-11)
-
-
-@_case_params()
-@_pair_params()
-def test_correct_cells_bit_identical(case, pair):
-    _, matrix, block_size = case
-    partition = BlockPartition(matrix.n_rows, block_size)
-    if partition.n_blocks == 0:
-        pytest.skip("no blocks to correct")
-    rng = np.random.default_rng(12)
-    k = 3
-    b = rng.standard_normal((matrix.n_cols, k))
-    clean = matrix.matmat(b)
-    cells = np.array(
-        [[block, block % k] for block in range(partition.n_blocks)], dtype=np.int64
-    )
-    outputs = []
-    traces = []
-    for name in pair:
-        r = clean + 1.0
-        trace = _TamperTrace()
-        rows, nnz = get_kernels(name).correct_cells(
-            matrix, partition, b, r, cells, trace
-        )
-        outputs.append((r, rows, nnz))
-        traces.append(trace)
-    (r_a, rows_a, nnz_a), (r_b, rows_b, nnz_b) = outputs
-    np.testing.assert_array_equal(r_a, r_b)
-    assert (rows_a, nnz_a) == (rows_b, nnz_b)
-    traces[0].assert_equal(traces[1])
-    for block, col in cells:
-        start, stop = partition.bounds(int(block))
-        np.testing.assert_array_equal(
-            r_a[start:stop, col], clean[start:stop, col]
-        )
-    # Without a hook a set may repair shard by shard; not a bit may move.
-    for name in pair:
-        r = clean + 1.0
-        counts = get_kernels(name).correct_cells(matrix, partition, b, r, cells)
-        np.testing.assert_array_equal(r, r_a)
-        assert counts == (rows_a, nnz_a)

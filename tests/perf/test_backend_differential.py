@@ -14,9 +14,11 @@ Two layers of the bit-identity contract:
    correction storm must agree with the serial reference on value bits,
    detection/correction history, simulated seconds and flops — in
    float64, and in float32 storage on CSR (every backend) and BSR
-   (serial and threads; processes always runs CSR).
+   (serial and threads; processes always runs CSR).  Under a bound that
+   must be evaluated at every check, every result field must agree too.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -28,7 +30,7 @@ from repro.core.protected import FaultTolerantSpMV
 from repro.machine import Machine
 from repro.perf import BUILTIN_BACKENDS, ProtectedPlan
 from repro.schemes import BUILTIN_SCHEMES, make_scheme
-from repro.sparse import random_spd
+from repro.sparse import block_stencil_spd, random_spd
 
 GOLDEN = Path(__file__).parent.parent / "schemes" / "golden"
 
@@ -186,8 +188,8 @@ def test_plan_per_shard_burst_bit_identical_across_backends(
 def test_plan_correction_storm_bit_identical_across_backends(
     corpus, serial_reference, backend
 ):
-    """A microscopic bound flags every block: the fused correction round
-    runs on every backend and must re-verify to the same bits."""
+    """A microscopic bound flags every block: every backend corrects and
+    re-verifies to the same bits."""
     _, b = corpus
     with _plan(
         corpus, backend, bound_scale=1e-12, max_correction_rounds=2
@@ -220,6 +222,69 @@ def test_plan_float32_bit_identical_across_backends(corpus, sparse_format, backe
             assert snapshot(result) == reference
             if scenario:
                 assert reference["corrected_blocks"]  # the storm corrected
+
+
+class _FirstCheckFlagsBlockOne:
+    """An analytical bound without ``beta_coefficients``, so the plan
+    evaluates ``thresholds`` at every check.  The first check reads -1
+    for block 1, which flags it; every later check reads the true bound."""
+
+    def __init__(self, bound):
+        self._bound = bound
+        self._checks = 0
+
+    def thresholds(self, beta, blocks=None):
+        thresholds = self._bound.thresholds(beta, blocks)
+        self._checks += 1
+        if self._checks == 1:
+            ids = np.arange(thresholds.size) if blocks is None else np.asarray(blocks)
+            thresholds[ids == 1] = -1.0
+        return thresholds
+
+
+#: ``(storage format, backend)`` legs of the re-verification check.
+REVERIFY_LEGS = (("csr", "threads"), ("csr", "processes"), ("bsr", "threads"))
+
+
+def _reverify_fields(sparse_format, backend):
+    """Every field of one multiply whose first check flags block 1."""
+    matrix = block_stencil_spd(48, 8, seed=31)
+    config = AbftConfig(block_size=BLOCK_SIZE)
+    bound = FaultTolerantSpMV(matrix, config=config).detector.bound
+    operator = FaultTolerantSpMV(
+        matrix, config=config, bound_override=_FirstCheckFlagsBlockOne(bound)
+    )
+    b = np.random.default_rng(RHS_SEED).standard_normal(matrix.n_cols)
+    with ProtectedPlan(
+        operator,
+        n_shards=3,
+        parallel=backend,
+        backend_options={"serial_cutoff": 0} if backend == "processes" else None,
+        sparse_format=sparse_format,
+    ) as plan:
+        if backend != "serial":
+            assert plan.backend.parallel_active
+        result = plan.multiply(b)
+        fields = {
+            field.name: getattr(result, field.name)
+            for field in dataclasses.fields(result)
+        }
+        fields["value"] = result.value.tobytes()
+    return fields
+
+
+@pytest.mark.parametrize(
+    "sparse_format,backend", REVERIFY_LEGS, ids=["-".join(leg) for leg in REVERIFY_LEGS]
+)
+def test_reverification_reads_fresh_thresholds_on_every_backend(sparse_format, backend):
+    """A multi-shard plan re-verifies a corrected block against thresholds
+    evaluated again, as the serial plan does: block 1 is recomputed once
+    and passes, and every result field matches the serial plan's."""
+    reference = _reverify_fields(sparse_format, "serial")
+    assert reference["detections"] == (True, False)
+    assert reference["rounds"] == 1
+    assert reference["corrected_blocks"] == (1,)
+    assert _reverify_fields(sparse_format, backend) == reference
 
 
 def test_plan_clean_matches_unplanned_golden(corpus):

@@ -91,26 +91,6 @@ def test_correct_blocks_identical_across_worker_counts(matrix, b, partition):
             np.testing.assert_array_equal(r[lo:hi], reference[lo:hi])
 
 
-def test_multi_rhs_kernels_identical_across_worker_counts(matrix, partition):
-    rng = np.random.default_rng(7)
-    r = rng.standard_normal((N, 5))
-    weights = VectorizedKernels().linear_weights(partition)
-    ref = VectorizedKernels().result_checksums_multi(r, partition, weights)
-    blocks = np.array([0, 3], dtype=np.int64)
-    ref_blocks = VectorizedKernels().result_checksums_multi_for_blocks(
-        r, partition, blocks, weights
-    )
-    for n_workers in WORKER_COUNTS:
-        kernels = _sharded(n_workers)
-        np.testing.assert_array_equal(
-            kernels.result_checksums_multi(r, partition, weights), ref
-        )
-        np.testing.assert_array_equal(
-            kernels.result_checksums_multi_for_blocks(r, partition, blocks, weights),
-            ref_blocks,
-        )
-
-
 # ----------------------------------------------------------------------
 # Worker-count determinism of the threaded plan
 # ----------------------------------------------------------------------

@@ -216,6 +216,31 @@ def test_fused_threaded_correction_on_format_storage(blocky, requested):
         )
 
 
+def test_tampered_bsr_plan_calls_the_hook_like_a_csr_plan(blocky):
+    """Storage changes the multiply's summation, never the fault campaign:
+    a hooked multiply reports the same stages, sizes and work on BSR as
+    on CSR, the corrected block included."""
+    b = np.random.default_rng(6).standard_normal(blocky.n_cols)
+    traces = {}
+    for requested in ("csr", "bsr"):
+        plan = _operator(blocky).planned(sparse_format=requested)
+        assert plan.sparse_format == requested
+        burst = one_shot_burst(index=17)
+        calls = []
+
+        def hook(stage, data, work, burst=burst, calls=calls):
+            calls.append((stage, data.size, work))
+            burst(stage, data, work)
+
+        result = plan.multiply(b, tamper=hook)
+        assert result.corrected_blocks == (1,)
+        traces[requested] = calls
+    assert [stage for stage, _, _ in traces["csr"]] == [
+        "result", "t1", "beta", "t2", "corrected", "t2"
+    ]
+    assert traces["bsr"] == traces["csr"]
+
+
 # ----------------------------------------------------------------------
 # Telemetry
 # ----------------------------------------------------------------------

@@ -345,7 +345,8 @@ def test_corrected_multiply_keeps_every_field(matrix, b, backend):
 
 @pytest.mark.parametrize("backend", ["serial", "threads"])
 def test_exhausted_multiply_keeps_every_field(matrix, b, backend):
-    """No hook: a threads plan takes its fused first round here."""
+    """No hook: a threads plan detects fused, then runs every round in
+    the correction loop."""
     plan = _contract_plan(matrix, backend, bound_scale=1e-12, max_correction_rounds=3)
     _assert_contract(plan.multiply(b), "exhausted")
 

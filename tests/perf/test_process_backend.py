@@ -126,10 +126,12 @@ def test_worker_exception_is_marshalled_with_traceback():
         b = operand()
         plan.multiply(b.copy())
         backend = plan.backend
-        # An out-of-range block id makes the worker raise mid-correct.
-        bogus = np.array([10_000], dtype=np.int64)
+        # An unknown pool command makes the worker raise.
+        generation = backend._next_generation()
         with pytest.raises(ParallelBackendError) as excinfo:
-            backend.run_correct(b, [(0, bogus)], Telemetry(enabled=False))
+            backend._dispatch(
+                backend._ensure_pool(), generation, {0: ("bogus", generation, False)}
+            )
         assert "worker 0 raised" in str(excinfo.value)
         # The pool survives an in-worker exception (no respawn needed).
         assert backend._pool is not None and backend._pool.alive
@@ -298,16 +300,6 @@ def test_worker_deltas_merge_into_parent_registry():
         assert detect.sum > 0.0
         shard_spans = telemetry.registry.get("span.plan.shard.seconds")
         assert shard_spans.count == N_SHARDS
-        # The correct path ships deltas too: run it directly on one shard.
-        backend = plan.backend
-        results = backend.run_correct(
-            operand(), [(0, np.array([0], dtype=np.int64))], telemetry
-        )
-        assert len(results) == 1
-        corrected = telemetry.registry.get("kernel.correct_shard.seconds")
-        assert corrected.count == 1
-        # The worker-side TimedKernels wrap times the fused correction ops.
-        assert telemetry.registry.get("kernel.correct_blocks.seconds").count >= 1
 
 
 def test_disabled_telemetry_ships_no_deltas():

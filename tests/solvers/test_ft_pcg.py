@@ -131,7 +131,6 @@ def test_preconditioner_choice_flows_through(system):
 RECORDED_COSTS = (
     ("abft", 3e-5, 3, "0x1.58969a0ad8a10p-10", "0x1.3aa4000000000p+16"),
     ("hybrid", 1e-4, 1, "0x1.05f28848387dep-9", "0x1.edc9000000000p+16"),
-    ("dual", 3e-5, 3, "0x1.5dd4c76d117b4p-10", "0x1.6139000000000p+16"),
     ("checkpoint", 3e-5, 1, "0x1.85be1a8262457p-9", "0x1.f210000000000p+16"),
     ("unprotected", 1e-5, 3, "0x1.e5c0b9991361fp-11", "0x1.e892000000000p+15"),
 )

@@ -178,7 +178,7 @@ DECLARED = {
 def test_declared_registry_contract(label):
     registry, entry, keyed = DECLARED[label]
     name = None if keyed else "contract-test"
-    key = ("csr", "contract-test") if registry.scope else "contract-test"
+    key = "contract-test"
 
     assert registry.builtins <= set(registry.available())
     for builtin in registry.builtins:
@@ -190,7 +190,7 @@ def test_declared_registry_contract(label):
     with pytest.raises(ConfigurationError, match=f"unknown {registry.kind}.*expected one of"):
         registry.get(key)
     with pytest.raises(ConfigurationError, match="must be a name"):
-        registry.canonical(("csr", 42) if registry.scope else 42)
+        registry.canonical(42)
     with pytest.raises(ConfigurationError, match="must"):
         registry.register(object(), name)
 
@@ -214,7 +214,7 @@ _MATRIX = random_spd(16, 60, seed=1)
 
 #: env var -> (resolution through the library's entry point, accepted names).
 RESOLVERS = {
-    "REPRO_KERNELS": (lambda: resolve_kernels("vectorized"), KERNEL_REGISTRY.available("csr")),
+    "REPRO_KERNELS": (lambda: resolve_kernels("vectorized"), KERNEL_REGISTRY.available()),
     "REPRO_OBS": (lambda: resolve_telemetry("off"), EXPORTER_REGISTRY.available()),
     "REPRO_SCHEME": (lambda: resolve_scheme(_MATRIX), SCHEME_REGISTRY.available()),
     "REPRO_PARALLEL": (lambda: resolve_backend_name("serial"), BACKEND_REGISTRY.available()),
