@@ -416,8 +416,7 @@ class FusedShardBuffers:
     """
 
     __slots__ = (
-        "checksum_matrix", "weights", "block_cuts",
-        "spmv", "checksum_spmv", "checksum_operand", "t2", "t2_workspace",
+        "weights", "spmv", "checksum_spmv", "checksum_operand", "t2", "t2_workspace",
         "syndrome", "thresholds", "exceeded", "abs", "finite", "t2_starts",
         "shard_rows", "shard_blocks",
     )
@@ -436,9 +435,7 @@ class FusedShardBuffers:
             alloc = _heap_alloc
         n_blocks = partition.n_blocks
         block_starts = partition.block_starts()
-        self.checksum_matrix = checksum_matrix
         self.weights = weights
-        self.block_cuts = block_cuts
         # Non-CSR storage keeps its scratch shard-private inside SpmvPlan;
         # the flat nnz workspace is a CSR-only buffer.  The checksum
         # multiply below always stays CSR regardless of storage.  Working

@@ -11,11 +11,15 @@ main speed lever.
 
 BSR is also the natural ABFT format: checksum blocks align with storage
 block rows, so block recomputation (the correction kernel) operates on
-whole dense tiles.  The tile pipeline is deliberately shared between
-:meth:`BsrMatrix.matvec`, :meth:`BsrMatrix.matvec_rows` and the planned
-shard executors in :mod:`repro.perf.plan` — each output row is reduced
-over its block row's tiles in storage order, so a partial recomputation
-reproduces the full multiply's bits row for row.
+whole dense tiles.  :meth:`BsrMatrix.matvec` and the planned shard
+executors in :mod:`repro.perf.plan` share the tile pipeline — each output
+row is reduced over its block row's tiles in storage order, so a shard
+that starts or stops inside a block row reproduces the full multiply's
+bits row for row.
+
+Construction is one pass over the CSR entries (:class:`TileLayout`): the
+pass that counts a tile shape's fill ratio for the plan-time format probe
+is the pass the winning shape's storage is scattered through.
 
 Fill slots (tile positions with no underlying entry) hold exact zeros and
 are tracked in :attr:`BsrMatrix.mask`, which makes CSR round trips exact
@@ -53,6 +57,93 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+class TileLayout:
+    """The tiles a CSR matrix occupies at one tile shape: one pass over its
+    entries, shared by the fill probe and the BSR build.
+
+    Each entry's tile column is computed once.  Consecutive entries of one
+    row in the same tile column collapse into a *run* (CSR rows are
+    column-sorted, so a dense tile row is a single run; an unsorted row
+    only makes more runs), each run gets the key
+    ``block_row * n_block_cols + block_col``, and sorting the run keys
+    counts the distinct tiles.  :attr:`fill_ratio` needs nothing more;
+    :meth:`to_bsr` scatters the entries through the run → tile map.
+
+    Attributes:
+        csr: the source matrix.
+        block_shape: ``(br, bc)`` tile dimensions.
+        run_starts: entry index where each run starts.
+        run_rows: row of each run.
+        run_keys: tile key of each run.
+        tile_keys: sorted distinct tile keys, one per stored tile.
+    """
+
+    __slots__ = ("csr", "block_shape", "run_starts", "run_rows", "run_keys", "tile_keys")
+
+    def __init__(self, csr: CsrMatrix, block_shape: BlockShape) -> None:
+        self.csr = csr
+        self.block_shape = br, bc = _normalize_block_shape(block_shape)
+        block_cols = csr.indices // bc
+        starts = np.ones(block_cols.size, dtype=bool)
+        np.not_equal(block_cols[1:], block_cols[:-1], out=starts[1:])
+        # A run never spans rows: to_bsr places a run's entries by its row.
+        row_starts = csr.indptr[:-1]
+        starts[row_starts[row_starts < block_cols.size]] = True
+        self.run_starts = np.flatnonzero(starts)
+        self.run_rows = np.repeat(
+            np.arange(csr.n_rows, dtype=np.int64),
+            np.diff(np.searchsorted(self.run_starts, csr.indptr)),
+        )
+        stride = _key_stride(csr, bc)
+        self.run_keys = (self.run_rows // br) * stride + block_cols[self.run_starts]
+        keys = np.sort(self.run_keys)
+        distinct = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+        self.tile_keys = keys[distinct]
+
+    @property
+    def n_tiles(self) -> int:
+        """Number of tiles a BSR build stores."""
+        return int(self.tile_keys.size)
+
+    @property
+    def fill_ratio(self) -> float:
+        """Fraction of the tiles' slots holding entries (0.0 when empty)."""
+        br, bc = self.block_shape
+        nnz = self.csr.nnz
+        return nnz / (self.n_tiles * br * bc) if nnz else 0.0
+
+    def to_bsr(self) -> "BsrMatrix":
+        """Build the BSR storage: one scatter of the entries into their tiles."""
+        csr = self.csr
+        br, bc = self.block_shape
+        stride = _key_stride(csr, bc)
+        indptr = np.zeros(_ceil_div(csr.n_rows, br) + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(self.tile_keys // stride, minlength=indptr.size - 1),
+            out=indptr[1:],
+        )
+        # An entry's flat slot is its run's base plus its column: the run's
+        # tile times the tile size, plus its row in the tile times bc, minus
+        # the first column of its tile column.
+        run_tiles = np.searchsorted(self.tile_keys, self.run_keys)
+        base = run_tiles * (br * bc) + (self.run_rows % br - self.run_keys % stride) * bc
+        slots = np.repeat(base, np.diff(self.run_starts, append=csr.nnz))
+        slots += csr.indices
+        data = np.zeros((self.n_tiles, br, bc), dtype=csr.data.dtype)
+        data.reshape(-1)[slots] = csr.data
+        mask = np.zeros(data.shape, dtype=bool)
+        mask.reshape(-1)[slots] = True
+        return BsrMatrix(
+            csr.shape, (br, bc), indptr, self.tile_keys % stride, data, mask
+        )
+
+
+def _key_stride(csr: CsrMatrix, bc: int) -> int:
+    """Block-column count in a tile key (at least 1, for zero columns)."""
+    return max(_ceil_div(csr.n_cols, bc), 1)
+
+
 class BsrMatrix:
     """An immutable sparse matrix in block compressed sparse row format.
 
@@ -73,8 +164,7 @@ class BsrMatrix:
     """
 
     __slots__ = (
-        "shape", "block_shape", "indptr", "indices", "data", "mask",
-        "_row_nnz", "_tile_rows",
+        "shape", "block_shape", "indptr", "indices", "data", "mask", "_tile_rows",
     )
 
     def __init__(
@@ -96,7 +186,6 @@ class BsrMatrix:
             # explicit mask, exactly the nonzero slots count as entries
             mask = self.data != 0.0
         self.mask = np.ascontiguousarray(mask, dtype=bool)
-        self._row_nnz: Optional[np.ndarray] = None
         self._tile_rows: Optional[np.ndarray] = None
         self._validate()
 
@@ -193,62 +282,13 @@ class BsrMatrix:
             self._tile_rows = rows
         return self._tile_rows
 
-    def row_nnz(self) -> np.ndarray:
-        """Real entries per logical row (cached; read-only)."""
-        if self._row_nnz is None:
-            br = self.block_shape[0]
-            padded = np.zeros(self.n_block_rows * br, dtype=np.int64)
-            if self.n_tiles:
-                per_tile_row = self.mask.sum(axis=2)  # (n_tiles, br)
-                np.add.at(padded.reshape(self.n_block_rows, br),
-                          self.tile_rows(), per_tile_row)
-            counts = padded[: self.n_rows]
-            counts.flags.writeable = False
-            self._row_nnz = counts
-        return self._row_nnz
-
-    def nnz_in_rows(self, row_start: int, row_stop: int) -> int:
-        """Real-entry count of the row range ``[row_start, row_stop)``."""
-        row_start, row_stop = self._check_row_range(row_start, row_stop)
-        return int(self.row_nnz()[row_start:row_stop].sum())
-
-    def _check_row_range(self, row_start: int, row_stop: int) -> Tuple[int, int]:
-        row_start, row_stop = int(row_start), int(row_stop)
-        if not (0 <= row_start <= row_stop <= self.n_rows):
-            raise ShapeMismatchError(
-                f"row range [{row_start}, {row_stop}) invalid for {self.n_rows} rows"
-            )
-        return row_start, row_stop
-
     # ------------------------------------------------------------------
     # Construction / conversion
     # ------------------------------------------------------------------
     @classmethod
     def from_csr(cls, csr: CsrMatrix, block_shape: BlockShape) -> "BsrMatrix":
         """Convert a CSR matrix, materializing every touched tile densely."""
-        br, bc = _normalize_block_shape(block_shape)
-        n_rows, n_cols = csr.shape
-        nbc = _ceil_div(n_cols, bc)
-        rows = csr.entry_rows()
-        cols = csr.indices
-        brow = rows // br
-        bcol = cols // bc
-        key = brow * max(nbc, 1) + bcol
-        uniq = np.unique(key)
-        n_tiles = int(uniq.size)
-        data = np.zeros((n_tiles, br, bc), dtype=csr.data.dtype)
-        mask = np.zeros((n_tiles, br, bc), dtype=bool)
-        if n_tiles:
-            tile_id = np.searchsorted(uniq, key)
-            data[tile_id, rows % br, cols % bc] = csr.data
-            mask[tile_id, rows % br, cols % bc] = True
-        tile_brow = uniq // max(nbc, 1)
-        tile_bcol = uniq % max(nbc, 1)
-        nbr = _ceil_div(n_rows, br)
-        indptr = np.zeros(nbr + 1, dtype=np.int64)
-        if n_tiles:
-            np.cumsum(np.bincount(tile_brow, minlength=nbr), out=indptr[1:])
-        return cls(csr.shape, (br, bc), indptr, tile_bcol, data, mask)
+        return TileLayout(csr, block_shape).to_bsr()
 
     @classmethod
     def from_coo(cls, coo: CooMatrix, block_shape: BlockShape) -> "BsrMatrix":
@@ -311,22 +351,6 @@ class BsrMatrix:
     def __matmul__(self, b: np.ndarray) -> np.ndarray:
         return self.matvec(b)
 
-    def matvec_rows(
-        self, row_start: int, row_stop: int, b: np.ndarray
-    ) -> np.ndarray:
-        """Partial SpMV over rows ``[row_start, row_stop)``.
-
-        Bit-identical, row for row, to the corresponding slice of
-        :meth:`matvec`: each output row reduces over its own block row's
-        tiles in storage order regardless of which rows are requested.
-        """
-        row_start, row_stop = self._check_row_range(row_start, row_stop)
-        br, _ = self.block_shape
-        b0, b1 = row_start // br, _ceil_div(row_stop, br)
-        value2d = self._block_rows_matvec(b0, b1, self.padded_operand(b))
-        offset = row_start - b0 * br
-        return value2d.reshape(-1)[offset : offset + (row_stop - row_start)].copy()
-
     def _block_rows_matvec(
         self, block_row_start: int, block_row_stop: int, padded_b: np.ndarray
     ) -> np.ndarray:
@@ -336,9 +360,8 @@ class BsrMatrix:
         per tile, ``einsum("nij,nj->ni")`` dots each tile row with its
         operand slice; per block row, ``np.add.reduceat`` accumulates the
         tile partials left to right in storage order.  The planned shard
-        executors (:mod:`repro.perf.plan`) and the block-correction
-        kernels (:mod:`repro.kernels.bsr`) replay exactly these ops so
-        partial recomputation reproduces the full multiply bit for bit.
+        executors (:mod:`repro.perf.plan`) replay exactly these ops, so a
+        sharded multiply reproduces the full multiply bit for bit.
         """
         br, bc = self.block_shape
         lo = int(self.indptr[block_row_start])

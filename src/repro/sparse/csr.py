@@ -322,20 +322,6 @@ class CsrMatrix:
         _spmm_chunked(self.data, self.indices, self.indptr, b, out)
         return out
 
-    def matmat_rows(self, row_start: int, row_stop: int, b: np.ndarray) -> np.ndarray:
-        """Partial SpMM over rows ``[row_start, row_stop)`` (correction kernel)."""
-        row_start, row_stop = self._check_row_range(row_start, row_stop)
-        b = np.asarray(b, dtype=self.data.dtype)
-        if b.ndim != 2 or b.shape[0] != self.n_cols:
-            raise ShapeMismatchError(
-                f"operand block has shape {b.shape}, expected ({self.n_cols}, k)"
-            )
-        lo, hi = self.indptr[row_start], self.indptr[row_stop]
-        local_indptr = self.indptr[row_start : row_stop + 1] - lo
-        out = np.zeros((row_stop - row_start, b.shape[1]), dtype=self.data.dtype)
-        _spmm_chunked(self.data[lo:hi], self.indices[lo:hi], local_indptr, b, out)
-        return out
-
     def rmatvec(self, w: np.ndarray) -> np.ndarray:
         """Transposed product ``A^T w`` (used to build dense checksum vectors)."""
         w = np.asarray(w, dtype=np.float64)

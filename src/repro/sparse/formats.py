@@ -31,6 +31,9 @@ contract, tested in ``tests/sparse/test_formats.py``):
 
 The choice is a pure function of the sparsity pattern: no timer is
 read, so two plans built for one matrix always run the same format.
+Probe and build share one tile pass per candidate edge
+(:class:`~repro.sparse.bsr.TileLayout`): the winning edge's pass builds
+the BSR storage, and a CSR verdict builds no tiles.
 
 Every decision is recorded as a :class:`FormatChoice` (format, reason,
 fill ratio, tile shape) which planned executors attach to the plan and
@@ -46,7 +49,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.registry import Registry, Selector
-from repro.sparse.bsr import BsrMatrix
+from repro.sparse.bsr import BsrMatrix, TileLayout
 from repro.sparse.csr import CsrMatrix
 
 #: Environment variable that overrides the configured sparse format.
@@ -79,9 +82,8 @@ class SparseFormat(Protocol):
     """Structural protocol every dispatchable storage format satisfies.
 
     :class:`~repro.sparse.csr.CsrMatrix` and
-    :class:`~repro.sparse.bsr.BsrMatrix` implement it; the planned
-    executors and the (format × impl) kernel sets program against this
-    surface only.
+    :class:`~repro.sparse.bsr.BsrMatrix` implement it; format selection
+    and the planned executors program against this surface only.
     """
 
     format_name: str
@@ -91,12 +93,6 @@ class SparseFormat(Protocol):
     def nnz(self) -> int: ...
 
     def matvec(self, b: np.ndarray) -> np.ndarray: ...
-
-    def matvec_rows(
-        self, row_start: int, row_stop: int, b: np.ndarray
-    ) -> np.ndarray: ...
-
-    def nnz_in_rows(self, row_start: int, row_stop: int) -> int: ...
 
     def to_csr(self) -> CsrMatrix: ...
 
@@ -157,20 +153,10 @@ def resolve_format_name(
 def bsr_fill_ratio(csr: CsrMatrix, block_shape: Union[int, Tuple[int, int]]) -> float:
     """Fill ratio a BSR conversion at ``block_shape`` would achieve.
 
-    Computed from the sparsity pattern alone — O(nnz) with one sort, no
-    tile materialization — so plan-time probing stays cheap.
+    Counted by the tile pass of :class:`~repro.sparse.bsr.TileLayout`:
+    O(nnz) plus a sort of the per-row tile runs, no tile materialization.
     """
-    if isinstance(block_shape, int):
-        br, bc = block_shape, block_shape
-    else:
-        br, bc = int(block_shape[0]), int(block_shape[1])
-    if csr.nnz == 0:
-        return 0.0
-    brow = csr.entry_rows() // br
-    bcol = csr.indices // bc
-    n_block_cols = max(-(-csr.n_cols // bc), 1)
-    n_tiles = np.unique(brow * n_block_cols + bcol).size
-    return csr.nnz / (n_tiles * br * bc)
+    return TileLayout(csr, block_shape).fill_ratio
 
 
 def probe_block_shape(
@@ -182,14 +168,22 @@ def probe_block_shape(
     Ties break toward the larger edge (fewer, larger tiles amortize the
     pipeline's per-tile overhead better).
     """
-    best_shape: Tuple[int, int] = (candidates[0], candidates[0])
-    best_fill = -1.0
-    for edge in candidates:
-        fill = bsr_fill_ratio(csr, edge)
-        if fill >= best_fill:
-            best_fill = fill
-            best_shape = (edge, edge)
-    return best_shape, max(best_fill, 0.0)
+    layout = _densest_layout(csr, candidates)
+    return layout.block_shape, layout.fill_ratio
+
+
+def _densest_layout(
+    csr: CsrMatrix, candidates: Tuple[int, ...] = BSR_BLOCK_CANDIDATES
+) -> TileLayout:
+    """The tile pass of the candidate edge with the highest fill ratio; a
+    tie goes to the later (larger) edge.  Its :meth:`~TileLayout.to_bsr`
+    builds the storage without a second pass."""
+    best = TileLayout(csr, candidates[0])
+    for edge in candidates[1:]:
+        layout = TileLayout(csr, edge)
+        if layout.fill_ratio >= best.fill_ratio:
+            best = layout
+    return best
 
 
 # ----------------------------------------------------------------------
@@ -211,7 +205,7 @@ def build_format(
         return csr
     if name == "bsr":
         if block_shape is None:
-            block_shape, _ = probe_block_shape(csr)
+            return _densest_layout(csr).to_bsr()
         return BsrMatrix.from_csr(csr, block_shape)
     raise ConfigurationError(
         f"{AUTO_FORMAT!r} is not a storage format; resolve it through "
@@ -231,14 +225,14 @@ def select_format(csr: CsrMatrix, requested: str) -> Tuple[FormatChoice, FormatM
     if requested == "csr":
         return FormatChoice("csr", requested, "requested explicitly"), csr
 
-    block_shape, fill = probe_block_shape(csr)
+    layout = _densest_layout(csr)
+    block_shape, fill = layout.block_shape, layout.fill_ratio
     if requested == "bsr":
-        matrix = BsrMatrix.from_csr(csr, block_shape)
         choice = FormatChoice(
             "bsr", requested, "requested explicitly",
             fill_ratio=fill, block_shape=block_shape,
         )
-        return choice, matrix
+        return choice, layout.to_bsr()
 
     # --- auto ---------------------------------------------------------
     tiles = f"{block_shape[0]}x{block_shape[1]} tiles"
@@ -257,7 +251,7 @@ def select_format(csr: CsrMatrix, requested: str) -> Tuple[FormatChoice, FormatM
         "bsr", requested, f"fill {fill:.2f} >= {BSR_MIN_FILL} at {tiles}",
         fill_ratio=fill, block_shape=block_shape,
     )
-    return choice, BsrMatrix.from_csr(csr, block_shape)
+    return choice, layout.to_bsr()
 
 
 #: Selectable formats: the storage classes, and ``"auto"`` -> the selector.

@@ -31,6 +31,7 @@ from repro.machine import Machine
 from repro.perf import BUILTIN_BACKENDS, ProtectedPlan
 from repro.schemes import BUILTIN_SCHEMES, make_scheme
 from repro.sparse import block_stencil_spd, random_spd
+from tests.perf.flagging import FirstCheckFlagsBlockOne
 
 GOLDEN = Path(__file__).parent.parent / "schemes" / "golden"
 
@@ -224,24 +225,6 @@ def test_plan_float32_bit_identical_across_backends(corpus, sparse_format, backe
                 assert reference["corrected_blocks"]  # the storm corrected
 
 
-class _FirstCheckFlagsBlockOne:
-    """An analytical bound without ``beta_coefficients``, so the plan
-    evaluates ``thresholds`` at every check.  The first check reads -1
-    for block 1, which flags it; every later check reads the true bound."""
-
-    def __init__(self, bound):
-        self._bound = bound
-        self._checks = 0
-
-    def thresholds(self, beta, blocks=None):
-        thresholds = self._bound.thresholds(beta, blocks)
-        self._checks += 1
-        if self._checks == 1:
-            ids = np.arange(thresholds.size) if blocks is None else np.asarray(blocks)
-            thresholds[ids == 1] = -1.0
-        return thresholds
-
-
 #: ``(storage format, backend)`` legs of the re-verification check.
 REVERIFY_LEGS = (("csr", "threads"), ("csr", "processes"), ("bsr", "threads"))
 
@@ -252,7 +235,7 @@ def _reverify_fields(sparse_format, backend):
     config = AbftConfig(block_size=BLOCK_SIZE)
     bound = FaultTolerantSpMV(matrix, config=config).detector.bound
     operator = FaultTolerantSpMV(
-        matrix, config=config, bound_override=_FirstCheckFlagsBlockOne(bound)
+        matrix, config=config, bound_override=FirstCheckFlagsBlockOne(bound)
     )
     b = np.random.default_rng(RHS_SEED).standard_normal(matrix.n_cols)
     with ProtectedPlan(

@@ -21,6 +21,7 @@ from repro.sparse import (
     build_format,
     random_spd,
 )
+from tests.perf.flagging import FirstCheckFlagsBlockOne
 
 BLOCK = 16
 
@@ -160,6 +161,24 @@ def test_clean_multiply_bit_identical_to_storage(blocky, requested, n_shards):
         assert not any(result.detections)
 
 
+@pytest.mark.parametrize("n_shards", [1, 3])
+def test_shards_cut_inside_tile_rows_keep_the_storage_bits(blocky, n_shards):
+    """Checksum blocks of 12 rows on 8x8 tiles: shard cuts fall inside
+    tile rows, and each shard still reduces its rows over their block
+    row's tiles in storage order, so the plan returns the bits of
+    ``BsrMatrix.matvec``."""
+    op = FaultTolerantSpMV(blocky, config=AbftConfig(block_size=12))
+    plan = ProtectedPlan(op, n_shards=n_shards, parallel="serial", sparse_format="bsr")
+    assert plan.format_choice.block_shape == (8, 8)
+    cuts = plan.spmv.row_cuts
+    assert cuts.size == n_shards + 1
+    assert n_shards == 1 or any(int(cut) % 8 for cut in cuts[1:-1])
+    b = np.random.default_rng(7).standard_normal(blocky.n_cols)
+    result = plan.multiply(b)
+    assert not any(result.detections)
+    np.testing.assert_array_equal(result.value, BsrMatrix.from_csr(blocky, 8).matvec(b))
+
+
 @pytest.mark.parametrize("requested", ["bsr"])
 def test_threaded_format_plan_matches_serial(blocky, requested):
     op = _operator(blocky)
@@ -198,13 +217,30 @@ def test_tampered_multiply_corrects_on_format_storage(blocky, requested):
 
 @pytest.mark.parametrize("requested", ["bsr"])
 def test_fused_threaded_correction_on_format_storage(blocky, requested):
-    op = _operator(blocky)
+    """A hook-free multiply on a 3-shard threads plan detects shard by
+    shard on the tile storage; its first check flags block 1, which the
+    correction loop recomputes through the CSR kernels.  Block 1 carries
+    the CSR-recompute bits, every other row the storage pipeline's."""
+    config = AbftConfig(block_size=BLOCK)
+    bound = FaultTolerantSpMV(blocky, config=config).detector.bound
+    telemetry = Telemetry(exporter=InMemoryExporter())
+    op = FaultTolerantSpMV(
+        blocky, config=config, telemetry=telemetry,
+        bound_override=FirstCheckFlagsBlockOne(bound),
+    )
+    b = np.random.default_rng(4).standard_normal(blocky.n_cols)
+    clean = build_format(blocky, requested).matvec(b)
     with ProtectedPlan(op, n_shards=3, parallel="threads",
                        sparse_format=requested) as plan:
-        b = np.random.default_rng(4).standard_normal(blocky.n_cols)
-        clean = plan.multiply(b).value.copy()
-        result = plan.multiply(b, tamper=one_shot_burst(index=17))
-        assert result.detections[0]
+        assert plan.sparse_format == requested
+        assert plan.backend.parallel_active
+        result = plan.multiply(b)
+        shards = [
+            e["attrs"]["shard"] for e in telemetry.events()
+            if e["type"] == "span" and e["name"] == "plan.shard"
+        ]
+        assert sorted(shards) == [0, 1, 2]
+        assert result.detections == (True, False)
         assert result.corrected_blocks == (1,)
         np.testing.assert_array_equal(
             result.value[BLOCK : 2 * BLOCK],

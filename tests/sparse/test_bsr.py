@@ -67,26 +67,6 @@ def test_matvec_matches_csr(csr, block_shape):
     np.testing.assert_allclose(bsr @ b, csr @ b, rtol=1e-12)
 
 
-@pytest.mark.parametrize("row_range", [(0, 70), (0, 1), (5, 29), (63, 70), (16, 16)])
-def test_matvec_rows_bit_identical_to_full(csr, row_range):
-    """Partial recomputation is the correction kernel; it must reproduce
-    the full multiply's bits row for row, even across tile boundaries."""
-    bsr = BsrMatrix.from_csr(csr, 8)
-    b = np.random.default_rng(1).standard_normal(csr.n_cols)
-    full = bsr.matvec(b)
-    start, stop = row_range
-    np.testing.assert_array_equal(bsr.matvec_rows(start, stop, b), full[start:stop])
-
-
-def test_matvec_rows_rejects_bad_range(csr):
-    bsr = BsrMatrix.from_csr(csr, 8)
-    b = np.zeros(csr.n_cols)
-    with pytest.raises(ShapeMismatchError):
-        bsr.matvec_rows(5, 3, b)
-    with pytest.raises(ShapeMismatchError):
-        bsr.matvec_rows(0, csr.n_rows + 1, b)
-
-
 def test_padded_operand_buffer_reuse(csr):
     bsr = BsrMatrix.from_csr(csr, 16)
     b = np.random.default_rng(2).standard_normal(csr.n_cols)
@@ -122,13 +102,6 @@ def test_fill_ratio_low_on_diagonal():
     bsr = BsrMatrix.from_csr(diag, 8)
     # Two 8x8 tiles hold 8 real entries each: fill = 8/64.
     assert bsr.fill_ratio == pytest.approx(8 / 64)
-
-
-def test_row_nnz_accounting(csr):
-    bsr = BsrMatrix.from_csr(csr, 8)
-    np.testing.assert_array_equal(bsr.row_nnz(), csr.row_lengths())
-    assert bsr.nnz_in_rows(0, csr.n_rows) == csr.nnz
-    assert bsr.nnz_in_rows(10, 20) == int(csr.row_lengths()[10:20].sum())
 
 
 def test_empty_matrix():

@@ -35,24 +35,11 @@ def test_matmat_zero_matrix():
     np.testing.assert_array_equal(csr.matmat(np.ones((3, 2))), np.zeros((3, 2)))
 
 
-def test_matmat_rows_equals_slice(matrix):
-    b = np.random.default_rng(2).standard_normal((60, 4))
-    full = matrix.matmat(b)
-    for start, stop in [(0, 10), (25, 40), (59, 60), (5, 5)]:
-        np.testing.assert_allclose(
-            matrix.matmat_rows(start, stop, b), full[start:stop], rtol=1e-12
-        )
-
-
 def test_matmat_shape_validation(matrix):
     with pytest.raises(ShapeMismatchError):
         matrix.matmat(np.ones(60))  # 1-D
     with pytest.raises(ShapeMismatchError):
         matrix.matmat(np.ones((59, 2)))
-    with pytest.raises(ShapeMismatchError):
-        matrix.matmat_rows(0, 10, np.ones((59, 2)))
-    with pytest.raises(ShapeMismatchError):
-        matrix.matmat_rows(10, 5, np.ones((60, 2)))
 
 
 def test_matmat_wide_operand_chunking_is_invisible(matrix, monkeypatch):
@@ -65,9 +52,6 @@ def test_matmat_wide_operand_chunking_is_invisible(matrix, monkeypatch):
     # nnz=500, so 1000 elements => chunk width 2 => 32 chunk boundaries.
     monkeypatch.setattr(csr_module, "MATMAT_CHUNK_ELEMENTS", 1000)
     np.testing.assert_array_equal(matrix.matmat(b), unchunked)
-    np.testing.assert_array_equal(
-        matrix.matmat_rows(10, 50, b), unchunked[10:50]
-    )
 
 
 def test_matmat_chunk_floor_of_one_column(matrix, monkeypatch):
