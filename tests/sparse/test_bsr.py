@@ -127,12 +127,23 @@ def test_rejects_inconsistent_indptr():
                   np.empty((0, 2, 2)))
 
 
-def test_rejects_nonzero_fill_slot():
-    data = np.ones((1, 2, 2))
+@pytest.mark.parametrize(
+    "fill, rejected",
+    [(1.0, True), (np.nan, True), (1e-300, True), (-5e-324, True), (-np.inf, True),
+     (-0.0, False)],
+)
+def test_rejects_nonzero_fill_slot(fill, rejected):
+    data = np.full((1, 2, 2), fill)
     mask = np.zeros((1, 2, 2), dtype=bool)
     mask[0, 0, 0] = True
-    with pytest.raises(SparseFormatError, match="fill slots"):
-        BsrMatrix((2, 2), 2, np.array([0, 1]), np.array([0]), data, mask)
+    # A stored entry may hold any value; only the fill slots are checked.
+    data[0, 0, 0] = np.nan
+    build = lambda: BsrMatrix((2, 2), 2, np.array([0, 1]), np.array([0]), data, mask)
+    if rejected:
+        with pytest.raises(SparseFormatError, match="fill slots"):
+            build()
+    else:
+        assert build().nnz == 1
 
 
 def test_rejects_block_column_out_of_range():
