@@ -28,9 +28,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 REPEATS = 3
 
-#: The leaf edited for the incremental scenario (imported by the perf
-#: backends, so its dependents — not the whole tree — must re-analyze).
-EDIT_TARGET = Path("repro") / "perf" / "shm.py"
+#: The leaf edited for the incremental scenario (imported by the plan
+#: module, so its dependents — not the whole tree — must re-analyze).
+EDIT_TARGET = Path("repro") / "perf" / "sharding.py"
 
 
 def _timed_run(tree: Path, cache: Path):

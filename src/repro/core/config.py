@@ -63,10 +63,10 @@ class AbftConfig:
             selections process-wide.
         parallel: registered plan-execution backend name (see
             :mod:`repro.perf.backends`) used by planned protected
-            multiplies: ``"serial"``, ``"threads"`` or ``"processes"``.
-            None keeps the default (``"serial"``).  The backend also sets
-            the shard count of a plan built by ``planned()``: one for
-            serial, one per worker for threads and processes.  The
+            multiplies: ``"serial"`` or ``"threads"``.  None keeps the
+            default (``"serial"``).  The backend also sets the shard
+            count of a plan built by ``planned()``: one for serial, one
+            per worker for threads.  The
             ``REPRO_PARALLEL`` environment variable overrides it
             process-wide; an explicit ``ProtectedPlan(parallel=...)``
             argument beats both.

@@ -310,8 +310,8 @@ class FaultTolerantSpMV:
             n_shards: shard count; None derives it from the resolved
                 execution backend (see
                 :func:`repro.perf.backends.default_shard_count`): 1 for
-                ``"serial"``, the worker count for ``"threads"`` and
-                ``"processes"``.  The cache is keyed on the backend too.
+                ``"serial"``, the worker count for ``"threads"``.  The
+                cache is keyed on the backend too.
             sparse_format: explicit storage format request forwarded to
                 :class:`~repro.perf.plan.ProtectedPlan` (beats
                 ``REPRO_FORMAT`` and ``AbftConfig.sparse_format``).  The
@@ -335,7 +335,6 @@ class FaultTolerantSpMV:
             and plan.backend_name == backend
             and plan.format_choice.requested == requested
             and plan.dtype_policy.name == self.dtype_policy.name
-            and not plan.backend.closed
         ):
             if self.telemetry.enabled:
                 self.telemetry.count("plan.cache_hits")

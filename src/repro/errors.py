@@ -39,20 +39,3 @@ class InjectionError(ReproError):
 class ConfigurationError(ReproError):
     """An ABFT scheme or experiment was configured inconsistently."""
 
-
-class ParallelBackendError(ConfigurationError):
-    """A parallel execution backend failed outside the numeric contract.
-
-    Raised when the machinery *around* the shards — worker processes,
-    shared-memory segments, result channels — misbehaves.  The numeric
-    contract itself (bit-identical results across backends) is enforced
-    by the differential test matrix, not by exceptions.
-    """
-
-
-class WorkerCrashError(ParallelBackendError):
-    """A pool worker died (killed, segfaulted, OOM) mid-operation."""
-
-
-class WorkerTimeoutError(ParallelBackendError):
-    """A pool worker failed to answer within the configured timeout."""

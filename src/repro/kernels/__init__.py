@@ -9,8 +9,8 @@ Two kernel sets ship built in:
 Both work on CSR: every kernel that touches a matrix takes the operator's
 CSR matrix or its CSR checksum matrix, whatever storage format a plan
 multiplies with.  Threaded execution is not a kernel set: a planned
-multiply fans its shards out through the ``"threads"`` or
-``"processes"`` backend of :mod:`repro.perf.backends`.
+multiply fans its shards out through the ``"threads"`` backend of
+:mod:`repro.perf.backends`.
 
 Selection: ``AbftConfig(kernel="...")`` (or the ``kernel=`` argument the
 core entry points accept), overridden process-wide by the

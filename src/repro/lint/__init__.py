@@ -10,12 +10,11 @@ inline ``# reprolint: disable=RULE -- reason`` suppressions, a committed
 baseline so pre-existing findings warn instead of fail, and text / JSON /
 SARIF reporters.
 
-A second, project-wide generation of rules (ABFT008-012) lives in
+A second, project-wide generation of rules (ABFT010-012) lives in
 :mod:`repro.lint.project`: the whole tree is parsed once into per-file
 summaries, linked into a symbol table / import graph / call graph, and
-checked for cross-module hazards — arena-protocol violations, registry
-mutation in workers, interprocedural checksum staleness, unsynchronized
-shared state, hot-path allocation — with a content-hash incremental
+checked for cross-module hazards — interprocedural checksum staleness,
+unsynchronized shared state, hot-path allocation — with a content-hash incremental
 cache so warm runs re-analyze only changed files and their
 reverse-import dependents.
 

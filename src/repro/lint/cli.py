@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--project",
         action="store_true",
-        help="run the project-wide rules (ABFT008+) over the whole tree "
+        help="run the project-wide rules (ABFT010-012) over the whole tree "
         "instead of the per-file rules",
     )
     parser.add_argument(

@@ -5,7 +5,7 @@ parses the whole tree once and links it: per-file fact **summaries**
 (:mod:`~repro.lint.project.summary`), a symbol table / import graph /
 call graph (:mod:`~repro.lint.project.graph`), a content-hash
 incremental **cache** (:mod:`~repro.lint.project.cache`), and the
-cross-module rule pack ABFT008-012 (:mod:`~repro.lint.project.rules`).
+cross-module rule pack ABFT010-012 (:mod:`~repro.lint.project.rules`).
 
 Entry point: :func:`analyze_project`, reached from the CLI via
 ``python -m repro.lint --project``.

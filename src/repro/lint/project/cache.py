@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, Mapping, Optional, Set, Tuple
 
 #: Bump when the summary shape changes; old caches are discarded wholesale.
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 
 #: Default cache filename, created next to the analysis root.
 CACHE_FILENAME = ".reprolint-cache.json"

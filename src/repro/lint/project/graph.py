@@ -4,8 +4,8 @@
 :mod:`repro.lint.project.summary` and gives project rules the linked
 view: resolve a call site to the function it names (following imports,
 re-exports, ``self`` dispatch, and attribute/local types), walk callers
-and callees, compute which functions are spawned onto threads or worker
-processes, and run the checksum-refresh fixpoint.
+and callees, compute which functions are spawned onto threads, and run
+the checksum-refresh fixpoint.
 
 Resolution is deliberately *bounded*: it tracks only the type evidence
 the summaries record (constructor assignments, annotations, return-ctor
@@ -107,7 +107,7 @@ class ProjectContext:
     ) -> Optional[Symbol]:
         """Resolve an absolute dotted path to a module, class, or function.
 
-        Follows re-exports: ``repro.perf.Arena`` resolves through
+        Follows re-exports: ``repro.perf.SpmvPlan`` resolves through
         ``repro/perf/__init__.py``'s import table to the defining module.
         """
         seen = _seen if _seen is not None else set()
@@ -323,10 +323,9 @@ class ProjectContext:
     # Derived facts
     # ------------------------------------------------------------------
     def spawn_targets(self) -> List[Dict[str, Any]]:
-        """Functions handed to thread/process primitives, with spawn sites.
+        """Functions handed to thread primitives, with spawn sites.
 
-        Each entry: ``{"fid": FuncId, "spawn": "thread"|"process",
-        "site_module": str, "site_line": int}``.
+        Each entry: ``{"fid": FuncId, "site_module": str, "site_line": int}``.
         """
         if self._spawns is not None:
             return self._spawns
@@ -346,7 +345,6 @@ class ProjectContext:
                         spawns.append(
                             {
                                 "fid": fid,
-                                "spawn": ref["spawn"],
                                 "site_module": name,
                                 "site_line": ref.get("line", 0),
                             }
@@ -354,13 +352,9 @@ class ProjectContext:
         self._spawns = spawns
         return spawns
 
-    def spawn_roots(self, spawn_kind: Optional[str] = None) -> Set[FuncId]:
-        """Spawn-target function ids, optionally filtered by spawn kind."""
-        return {
-            s["fid"]
-            for s in self.spawn_targets()
-            if spawn_kind is None or s["spawn"] == spawn_kind
-        }
+    def spawn_roots(self) -> Set[FuncId]:
+        """Spawn-target function ids."""
+        return {s["fid"] for s in self.spawn_targets()}
 
     def refreshing_functions(self) -> FrozenSet[FuncId]:
         """Fixpoint of functions that refresh checksums (directly or via calls)."""

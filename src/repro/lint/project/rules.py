@@ -1,17 +1,16 @@
-"""The project-wide ABFT rule pack (ABFT008-ABFT012).
+"""The project-wide ABFT rule pack (ABFT010-ABFT012).
 
 These rules consume the linked :class:`~repro.lint.project.graph.ProjectContext`
 rather than a single module: each one enforces a cross-module protocol
-invariant of the parallel ABFT runtime that per-file rules (ABFT001-007)
-are structurally blind to — arena lifecycle discipline across the
-process-worker boundary, registry immutability after fork, checksum
-freshness across call boundaries, lock discipline on shared module
-state, and the zero-allocation contract of the steady-state plan path.
+invariant of the ABFT runtime that per-file rules (ABFT001-007) are
+structurally blind to — checksum freshness across call boundaries, lock
+discipline on shared module state, and the zero-allocation contract of
+the steady-state plan path.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, Set, Tuple
 
 from repro.lint.findings import Finding
 from repro.lint.project.graph import FuncId, ProjectContext
@@ -27,7 +26,8 @@ _REFRESH_SCOPES = REFRESH_CALLS | {"__init__", "__post_init__"}
 #: covers exactly the functions reachable from these.
 HOT_PATH_ROOTS = frozenset(
     {
-        "ProtectedPlan.execute",
+        "ProtectedPlan._detect",
+        "ProtectedPlan._detect_fused",
         "ProtectedPlan._detect_shard",
         "SpmvPlan.execute",
         "SpmvPlan.execute_shard",
@@ -35,122 +35,6 @@ HOT_PATH_ROOTS = frozenset(
         "FusedShardBuffers.compare_range",
     }
 )
-
-
-def _arena_evidence(project: ProjectContext, module: str) -> List[str]:
-    """Module defining the ``Arena`` class, as finding evidence."""
-    cid = project.lookup_class(module, "Arena")
-    return [cid[0]] if cid is not None else []
-
-
-class ArenaProtocolRule(ProjectRule):
-    """ABFT008: arena buffers written outside the worker protocol or after close."""
-
-    rule_id = "ABFT008"
-    title = "shared-memory arena buffer written outside the worker protocol"
-    rationale = (
-        "The processes backend publishes shard results through shm Arena "
-        "views under a ring-generation protocol; a write from outside a "
-        "worker entry point (or the owning backend) bypasses publication "
-        "ordering, and any use after close() touches unmapped memory — "
-        "both corrupt the t1/t2 comparison the detector trusts."
-    )
-
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        workers = project.reachable(project.spawn_roots("process"))
-        for fid, fn in project.iter_functions():
-            module, _ = fid
-            events: List[Dict[str, Any]] = fn["arena_events"]
-            if not events:
-                continue
-            closes: Dict[str, int] = {}
-            created: Set[str] = set()
-            for event in events:
-                if event["op"] in ("create", "attach") and event["var"]:
-                    created.add(event["var"])
-                if event["op"] == "close":
-                    closes.setdefault(event["var"], event["line"])
-            for event in events:
-                var = event["var"]
-                closed_at = closes.get(var)
-                if (
-                    event["op"] in ("view_write", "array")
-                    and closed_at is not None
-                    and event["line"] > closed_at
-                ):
-                    yield project.finding(
-                        module, self.rule_id, event["line"], event["col"],
-                        f"arena '{var}' used after close() on line {closed_at}; "
-                        "views into a closed arena are unmapped shared memory",
-                        evidence_modules=_arena_evidence(project, module),
-                    )
-                    continue
-                if event["op"] != "view_write":
-                    continue
-                if var in created or fid in workers:
-                    continue
-                if self._owns_arena(project, fid):
-                    continue
-                yield project.finding(
-                    module, self.rule_id, event["line"], event["col"],
-                    f"write to a view of arena '{var}' outside the worker "
-                    "protocol: the function neither owns the arena nor is "
-                    "reachable from a process worker entry point, so the "
-                    "write bypasses ring-generation publication",
-                    evidence_modules=_arena_evidence(project, module),
-                )
-
-    @staticmethod
-    def _owns_arena(project: ProjectContext, fid: FuncId) -> bool:
-        cls = project.functions[fid].get("class")
-        if not cls:
-            return False
-        info = project.classes.get((fid[0], cls))
-        return info is not None and "Arena" in info["attr_types"].values()
-
-
-class RegistryMutationRule(ProjectRule):
-    """ABFT009: registry mutation reachable from worker entry points."""
-
-    rule_id = "ABFT009"
-    title = "registry mutation reachable from a worker/fork entry point"
-    rationale = (
-        "Kernel/scheme/backend/exporter registries are wired once in the "
-        "parent; a register/unregister call that runs inside a spawned "
-        "worker (or at import time of the worker's module, which every "
-        "spawned process re-executes) forks the registry state per "
-        "process, so detect and correct silently run different code."
-    )
-
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        spawns = [s for s in project.spawn_targets() if s["spawn"] == "process"]
-        workers = project.reachable(s["fid"] for s in spawns)
-        worker_modules = {s["fid"][0] for s in spawns} | {
-            s["site_module"] for s in spawns
-        }
-        site_modules = sorted({s["site_module"] for s in spawns})
-        for fid in sorted(workers):
-            fn = project.functions[fid]
-            for call in fn["registry_calls"]:
-                yield project.finding(
-                    fid[0], self.rule_id, call["line"], call["col"],
-                    f"'{call['name']}' mutates a runtime registry and is "
-                    "reachable from a process worker entry point; registries "
-                    "must be frozen before workers spawn",
-                    evidence_modules=site_modules,
-                )
-        for module in sorted(worker_modules):
-            record = project.records.get(module)
-            if record is None:
-                continue
-            for call in record.summary["module_level"]["registry_calls"]:
-                yield project.finding(
-                    module, self.rule_id, call["line"], call["col"],
-                    f"import-time '{call['name']}' in a module that defines "
-                    "or spawns process workers: every spawned process "
-                    "re-imports this module and re-mutates the registry",
-                    evidence_modules=site_modules,
-                )
 
 
 class ChecksumEscapeRule(ProjectRule):
@@ -203,31 +87,18 @@ class SharedStateRaceRule(ProjectRule):
     rule_id = "ABFT011"
     title = "unsynchronized write to module state on a concurrent backend path"
     rationale = (
-        "The threads and processes backends both drive shard work "
-        "concurrently; a write to module-level mutable state from a "
-        "function running on those paths without a lock is a data race, "
-        "and a racy detector violates the assumption (cf. the "
-        "verification-interval analyses in PAPERS.md) that silent-error "
-        "checks are themselves deterministic."
+        "The threads backend drives shard work concurrently; a write to "
+        "module-level mutable state from a function running on that path "
+        "without a lock is a data race, and a racy detector violates the "
+        "assumption (cf. the verification-interval analyses in PAPERS.md) "
+        "that silent-error checks are themselves deterministic."
     )
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        thread_side = project.reachable(project.spawn_roots("thread"))
-        process_side = project.reachable(project.spawn_roots("process"))
-        spawn_sites = {
-            kind: sorted(
-                {
-                    s["site_module"]
-                    for s in project.spawn_targets()
-                    if s["spawn"] == kind
-                }
-            )
-            for kind in ("thread", "process")
-        }
+        concurrent = project.reachable(project.spawn_roots())
+        spawn_sites = sorted({s["site_module"] for s in project.spawn_targets()})
         for fid, fn in project.iter_functions():
-            on_thread = fid in thread_side
-            on_process = fid in process_side
-            if not (on_thread or on_process):
+            if fid not in concurrent:
                 continue
             module = fid[0]
             state = set(
@@ -238,23 +109,13 @@ class SharedStateRaceRule(ProjectRule):
                     continue
                 if any("lock" in guard.lower() for guard in write["guards"]):
                     continue
-                paths = [
-                    kind
-                    for kind, hit in (
-                        ("thread", on_thread), ("process", on_process)
-                    )
-                    if hit
-                ]
-                evidence = sorted(
-                    {m for kind in paths for m in spawn_sites[kind]}
-                )
                 yield project.finding(
                     module, self.rule_id, write["line"], write["col"],
                     f"write to module-level mutable state '{write['name']}' "
                     f"({write['op']}) without holding a lock, in a function "
-                    f"reachable from the {' and '.join(paths)} backend "
-                    "path(s); guard it with a module lock",
-                    evidence_modules=evidence,
+                    "reachable from the thread backend path; guard it with "
+                    "a module lock",
+                    evidence_modules=spawn_sites,
                 )
 
 
@@ -320,8 +181,6 @@ class HotPathAllocationRule(ProjectRule):
 
 #: The project rule pack, in id order (registered by :mod:`repro.lint`).
 PROJECT_RULES: Tuple[ProjectRule, ...] = (
-    ArenaProtocolRule(),
-    RegistryMutationRule(),
     ChecksumEscapeRule(),
     SharedStateRaceRule(),
     HotPathAllocationRule(),

@@ -3,16 +3,16 @@
 One pass over a module's AST produces a **summary**: a plain
 JSON-serializable dict holding everything the cross-module rules need —
 imports, classes with attribute types, functions with their call sites,
-protected-matrix mutations, registry mutations, allocation sites,
-module-state writes, and shared-memory arena lifecycle events.
+protected-matrix mutations, allocation sites, module-state writes, and
+the callables handed to thread pools.
 
 Summaries are deliberately *syntactic*: extraction looks at one file in
 isolation and never consults another module, which makes the result a
 pure function of the file's content — the property the incremental cache
 (:mod:`repro.lint.project.cache`) relies on.  All cross-module meaning
-(resolving a call to the function it names, deciding whether ``Arena``
-is really :class:`repro.perf.shm.Arena`'s re-export) is added later by
-the linker (:mod:`repro.lint.project.graph`).
+(resolving a call to the function it names, following a re-export to
+its defining module) is added later by the linker
+(:mod:`repro.lint.project.graph`).
 """
 
 from __future__ import annotations
@@ -21,32 +21,10 @@ import ast
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.lint.rules.abft import PROTECTED_ATTRS, REFRESH_CALLS
-from repro.lint.rules.base import dotted_name, registry_method, terminal_name
-
-#: Registry mutators across the four runtime registries (kernels, schemes,
-#: plan backends, telemetry exporters) plus the lint registry itself.
-REGISTRY_MUTATORS = frozenset(
-    {
-        "register_kernels", "unregister_kernels",
-        "register_scheme", "unregister_scheme",
-        "register_backend", "unregister_backend",
-        "register_exporter", "unregister_exporter",
-        "register_rule", "unregister_rule",
-    }
-)
-
-#: The same mutation as a method call on a generic
-#: :class:`repro.registry.Registry` (``KERNEL_REGISTRY.register(impl)``).
-REGISTRY_MUTATOR_METHODS = frozenset({"register", "unregister"})
+from repro.lint.rules.base import dotted_name, terminal_name
 
 #: Call names that hand a callable to a thread-execution primitive.
 THREAD_SPAWN_CALLS = frozenset({"submit", "Thread", "map"})
-
-#: Call names that hand a callable to a process-execution primitive.
-PROCESS_SPAWN_CALLS = frozenset({"Process"})
-
-#: Arena lifecycle constructors (class method on the ``Arena`` class).
-ARENA_CONSTRUCTORS = frozenset({"create", "attach"})
 
 #: NumPy calls that always materialize a fresh array.
 NP_ALLOCATORS = frozenset(
@@ -85,7 +63,7 @@ def _annotation_name(node: Optional[ast.expr]) -> str:
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         text = node.value.strip().strip("'\"")
         return text.rsplit(".", 1)[-1] if text.isidentifier() or "." in text else ""
-    if isinstance(node, ast.Subscript):  # Optional[X] / "Optional[Arena]"
+    if isinstance(node, ast.Subscript):  # Optional[X], quoted or not
         return _annotation_name(node.slice)
     name = terminal_name(node)
     return name
@@ -160,12 +138,8 @@ class _FunctionFacts:
         self.returned_names: Set[str] = set()
         self.refreshes = False
         self.mutations: List[Dict[str, Any]] = []
-        self.registry_calls: List[Dict[str, Any]] = []
         self.allocations: List[Dict[str, Any]] = []
         self.state_writes: List[Dict[str, Any]] = []
-        self.arena_events: List[Dict[str, Any]] = []
-        self.arena_vars: Set[str] = set()
-        self.view_vars: Dict[str, str] = {}
         self.local_names: Set[str] = set()
         self.global_names: Set[str] = set()
 
@@ -189,10 +163,8 @@ class _FunctionFacts:
             "returns_ctor": self.returns_ctor,
             "refreshes": self.refreshes,
             "mutations": mutations,
-            "registry_calls": self.registry_calls,
             "allocations": self.allocations,
             "state_writes": self.state_writes,
-            "arena_events": self.arena_events,
         }
 
 
@@ -267,8 +239,6 @@ class _SummaryExtractor(ast.NodeVisitor):
             ann = _annotation_name(arg.annotation)
             if ann:
                 facts.param_types[arg.arg] = ann
-            if arg.arg == "arena" or ann == "Arena":
-                facts.arena_vars.add(arg.arg)
         self._function_stack.append(facts)
         self.generic_visit(node)
         self._function_stack.pop()
@@ -325,7 +295,6 @@ class _SummaryExtractor(ast.NodeVisitor):
         for target in node.targets:
             self._record_mutation(target, node)
             self._record_state_subscript_write(target, node)
-            self._record_view_write(target, node)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
@@ -337,7 +306,6 @@ class _SummaryExtractor(ast.NodeVisitor):
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         self._record_mutation(node.target, node)
         self._record_state_subscript_write(node.target, node)
-        self._record_view_write(node.target, node)
         self.generic_visit(node)
 
     def visit_Delete(self, node: ast.Delete) -> None:
@@ -354,13 +322,8 @@ class _SummaryExtractor(ast.NodeVisitor):
         dotted = dotted_name(node.func)
         if name in REFRESH_CALLS:
             facts.refreshes = True
-        if name in REGISTRY_MUTATORS or registry_method(node) in REGISTRY_MUTATOR_METHODS:
-            facts.registry_calls.append(
-                {"line": node.lineno, "col": node.col_offset + 1, "name": dotted or name}
-            )
         self._record_allocation(node, name, dotted, facts)
         self._record_spawn(node, name, facts)
-        self._record_arena_call(node, name, dotted, facts)
         self._record_state_method_write(node, name, facts)
         self.generic_visit(node)
 
@@ -415,49 +378,14 @@ class _SummaryExtractor(ast.NodeVisitor):
             )
 
     def _record_spawn(self, node: ast.Call, name: str, facts: _FunctionFacts) -> None:
-        if name in THREAD_SPAWN_CALLS:
-            kind = "thread"
-        elif name in PROCESS_SPAWN_CALLS:
-            kind = "process"
-        else:
+        if name not in THREAD_SPAWN_CALLS:
             return
         candidates: List[ast.expr] = list(node.args)
         candidates.extend(kw.value for kw in node.keywords if kw.arg == "target")
         for candidate in candidates:
             ref = _ref_descriptor(candidate)
             if ref is not None:
-                facts.callable_refs.append(
-                    {**ref, "spawn": kind, "line": node.lineno}
-                )
-
-    def _record_arena_call(
-        self, node: ast.Call, name: str, dotted: str, facts: _FunctionFacts
-    ) -> None:
-        func = node.func
-        if not isinstance(func, ast.Attribute):
-            return
-        receiver = dotted_name(func.value)
-        if name in ARENA_CONSTRUCTORS and terminal_name(func.value) == "Arena":
-            facts.arena_events.append(
-                {"line": node.lineno, "col": node.col_offset + 1,
-                 "op": name, "var": ""}
-            )
-            return
-        is_arena = receiver in facts.arena_vars or (
-            receiver.startswith("self.")
-            and self._self_attr_is_arena(receiver.split(".", 1)[1])
-        )
-        if is_arena and name in ("close", "array"):
-            facts.arena_events.append(
-                {"line": node.lineno, "col": node.col_offset + 1,
-                 "op": name, "var": receiver}
-            )
-
-    def _self_attr_is_arena(self, attr: str) -> bool:
-        if not self._class_stack:
-            return False
-        attr_types = self.classes.get(self._class_stack[-1], {}).get("attr_types", {})
-        return bool(attr_types.get(attr) == "Arena")
+                facts.callable_refs.append({**ref, "line": node.lineno})
 
     def _record_assignment(self, targets: List[ast.expr], value: ast.expr) -> None:
         facts = self._facts
@@ -482,26 +410,12 @@ class _SummaryExtractor(ast.NodeVisitor):
         if not self._function_stack:
             return
         for target in simple:
-            if (
-                terminal_name(getattr(value.func, "value", ast.Name(id="")))
-                == "Arena"
-                and ctor in ARENA_CONSTRUCTORS
-            ):
-                facts.arena_vars.add(target.id)
-                facts.arena_events.append(
-                    {"line": value.lineno, "col": value.col_offset + 1,
-                     "op": ctor, "var": target.id}
-                )
-            elif ctor and ctor[:1].isupper() and isinstance(
+            if ctor and ctor[:1].isupper() and isinstance(
                 value.func, (ast.Name, ast.Attribute)
             ):
                 facts.local_types[target.id] = ctor
             elif isinstance(value.func, ast.Name):
                 facts.local_calls[target.id] = ctor
-            # Views carved out of an arena: v = arena.array("x")
-            receiver = dotted_name(getattr(value.func, "value", ast.Name(id="")))
-            if ctor == "array" and receiver in facts.arena_vars:
-                facts.view_vars[target.id] = receiver
         # Class-body attribute typing: self.X = Ctor(...) / self.X = param
         if self._class_stack and targets:
             for target in targets:
@@ -511,15 +425,8 @@ class _SummaryExtractor(ast.NodeVisitor):
                     and target.value.id == "self"
                 ):
                     attr_types = self.classes[self._class_stack[-1]]["attr_types"]
-                    if ctor in ARENA_CONSTRUCTORS and terminal_name(
-                        getattr(value.func, "value", ast.Name(id=""))
-                    ) == "Arena":
-                        attr_types.setdefault(target.attr, "Arena")
-                    elif ctor and ctor[:1].isupper():
+                    if ctor and ctor[:1].isupper():
                         attr_types.setdefault(target.attr, ctor)
-
-    def _record_self_param_attr(self, target: ast.expr, value: ast.expr) -> None:
-        pass  # folded into _record_assignment / visit_Assign below
 
     def _record_mutation(self, target: ast.expr, node: ast.stmt) -> None:
         inner = target
@@ -613,20 +520,6 @@ class _SummaryExtractor(ast.NodeVisitor):
             }
         )
 
-    def _record_view_write(self, target: ast.expr, node: ast.stmt) -> None:
-        if not isinstance(target, ast.Subscript):
-            return
-        base = target.value
-        if not isinstance(base, ast.Name):
-            return
-        facts = self._facts
-        arena = facts.view_vars.get(base.id)
-        if arena is not None:
-            facts.arena_events.append(
-                {"line": node.lineno, "col": node.col_offset + 1,
-                 "op": "view_write", "var": arena}
-            )
-
 
 def extract_summary(module_name: str, tree: ast.Module) -> Summary:
     """Build the JSON-serializable summary of one parsed module."""
@@ -642,8 +535,6 @@ def extract_summary(module_name: str, tree: ast.Module) -> Summary:
         "module_level": {
             "mutable_state": sorted(extractor.module_state),
             "locks": sorted(extractor.module_locks),
-            "registry_calls": module_facts["registry_calls"],
-            "arena_events": module_facts["arena_events"],
             "calls": module_facts["calls"],
             "callable_refs": module_facts["callable_refs"],
         },

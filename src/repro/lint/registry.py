@@ -13,11 +13,13 @@ from typing import Tuple
 from repro.lint.rules.base import LintRule
 from repro.registry import Registry
 
-#: Rule ids that ship with the package and cannot be unregistered,
-#: ABFT001-ABFT013.  ABFT001-007 and 013 are per-file rules; ABFT008-012
-#: are project rules that only fire in project mode
-#: (:mod:`repro.lint.project`).
-BUILTIN_RULES = tuple(f"ABFT{number:03d}" for number in range(1, 14))
+#: Rule ids that ship with the package and cannot be unregistered.
+#: ABFT001-007 and 013 are per-file rules; ABFT010-012 are project rules
+#: that only fire in project mode (:mod:`repro.lint.project`).  ABFT008
+#: and ABFT009 (the retired process-backend rules) are not reused.
+BUILTIN_RULES = tuple(
+    f"ABFT{number:03d}" for number in range(1, 14) if number not in (8, 9)
+)
 
 #: Lint rules by rule id.
 RULE_REGISTRY: Registry[LintRule] = Registry(

@@ -15,9 +15,6 @@ records the numbers the protected hot paths would otherwise discard:
 * pluggable exporters — in-memory, JSONL event log, text summary —
   selected via ``AbftConfig.telemetry`` or the ``REPRO_OBS`` environment
   override, with the registry contract of :mod:`repro.kernels`;
-* a cross-process pipeline (:mod:`repro.obs.pipeline`): process-backend
-  workers record into local registries and ship compact deltas back with
-  each result, merged deterministically into the parent registry;
 * ``python -m repro.obs`` tooling: ``summarize`` (text or ``--json``)
   renders a recorded run, ``report`` writes a markdown campaign report,
   ``expose`` prints OpenMetrics exposition text.
@@ -60,18 +57,10 @@ from repro.obs.expose import (
     registry_from_events,
     render_openmetrics,
 )
-from repro.obs.pipeline import (
-    WorkerRecorder,
-    apply_delta,
-    capture_delta,
-    merge_delta,
-)
 from repro.obs.report import render_report
 from repro.obs.summary import (
-    BucketedHistogram,
     EventSummary,
     SpanStats,
-    WorkerStats,
     aggregate_events,
     load_events,
     read_events,
@@ -124,16 +113,9 @@ __all__ = [
     "unregister_exporter",
     "available_exporters",
     "make_exporter",
-    # cross-process pipeline
-    "WorkerRecorder",
-    "capture_delta",
-    "apply_delta",
-    "merge_delta",
     # summaries
     "EventSummary",
     "SpanStats",
-    "BucketedHistogram",
-    "WorkerStats",
     "aggregate_events",
     "load_events",
     "read_events",

@@ -20,7 +20,6 @@ import math
 import re
 from typing import List, Sequence
 
-from repro.errors import ConfigurationError
 from repro.obs.exporters import Event
 from repro.obs.instruments import (
     DEFAULT_FRACTION_BUCKETS,
@@ -31,7 +30,6 @@ from repro.obs.instruments import (
     Histogram,
     Registry,
 )
-from repro.obs.pipeline import apply_delta
 
 _METRIC_CHARSET = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -100,24 +98,13 @@ def _default_buckets(name: str) -> Sequence[float]:
 def registry_from_events(events: Sequence[Event]) -> Registry:
     """Replay an event stream into a fresh instrument registry.
 
-    ``delta`` events restore worker histograms with their exact edges via
-    :func:`repro.obs.pipeline.apply_delta`; raw ``hist`` events fall back
-    to the :func:`_default_buckets` heuristic; spans rebuild their
-    ``span.<name>.seconds`` wall-time histograms.
+    ``hist`` events take the :func:`_default_buckets` edges of their
+    name; spans rebuild their ``span.<name>.seconds`` wall-time
+    histograms.
     """
     registry = Registry()
     for event in events:
         kind = event.get("type")
-        if kind == "delta":
-            apply_delta(
-                registry,
-                {
-                    "counters": event.get("counters") or {},
-                    "gauges": event.get("gauges") or {},
-                    "hists": event.get("hists") or {},
-                },
-            )
-            continue
         name = event.get("name")
         if not isinstance(name, str):
             continue
@@ -126,7 +113,7 @@ def registry_from_events(events: Sequence[Event]) -> Registry:
         elif kind == "gauge":
             registry.gauge(name).set(float(event.get("value", math.nan)))  # type: ignore[arg-type]
         elif kind == "hist":
-            hist = _replay_histogram(registry, name, _default_buckets(name))
+            hist = registry.histogram(name, _default_buckets(name))
             values = event.get("values")
             if isinstance(values, (list, tuple)):
                 hist.observe_many(values)
@@ -135,21 +122,8 @@ def registry_from_events(events: Sequence[Event]) -> Registry:
         elif kind == "span":
             start = float(event.get("start", 0.0))  # type: ignore[arg-type]
             end = float(event.get("end", start))  # type: ignore[arg-type]
-            _replay_histogram(
-                registry, f"span.{name}.seconds", DEFAULT_TIME_BUCKETS
+            registry.histogram(
+                f"span.{name}.seconds", DEFAULT_TIME_BUCKETS
             ).observe(end - start)
     return registry
 
-
-def _replay_histogram(
-    registry: Registry, name: str, buckets: Sequence[float]
-) -> Histogram:
-    """Get-or-create with heuristic edges, accepting existing ones.
-
-    A delta event may already have created ``name`` with its exact worker
-    edges; the heuristic must defer to those rather than reject the
-    replay."""
-    try:
-        return registry.histogram(name, buckets)
-    except ConfigurationError:
-        return registry.histogram(name)

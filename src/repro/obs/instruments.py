@@ -208,37 +208,6 @@ class Histogram(Instrument):
         """Mean of the finite observations (NaN when empty)."""
         return self.sum / self.count if self.count else math.nan
 
-    def merge(
-        self,
-        counts: Sequence[int],
-        count: int,
-        nan_count: int,
-        total: float,
-        lo: float,
-        hi: float,
-    ) -> None:
-        """Fold another histogram's delta into this one.
-
-        ``counts``/``count``/``nan_count``/``total`` are per-interval
-        deltas; ``lo``/``hi`` are the *cumulative* min/max of the source
-        histogram, folded with min/max (idempotent, so a re-merged
-        extremum never corrupts the aggregate).  This is the parent-side
-        half of the worker delta pipeline (:mod:`repro.obs.pipeline`).
-        """
-        if len(counts) != len(self.counts):
-            raise ConfigurationError(
-                f"histogram {self.name!r} merge expects {len(self.counts)} "
-                f"bucket counts, got {len(counts)}"
-            )
-        with self._lock:
-            for index, delta in enumerate(counts):
-                self.counts[index] += int(delta)
-            self.count += int(count)
-            self.nan_count += int(nan_count)
-            self.sum += float(total)
-            self.min = min(self.min, float(lo))
-            self.max = max(self.max, float(hi))
-
     def snapshot(self) -> Dict[str, object]:
         return {
             "count": self.count,

@@ -4,15 +4,11 @@
 markdown document summarizing a protection campaign: protocol counter
 totals, the span time breakdown, percentiles of the protocol's key
 distributions (syndrome margins, block recompute fractions, kernel and
-span wall times) and — for cross-process runs — the per-worker balance
-table built from merged worker deltas.
+span wall times).
 
 Each input log becomes one section, so a campaign that ran the same
 workload under several schemes (one log per scheme) reads as a
-side-by-side comparison.  Percentiles come from raw observed values
-where the log carries them and from histogram bucket counts (upper
-bucket edge, clamped to observed extremes) where only worker deltas are
-available.
+side-by-side comparison.
 """
 
 from __future__ import annotations
@@ -71,11 +67,7 @@ def _counter_rows(summary: EventSummary) -> List[Sequence[object]]:
 
 
 def _distribution_rows(summary: EventSummary) -> List[Sequence[object]]:
-    """Percentile rows for every distribution the log carries.
-
-    Raw value lists answer with exact order statistics; bucketed worker
-    histograms answer from their bucket counts.
-    """
+    """Exact order statistics for every distribution the log carries."""
     rows: List[Sequence[object]] = []
     for name in sorted(summary.histogram_values):
         values = summary.histogram_values[name]
@@ -92,20 +84,6 @@ def _distribution_rows(summary: EventSummary) -> List[Sequence[object]]:
                 finite[-1],
             )
         )
-    for name in sorted(summary.histograms):
-        hist = summary.histograms[name]
-        if not hist.count:
-            continue
-        rows.append(
-            (
-                f"{name} (worker)",
-                hist.count,
-                hist.quantile(0.5),
-                hist.quantile(0.9),
-                hist.quantile(0.99),
-                hist.max,
-            )
-        )
     return rows
 
 
@@ -116,20 +94,6 @@ def _span_rows(summary: EventSummary) -> List[Sequence[object]]:
     return [
         (name, stats.count, stats.total, stats.mean, stats.max)
         for name, stats in ordered
-    ]
-
-
-def _worker_rows(summary: EventSummary) -> List[Sequence[object]]:
-    return [
-        (
-            worker,
-            stats.deltas,
-            stats.kernel_count,
-            stats.kernel_seconds,
-            stats.span_count,
-            stats.span_seconds,
-        )
-        for worker, stats in sorted(summary.workers.items())
     ]
 
 
@@ -158,20 +122,6 @@ def render_report(sections: Sequence[Tuple[str, EventSummary]]) -> str:
             lines += _table(
                 ("span", "count", "total [s]", "mean [s]", "max [s]"),
                 _span_rows(summary),
-            )
-            lines.append("")
-        if summary.workers:
-            lines += ["### Worker balance", ""]
-            lines += _table(
-                (
-                    "worker",
-                    "deltas",
-                    "kernel calls",
-                    "kernel time [s]",
-                    "spans",
-                    "span time [s]",
-                ),
-                _worker_rows(summary),
             )
             lines.append("")
     return "\n".join(lines).rstrip() + "\n"

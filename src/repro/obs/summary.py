@@ -3,19 +3,11 @@
 Consumes the event dicts produced by :class:`repro.obs.telemetry.Telemetry`
 (live from an in-memory exporter, or replayed from a JSONL log) and
 renders the human-readable protocol summary: counter totals, log-bucketed
-histogram tables, a per-worker balance table for cross-process runs and a
-span time breakdown drawn with the same ``|####    |`` bar aesthetic as
-:func:`repro.machine.trace.render_gantt`.
-
-Two histogram sources coexist:
-
-* raw ``hist`` events carry the observed value(s) — scalar ``"value"`` or
-  batched ``"values"`` — and aggregate into :attr:`EventSummary.histogram_values`;
-* ``delta`` events (worker registry deltas merged by the process backend)
-  carry exact bucket counts and fold into
-  :attr:`EventSummary.histograms` as :class:`BucketedHistogram`, whose
-  quantiles come from the bucket counts (upper bucket edge, clamped to
-  the observed extremes).
+histogram tables and a span time breakdown drawn with the same
+``|####    |`` bar aesthetic as :func:`repro.machine.trace.render_gantt`.
+``hist`` events carry the observed value(s) — scalar ``"value"`` or
+batched ``"values"`` — and aggregate into
+:attr:`EventSummary.histogram_values`.
 
 JSONL logs from crashed or concurrently-written runs may end mid-line;
 :func:`load_events` skips unparseable lines and counts them instead of
@@ -26,10 +18,9 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.obs.exporters import Event
@@ -59,127 +50,13 @@ class SpanStats:
 
 
 @dataclass
-class BucketedHistogram:
-    """Fixed-bucket aggregate reconstructed from worker delta events.
-
-    Mirrors :class:`repro.obs.instruments.Histogram` state (``counts`` has
-    ``len(edges) + 1`` slots: underflow first, overflow last) but lives on
-    the analysis side: it folds the per-interval bucket deltas shipped in
-    ``delta`` events and answers quantile queries from the bucket counts.
-    """
-
-    edges: Tuple[float, ...]
-    counts: List[int] = field(default_factory=list)
-    count: int = 0
-    nan_count: int = 0
-    sum: float = 0.0
-    min: float = math.inf
-    max: float = -math.inf
-
-    def __post_init__(self) -> None:
-        if not self.counts:
-            self.counts = [0] * (len(self.edges) + 1)
-
-    def merge_delta(self, payload: Mapping[str, object]) -> None:
-        """Fold one delta payload (``counts`` are per-interval deltas,
-        ``min``/``max`` cumulative — identical to ``Histogram.merge``)."""
-        counts = payload.get("counts")
-        if not isinstance(counts, (list, tuple)) or len(counts) != len(self.counts):
-            raise ConfigurationError(
-                f"histogram delta expects {len(self.counts)} bucket counts, "
-                f"got {counts!r}"
-            )
-        for index, delta in enumerate(counts):
-            self.counts[index] += int(delta)  # type: ignore[call-overload]
-        self.count += int(payload.get("count", 0))  # type: ignore[arg-type]
-        self.nan_count += int(payload.get("nan_count", 0))  # type: ignore[arg-type]
-        self.sum += float(payload.get("sum", 0.0))  # type: ignore[arg-type]
-        self.min = min(self.min, float(payload.get("min", math.inf)))  # type: ignore[arg-type]
-        self.max = max(self.max, float(payload.get("max", -math.inf)))  # type: ignore[arg-type]
-
-    def observe(self, value: float) -> None:
-        """Record one raw observation (same bucketing as the instrument)."""
-        value = float(value)
-        if math.isnan(value):
-            self.nan_count += 1
-            return
-        self.counts[bisect_right(self.edges, value)] += 1
-        self.count += 1
-        self.sum += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else math.nan
-
-    def quantile(self, q: float) -> float:
-        """Quantile estimate from bucket counts.
-
-        Returns the upper edge of the bucket holding the ``q``-quantile
-        observation, clamped to the observed ``[min, max]`` (so p100 is
-        exactly the maximum and a single-bucket histogram answers with
-        its extremes, not a bucket boundary nobody observed).
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ConfigurationError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return math.nan
-        target = max(q * self.count, 1)
-        cumulative = 0
-        for index, bucket_count in enumerate(self.counts):
-            cumulative += bucket_count
-            if bucket_count and cumulative >= target:
-                upper = self.edges[index] if index < len(self.edges) else math.inf
-                return min(max(upper, self.min), self.max)
-        return self.max
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "edges": list(self.edges),
-            "counts": list(self.counts),
-            "count": self.count,
-            "nan_count": self.nan_count,
-            "sum": self.sum,
-            "min": self.min if self.count else None,
-            "max": self.max if self.count else None,
-            "mean": self.mean if self.count else None,
-            "p50": self.quantile(0.5) if self.count else None,
-            "p90": self.quantile(0.9) if self.count else None,
-            "p99": self.quantile(0.99) if self.count else None,
-        }
-
-
-@dataclass
-class WorkerStats:
-    """Per-worker balance derived from that worker's delta events."""
-
-    deltas: int = 0
-    kernel_count: int = 0
-    kernel_seconds: float = 0.0
-    span_count: int = 0
-    span_seconds: float = 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "deltas": self.deltas,
-            "kernel_count": self.kernel_count,
-            "kernel_seconds": self.kernel_seconds,
-            "span_count": self.span_count,
-            "span_seconds": self.span_seconds,
-        }
-
-
-@dataclass
 class EventSummary:
     """Aggregated view of one event stream."""
 
     counters: Dict[str, float] = field(default_factory=dict)
     gauges: Dict[str, float] = field(default_factory=dict)
     histogram_values: Dict[str, List[float]] = field(default_factory=dict)
-    histograms: Dict[str, BucketedHistogram] = field(default_factory=dict)
     spans: Dict[str, SpanStats] = field(default_factory=dict)
-    workers: Dict[int, WorkerStats] = field(default_factory=dict)
     n_events: int = 0
     skipped_lines: int = 0
 
@@ -244,49 +121,11 @@ def read_events(path: Union[str, Path]) -> List[Event]:
     return load_events(path, strict=True)[0]
 
 
-def _fold_delta(summary: EventSummary, event: Event) -> None:
-    """Fold one worker ``delta`` event into the global + per-worker view."""
-    worker = int(event.get("worker", -1))  # type: ignore[arg-type]
-    stats = summary.workers.setdefault(worker, WorkerStats())
-    stats.deltas += 1
-    counters = event.get("counters")
-    if isinstance(counters, dict):
-        for name, value in counters.items():
-            summary.counters[name] = summary.counters.get(name, 0.0) + float(value)
-    gauges = event.get("gauges")
-    if isinstance(gauges, dict):
-        for name, value in gauges.items():
-            summary.gauges[name] = float(value)
-    hists = event.get("hists")
-    if not isinstance(hists, dict):
-        return
-    for name, payload in hists.items():
-        if not isinstance(payload, dict):
-            continue
-        edges = tuple(float(e) for e in payload.get("edges") or ())
-        hist = summary.histograms.get(name)
-        if hist is None:
-            hist = summary.histograms[name] = BucketedHistogram(edges=edges)
-        hist.merge_delta(payload)
-        count = int(payload.get("count", 0))
-        total = float(payload.get("sum", 0.0))
-        if name.startswith("kernel."):
-            stats.kernel_count += count
-            stats.kernel_seconds += total
-        elif name.startswith("span."):
-            stats.span_count += count
-            stats.span_seconds += total
-
-
 def aggregate_events(events: Sequence[Event]) -> EventSummary:
     """Fold an event stream into per-instrument aggregates."""
     summary = EventSummary()
     for event in events:
         kind = event.get("type")
-        if kind == "delta":
-            summary.n_events += 1
-            _fold_delta(summary, event)
-            continue
         name = event.get("name")
         if not isinstance(name, str):
             continue
@@ -322,9 +161,8 @@ def _percentile(ordered: Sequence[float], q: float) -> float:
 def summary_as_dict(summary: EventSummary) -> Dict[str, object]:
     """JSON-ready view of a summary (``summarize --json``, CI asserts).
 
-    Raw per-value histograms are reported as order statistics rather than
-    value lists (a campaign log holds millions of margins); bucketed
-    worker histograms keep their exact counts.
+    Histograms are reported as order statistics rather than value lists
+    (a campaign log holds millions of margins).
     """
     histogram_values: Dict[str, object] = {}
     for name, values in sorted(summary.histogram_values.items()):
@@ -344,10 +182,6 @@ def summary_as_dict(summary: EventSummary) -> Dict[str, object]:
         "counters": dict(sorted(summary.counters.items())),
         "gauges": dict(sorted(summary.gauges.items())),
         "histogram_values": histogram_values,
-        "histograms": {
-            name: hist.as_dict()
-            for name, hist in sorted(summary.histograms.items())
-        },
         "spans": {
             name: {
                 "count": stats.count,
@@ -358,10 +192,6 @@ def summary_as_dict(summary: EventSummary) -> Dict[str, object]:
                 "depth": stats.depth,
             }
             for name, stats in sorted(summary.spans.items())
-        },
-        "workers": {
-            str(worker): stats.as_dict()
-            for worker, stats in sorted(summary.workers.items())
         },
     }
 
@@ -444,29 +274,13 @@ def _render_histogram(name: str, values: Sequence[float], width: int) -> List[st
     return lines + _render_bucket_rows(edges, counts, width)
 
 
-def _render_bucketed(name: str, hist: BucketedHistogram, width: int) -> List[str]:
-    lines = [f"{name}  n={hist.count}"]
-    if hist.count:
-        lines[0] += (
-            f"  min={hist.min:.3g}  p50={hist.quantile(0.5):.3g}  "
-            f"max={hist.max:.3g}"
-        )
-    if hist.nan_count:
-        lines[0] += f"  nan={hist.nan_count}"
-    if hist.edges and any(hist.counts):
-        lines += _render_bucket_rows(hist.edges, hist.counts, width)
-    return lines
-
-
 def render_summary(
     events: Sequence[Event], width: int = 48, skipped: int = 0
 ) -> str:
     """Render an event stream as the full text summary.
 
-    Sections: counters, gauges, histograms (raw parent-side observations
-    and worker-side bucketed aggregates), the per-worker balance table
-    for cross-process runs, and the span breakdown whose per-name totals
-    are drawn as Gantt-style ``|####    |`` bars scaled to the largest
+    Sections: counters, gauges, histograms, and the span breakdown whose
+    per-name totals are drawn as Gantt-style ``|####    |`` bars scaled to the largest
     total.  ``skipped`` (corrupt JSONL lines dropped by
     :func:`load_events`) is surfaced in the header.
     """
@@ -501,26 +315,6 @@ def render_summary(
         lines += ["", "== histograms =="]
         for name in sorted(summary.histogram_values):
             lines += _render_histogram(name, summary.histogram_values[name], width)
-
-    if summary.histograms:
-        lines += ["", "== worker histograms =="]
-        for name in sorted(summary.histograms):
-            lines += _render_bucketed(name, summary.histograms[name], width)
-
-    if summary.workers:
-        lines += ["", "== workers =="]
-        lines.append(
-            f"{'worker':>6s} {'deltas':>7s} {'kernels':>8s} "
-            f"{'kernel time':>12s} {'spans':>6s} {'span time':>10s}"
-        )
-        for worker in sorted(summary.workers):
-            stats = summary.workers[worker]
-            lines.append(
-                f"{worker:>6d} {stats.deltas:>7d} {stats.kernel_count:>8d} "
-                f"{_format_seconds(stats.kernel_seconds):>12s} "
-                f"{stats.span_count:>6d} "
-                f"{_format_seconds(stats.span_seconds):>10s}"
-            )
 
     if summary.spans:
         lines += ["", "== spans =="]

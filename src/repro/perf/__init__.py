@@ -15,16 +15,14 @@ well-executed SpMV; this package makes the *execution* side real:
   ``(matrix, partition, checksum)`` triple the steady-state loop (SpMV,
   operand/result checksums, bound, syndrome compare) runs entirely in
   preallocated buffers, with multi-shard clean multiplies fusing each
-  shard's multiply with its own detection and first correction round;
+  shard's multiply with its own detection;
 * a registry of *execution backends* deciding where those fused shard
-  tasks run (:mod:`repro.perf.backends`): ``"serial"``, ``"threads"``
-  (a shared thread pool) or ``"processes"`` — a persistent
-  multicore worker pool over a :class:`~repro.perf.shm.Arena` of
-  shared memory (:mod:`repro.perf.process_backend`).  Selected via
-  ``AbftConfig(parallel=...)``, the ``REPRO_PARALLEL`` environment
-  variable, or an explicit ``ProtectedPlan(parallel=...)`` argument.
-  The resolved backend also sets the default shard count: one for
-  ``"serial"``, one per worker for ``"threads"`` and ``"processes"``.
+  tasks run (:mod:`repro.perf.backends`): ``"serial"`` or ``"threads"``
+  (a shared thread pool).  Selected via ``AbftConfig(parallel=...)``,
+  the ``REPRO_PARALLEL`` environment variable, or an explicit
+  ``ProtectedPlan(parallel=...)`` argument.  The resolved backend also
+  sets the default shard count: one for ``"serial"``, one per worker
+  for ``"threads"``.
 
 Plans are built via :meth:`repro.core.FaultTolerantSpMV.planned`, which
 caches one plan per operator (``plan.cache_hits`` telemetry counter).
@@ -43,12 +41,7 @@ from repro.perf.backends import (
     unregister_backend,
 )
 from repro.perf.plan import FusedShardBuffers, ProtectedPlan, SpmvPlan
-from repro.perf.process_backend import (
-    ProcessBackend,
-    shutdown_all_process_backends,
-)
 from repro.perf.sharding import balanced_cuts, shard_blocks, shard_rows
-from repro.perf.shm import Arena, ArenaField, ArenaLayout
 
 __all__ = [
     "SpmvPlan",
@@ -61,15 +54,10 @@ __all__ = [
     "BUILTIN_BACKENDS",
     "PlanBackend",
     "ThreadsBackend",
-    "ProcessBackend",
     "available_backends",
     "canonical_backend_name",
     "make_backend",
     "register_backend",
     "resolve_backend_name",
     "unregister_backend",
-    "shutdown_all_process_backends",
-    "Arena",
-    "ArenaField",
-    "ArenaLayout",
 ]

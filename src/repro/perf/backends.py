@@ -7,16 +7,13 @@ latter is a registered **backend**.  Backends only detect: every flagged
 block is corrected in the calling process, whatever the backend.
 
 * ``"serial"`` — shards run one after another in the calling thread
-  (the reference semantics every other backend is differentially tested
+  (the reference semantics the threads backend is differentially tested
   against);
 * ``"threads"`` — shards fan out on a process-wide
   :class:`~concurrent.futures.ThreadPoolExecutor` (:func:`get_executor`),
   one thread per shard.  NumPy releases the GIL inside the ufunc inner
   loops, but the Python-level fan-out still serializes on it — threads
-  win only for mid-size inputs;
-* ``"processes"`` — shards run on a persistent pool of worker
-  *processes* mapping the plan's buffers zero-copy from shared memory
-  (:mod:`repro.perf.process_backend`), the true-multicore path.
+  win only for mid-size inputs.
 
 Selection follows the rule of :mod:`repro.registry`: a
 registered name is chosen via ``AbftConfig(parallel=...)``, overridden
@@ -28,7 +25,7 @@ plans run ``"serial"``.
 
 The resolved backend also decides how many shards a plan gets when its
 caller does not say (:func:`default_shard_count`): one for ``"serial"``,
-:func:`default_workers` for every other backend.
+:func:`default_workers` for ``"threads"``.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -54,9 +51,9 @@ BACKEND_ENV_VAR = "REPRO_PARALLEL"
 DEFAULT_BACKEND = "serial"
 
 #: Names that ship built in (and cannot be unregistered).
-BUILTIN_BACKENDS = ("processes", "serial", "threads")
+BUILTIN_BACKENDS = ("serial", "threads")
 
-#: Upper bound on the default worker count of the parallel backends.
+#: Upper bound on the default worker count of the threads backend.
 DEFAULT_MAX_WORKERS = 4
 
 _EXECUTORS: Dict[int, ThreadPoolExecutor] = {}
@@ -64,7 +61,7 @@ _EXECUTORS_LOCK = threading.Lock()
 
 
 def default_workers() -> int:
-    """Worker count of the parallel backends: one per CPU, at most
+    """Worker count of the threads backend: one per CPU, at most
     :data:`DEFAULT_MAX_WORKERS`."""
     return min(DEFAULT_MAX_WORKERS, os.cpu_count() or 1)
 
@@ -96,21 +93,11 @@ def get_executor(n_workers: int) -> ThreadPoolExecutor:
 class PlanBackend:
     """Execution strategy bound to one plan.  The base class is serial.
 
-    A backend provides three services to its plan:
-
-    * :meth:`alloc` — allocate a named plan buffer.  The base class
-      hands out ordinary heap arrays; the process backend carves the
-      same buffers out of a :class:`~repro.perf.shm.Arena` so workers
-      can map them;
-    * :meth:`run_detect` — execute the fused per-shard detect tasks.
-      Implementations may distribute them anywhere but must preserve
-      the per-shard math bit for bit (the cross-backend differential
-      matrix enforces this);
-    * :meth:`close` — release whatever the strategy holds (threads and
-      serial hold nothing; processes hold workers and shared memory).
+    :meth:`run_detect` executes the fused per-shard detect tasks.
+    Implementations may distribute them anywhere but must preserve the
+    per-shard math bit for bit (the cross-backend differential matrix
+    enforces this).
     """
-
-    name = "serial"
 
     def __init__(self, plan: "ProtectedPlan") -> None:
         self.plan = plan
@@ -120,34 +107,14 @@ class PlanBackend:
         """Whether the plan should take the fused multi-shard path."""
         return False
 
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has permanently retired the backend."""
-        return False
-
-    def alloc(self, name: str, shape: Tuple[int, ...], dtype: str) -> np.ndarray:
-        """Allocate the named plan buffer (heap by default)."""
-        return np.empty(shape, dtype=np.dtype(dtype))
-
     def run_detect(self, b: np.ndarray, telemetry: "Telemetry") -> None:
         """Run every shard's fused detect task."""
         for i in range(self.plan.spmv.n_shards):
             self.plan._detect_shard(i, b, telemetry)
 
-    def close(self) -> None:
-        """Release backend resources (idempotent; no-op by default)."""
-
-    def __enter__(self) -> "PlanBackend":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
 
 class ThreadsBackend(PlanBackend):
     """Shard fan-out on the shared thread pool, one thread per shard."""
-
-    name = "threads"
 
     @property
     def parallel_active(self) -> bool:
@@ -170,7 +137,7 @@ class ThreadsBackend(PlanBackend):
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-BackendFactory = Callable[..., PlanBackend]
+BackendFactory = Callable[["ProtectedPlan"], PlanBackend]
 
 #: Backend factories by name.
 BACKEND_REGISTRY: Registry[BackendFactory] = Registry("backend", builtins=BUILTIN_BACKENDS)
@@ -182,8 +149,8 @@ BACKEND_SELECTOR = Selector("parallel", BACKEND_ENV_VAR, BACKEND_REGISTRY, DEFAU
 def register_backend(name: str, factory: BackendFactory, overwrite: bool = False) -> None:
     """Register a plan-backend factory under ``name``.
 
-    The factory is called as ``factory(plan, **options)`` and must
-    return a :class:`PlanBackend` bound to that plan.
+    The factory is called as ``factory(plan)`` and must return a
+    :class:`PlanBackend` bound to that plan.
     """
     BACKEND_REGISTRY.register(factory, name, overwrite)
 
@@ -218,30 +185,10 @@ def resolve_backend_name(
     return BACKEND_SELECTOR.resolve(default if configured is None else configured, explicit)
 
 
-def make_backend(name: str, plan: "ProtectedPlan", **options: object) -> PlanBackend:
+def make_backend(name: str, plan: "ProtectedPlan") -> PlanBackend:
     """Instantiate the named backend for ``plan``."""
-    return BACKEND_REGISTRY.get(name)(plan, **options)
+    return BACKEND_REGISTRY.get(name)(plan)
 
 
-def _optionless(cls: Type[PlanBackend]) -> BackendFactory:
-    """Factory of a backend class that accepts no options."""
-
-    def factory(plan: "ProtectedPlan", **options: object) -> PlanBackend:
-        if options:
-            raise ConfigurationError(
-                f"{cls.name} backend accepts no options, got {sorted(options)}"
-            )
-        return cls(plan)
-
-    return factory
-
-
-def _processes_factory(plan: "ProtectedPlan", **options: object) -> PlanBackend:
-    from repro.perf.process_backend import ProcessBackend
-
-    return ProcessBackend(plan, **options)  # type: ignore[arg-type]
-
-
-register_backend("serial", _optionless(PlanBackend))
-register_backend("threads", _optionless(ThreadsBackend))
-register_backend("processes", _processes_factory)
+register_backend("serial", PlanBackend)
+register_backend("threads", ThreadsBackend)

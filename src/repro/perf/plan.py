@@ -31,9 +31,7 @@ Multi-shard hook-free multiplies detect *fused*: each shard task
 executes its SpMV, operand checksum, result checksum and invariant
 comparison in one unit.  *Where* those tasks run is delegated to a
 registered execution backend (:mod:`repro.perf.backends`): ``"serial"``
-in the calling thread, ``"threads"`` on the shared thread pool, or
-``"processes"`` on a persistent multicore worker pool mapping the plan's
-buffers from shared memory (:mod:`repro.perf.process_backend`).  Fault
+in the calling thread or ``"threads"`` on the shared thread pool.  Fault
 campaigns (a tamper hook) always detect sequentially — the hook-call
 sequence is part of the contract.  Every flagged block, on every
 backend and format, is repaired in the calling process by
@@ -42,7 +40,7 @@ backend and format, is repaired in the calling process by
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -68,15 +66,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotations only)
     from repro.sparse.bsr import BsrMatrix
     from repro.sparse.formats import FormatMatrix
 
-#: ``alloc(name, shape, dtype)`` hook deciding where a plan buffer lives.
-BufferAllocator = Callable[[str, Tuple[int, ...], str], np.ndarray]
-
 #: Per-check flag history of a multiply whose one check flagged nothing.
 _CLEAN: Tuple[Tuple[int, ...], ...] = ((),)
-
-
-def _heap_alloc(name: str, shape: Tuple[int, ...], dtype: str) -> np.ndarray:
-    return np.empty(shape, dtype=np.dtype(dtype))
 
 
 class _SpmvShard:
@@ -197,11 +188,6 @@ class SpmvPlan:
         row_cuts: explicit strictly increasing shard boundaries
             ``[0, ..., n_rows]`` (e.g. block-aligned cuts); ``None``
             derives nnz-balanced cuts from the matrix.
-        out: preallocated result buffer of shape ``(n_rows,)`` float64
-            (e.g. a shared-memory view); allocated when ``None``.
-        workspace: preallocated product scratch of shape ``(nnz,)``
-            float64; allocated when ``None``.  Only meaningful for CSR
-            execution; must stay ``None`` when ``storage`` is given.
         storage: optional BSR storage (:class:`~repro.sparse.bsr.BsrMatrix`)
             of the *same* logical matrix; shards then execute the tile
             pipeline (with shard-private scratch) and results are
@@ -215,8 +201,6 @@ class SpmvPlan:
         matrix: CsrMatrix,
         n_shards: int = 1,
         row_cuts: Optional[np.ndarray] = None,
-        out: Optional[np.ndarray] = None,
-        workspace: Optional[np.ndarray] = None,
         storage: Optional["FormatMatrix"] = None,
     ) -> None:
         from repro.perf.sharding import shard_rows
@@ -241,7 +225,7 @@ class SpmvPlan:
         # Working buffers live in the matrix's storage dtype, so a float32
         # plan multiplies in float32 exactly like ``CsrMatrix.matvec``.
         self.dtype = matrix.data.dtype
-        self.out = self._buffer("out", out, matrix.n_rows, self.dtype)
+        self.out = np.empty(matrix.n_rows, dtype=self.dtype)
         if storage is not None and getattr(storage, "format_name", "csr") == "csr":
             storage = None
         self.storage = storage
@@ -252,16 +236,9 @@ class SpmvPlan:
         self.workspace: Optional[np.ndarray] = None
         self._shards: List[Union[_SpmvShard, _BsrShard]] = []
         if storage is None:
-            self.workspace = self._buffer(
-                "workspace", workspace, matrix.nnz, self.dtype
-            )
+            self.workspace = np.empty(matrix.nnz, dtype=self.dtype)
             self._build_csr_shards(row_cuts)
             return
-        if workspace is not None:
-            raise ConfigurationError(
-                "workspace buffers apply to CSR execution only; "
-                f"got one with storage format {self.sparse_format!r}"
-            )
         if storage.shape != matrix.shape:
             raise ConfigurationError(
                 f"storage shape {storage.shape} does not match matrix "
@@ -318,22 +295,6 @@ class SpmvPlan:
                     reduced=reduced,
                 )
             )
-
-    @staticmethod
-    def _buffer(
-        name: str,
-        provided: Optional[np.ndarray],
-        size: int,
-        dtype: np.dtype,
-    ) -> np.ndarray:
-        if provided is None:
-            return np.empty(size, dtype=dtype)
-        if provided.shape != (size,) or provided.dtype != dtype:
-            raise ConfigurationError(
-                f"provided {name} buffer must be {dtype} of shape ({size},); "
-                f"got {provided.dtype} {provided.shape}"
-            )
-        return provided
 
     @property
     def n_shards(self) -> int:
@@ -396,23 +357,13 @@ class SpmvPlan:
 
 
 class FusedShardBuffers:
-    """Backend-portable state and math of the fused per-shard pipeline.
+    """State and math of the fused per-shard pipeline.
 
-    Everything a fused detect task touches lives here, allocated
-    through an injectable ``alloc(name, shape, dtype)`` hook: the plan
-    normally allocates on the heap, while the ``processes`` backend maps
-    the same named buffers out of a shared-memory arena so workers can
-    rebuild an identical object over identical bytes
-    (:func:`repro.perf.process_backend._fused_from_arena`).
-
-    The methods preserve the exact op sequence of the sequential
-    protected multiply — the cross-backend bit-identity contract depends
-    on that order, so treat any change here as a numerics change.
-
-    The ``abs`` and ``finite`` comparison masks are deliberately *not*
-    allocated through the hook: they are write-only scratch local to
-    whichever process runs the comparison, so each side keeps a private
-    heap copy.
+    Everything a fused detect task touches lives here, allocated once
+    at plan build.  The methods preserve the exact op sequence of the
+    sequential protected multiply — the cross-backend bit-identity
+    contract depends on that order, so treat any change here as a
+    numerics change.
     """
 
     __slots__ = (
@@ -428,11 +379,8 @@ class FusedShardBuffers:
         partition: BlockPartition,
         weights: np.ndarray,
         block_cuts: np.ndarray,
-        alloc: Optional[BufferAllocator] = None,
         storage: Optional["FormatMatrix"] = None,
     ) -> None:
-        if alloc is None:
-            alloc = _heap_alloc
         n_blocks = partition.n_blocks
         block_starts = partition.block_starts()
         self.weights = weights
@@ -442,38 +390,24 @@ class FusedShardBuffers:
         # buffers (result + product scratch) follow the matrix storage
         # dtype; every checksum-side buffer stays in the accumulation
         # dtype (the checksum matrix is always encoded float64).
-        working = str(matrix.data.dtype)
-        accumulation = str(checksum_matrix.data.dtype)
+        accumulation = checksum_matrix.data.dtype
         self.spmv = SpmvPlan(
-            matrix,
-            row_cuts=block_starts[block_cuts],
-            out=alloc("r", (matrix.n_rows,), working),
-            workspace=(
-                alloc("r_workspace", (matrix.nnz,), working)
-                if storage is None
-                else None
-            ),
-            storage=storage,
+            matrix, row_cuts=block_starts[block_cuts], storage=storage
         )
-        self.checksum_spmv = SpmvPlan(
-            checksum_matrix,
-            row_cuts=block_cuts,
-            out=alloc("t1", (n_blocks,), accumulation),
-            workspace=alloc("c_workspace", (checksum_matrix.nnz,), accumulation),
-        )
+        self.checksum_spmv = SpmvPlan(checksum_matrix, row_cuts=block_cuts)
         # C b and beta read an accumulation-dtype operand.  A narrower
         # storage dtype gets it staged once per multiply
         # (:meth:`stage_operand`).
         self.checksum_operand: Optional[np.ndarray] = (
-            alloc("b_checksum", (matrix.n_cols,), accumulation)
-            if working != accumulation
+            np.empty(matrix.n_cols, dtype=accumulation)
+            if matrix.data.dtype != accumulation
             else None
         )
-        self.t2 = alloc("t2", (n_blocks,), "float64")
-        self.t2_workspace = alloc("t2_workspace", (matrix.n_rows,), "float64")
-        self.syndrome = alloc("syndrome", (n_blocks,), "float64")
-        self.thresholds = alloc("thresholds", (n_blocks,), "float64")
-        self.exceeded = alloc("exceeded", (n_blocks,), "bool")
+        self.t2 = np.empty(n_blocks, dtype=np.float64)
+        self.t2_workspace = np.empty(matrix.n_rows, dtype=np.float64)
+        self.syndrome = np.empty(n_blocks, dtype=np.float64)
+        self.thresholds = np.empty(n_blocks, dtype=np.float64)
+        self.exceeded = np.empty(n_blocks, dtype=bool)
         self.abs = np.empty(n_blocks, dtype=np.float64)
         self.finite = np.empty(n_blocks, dtype=bool)
 
@@ -572,14 +506,11 @@ class ProtectedPlan:
             count can be lower on tiny matrices).  ``None`` takes
             :func:`~repro.perf.backends.default_shard_count` of the
             resolved backend: 1 for ``"serial"``, the worker count for
-            ``"threads"`` and ``"processes"``.
-        parallel: explicit backend name (``"serial"``, ``"threads"``,
-            ``"processes"`` or a registered extension), overriding both
-            ``REPRO_PARALLEL`` and ``AbftConfig.parallel``.  ``None``
-            resolves via :func:`repro.perf.backends.resolve_backend_name`.
-        backend_options: keyword options forwarded to the backend
-            factory (e.g. ``serial_cutoff``/``timeout`` for
-            ``processes``).
+            ``"threads"``.
+        parallel: explicit backend name (``"serial"``, ``"threads"`` or
+            a registered extension), overriding both ``REPRO_PARALLEL``
+            and ``AbftConfig.parallel``.  ``None`` resolves via
+            :func:`repro.perf.backends.resolve_backend_name`.
         sparse_format: explicit storage format for the planned multiply
             (``"csr"``, ``"bsr"`` or ``"auto"``), overriding
             both ``REPRO_FORMAT`` and ``AbftConfig.sparse_format``.
@@ -587,19 +518,12 @@ class ProtectedPlan:
             :func:`repro.sparse.formats.resolve_format_name`.  The chosen
             format, the request that led to it and the heuristic ratios
             are recorded in :attr:`format_choice` and emitted as a
-            ``plan.format`` telemetry span.  The ``processes`` backend
-            shares CSR buffers between processes, so it coerces any
-            non-CSR request back to CSR (recorded as the choice reason).
-            Detection always compares against the CSR-encoded checksum
-            matrix; non-CSR results agree with CSR within the scheme's
-            own rounding-error bounds (summation association differs),
-            and every correction round recomputes flagged blocks with
-            the CSR kernels — still within bounds, re-verified against
-            the same thresholds.
-
-    Plans over the ``processes`` backend own worker processes and a
-    shared-memory segment; release them deterministically with
-    :meth:`close` or a ``with`` block (an atexit hook reaps leftovers).
+            ``plan.format`` telemetry span.  Detection always compares
+            against the CSR-encoded checksum matrix; non-CSR results
+            agree with CSR within the scheme's own rounding-error bounds
+            (summation association differs), and every correction round
+            recomputes flagged blocks with the CSR kernels — still
+            within bounds, re-verified against the same thresholds.
     """
 
     def __init__(
@@ -607,14 +531,9 @@ class ProtectedPlan:
         operator: "FaultTolerantSpMV",
         n_shards: Optional[int] = None,
         parallel: Optional[str] = None,
-        backend_options: Optional[Dict[str, object]] = None,
         sparse_format: Optional[str] = None,
     ) -> None:
-        from repro.sparse.formats import (
-            FormatChoice,
-            resolve_format_name,
-            select_format,
-        )
+        from repro.sparse.formats import resolve_format_name, select_format
 
         self.backend_name = resolve_backend_name(
             getattr(operator.config, "parallel", None), explicit=parallel
@@ -640,25 +559,13 @@ class ProtectedPlan:
             getattr(operator.config, "sparse_format", None),
             explicit=sparse_format,
         )
-        storage: Optional["FormatMatrix"] = None
-        if requested != "csr" and self.backend_name == "processes":
-            self.format_choice = FormatChoice(
-                format="csr",
-                requested=requested,
-                reason=(
-                    "processes backend maps CSR buffers from shared "
-                    "memory; non-CSR request coerced to csr"
-                ),
-            )
-        else:
-            self.format_choice, built = select_format(matrix, requested)
-            if self.format_choice.format != "csr":
-                storage = built
+        self.format_choice, built = select_format(matrix, requested)
+        storage: Optional["FormatMatrix"] = (
+            built if self.format_choice.format != "csr" else None
+        )
         self.sparse_format = self.format_choice.format
 
-        self.backend: PlanBackend = make_backend(
-            self.backend_name, self, **(backend_options or {})
-        )
+        self.backend: PlanBackend = make_backend(self.backend_name, self)
 
         self._fused = FusedShardBuffers(
             matrix,
@@ -666,7 +573,6 @@ class ProtectedPlan:
             partition,
             detector.checksum.weights,
             self.block_cuts,
-            alloc=self.backend.alloc,
             storage=storage,
         )
         # Emitted only when format machinery is in play: a CSR plan's
@@ -720,23 +626,6 @@ class ProtectedPlan:
             2.0 * matrix.n_cols,
             2.0 * matrix.n_rows,
         )
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release backend resources (worker pool, shared memory).
-
-        Idempotent.  A plan whose buffers live in shared memory must not
-        be used after close — its result/scratch views are dead.
-        """
-        self.backend.close()
-
-    def __enter__(self) -> "ProtectedPlan":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Protected multiply

@@ -205,8 +205,8 @@ def run_pcg(
         # The loop re-executes the same protected multiply every iteration:
         # the planned path reuses shard schedules and buffers instead of
         # reallocating per call.  A fault-free run passes no tamper hook at
-        # all (the hook would be a no-op), which also lets a threads or
-        # processes backend run its fused multi-shard pipeline.
+        # all (the hook would be a no-op), which also lets the threads
+        # backend run its fused multi-shard pipeline.
         plan = operator.planned()
         tamper_hook = tamper if error_rate > 0 else None
 

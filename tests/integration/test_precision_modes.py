@@ -65,8 +65,8 @@ def test_planned_float32_matches_unplanned(scheme_name, monkeypatch):
     expected = direct.multiply(b.copy())
     # Bit-identity with the unplanned multiply is the CSR contract; pin
     # the format against a REPRO_FORMAT override.
-    with planned_host.planned(n_shards=2, sparse_format="csr") as plan:
-        got = plan.multiply(b.copy())
+    plan = planned_host.planned(n_shards=2, sparse_format="csr")
+    got = plan.multiply(b.copy())
     np.testing.assert_array_equal(got.value, expected.value)
     assert got.value.dtype == np.float32
 

@@ -5,8 +5,7 @@ call.  :class:`repro.perf.plan.FusedShardBuffers` cuts the blocks into
 nnz-balanced, block-aligned shards
 (:func:`repro.perf.sharding.shard_blocks`); each shard reduces its own
 result checksums and compares them, all on the shared pool of
-:func:`repro.perf.backends.get_executor` (the ``processes`` backend runs
-the same shard tasks in worker processes).  That is only sound if every
+:func:`repro.perf.backends.get_executor`.  That is only sound if every
 kernel's per-block output depends on the block's own rows and nothing
 else, and if the vectorized kernels may run concurrently on disjoint
 slices of shared buffers.

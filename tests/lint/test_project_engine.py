@@ -129,5 +129,5 @@ def test_cli_project_mode_reports_cache_stats_in_json(tmp_path, capsys, monkeypa
 def test_cli_list_rules_includes_the_project_pack(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("ABFT008", "ABFT009", "ABFT010", "ABFT011", "ABFT012"):
+    for rule_id in ("ABFT010", "ABFT011", "ABFT012"):
         assert rule_id in out

@@ -1,4 +1,4 @@
-"""Fixture corpora for the project-wide rule pack (ABFT008-012).
+"""Fixture corpora for the project-wide rule pack (ABFT010-012).
 
 Each rule has a ``<rule>_bad`` mini-project whose violations are marked
 with ``# MARK:<rule>`` comments and a ``<rule>_ok`` mini-project of
@@ -60,13 +60,6 @@ def test_rules_carry_metadata(rule_id):
     rule = next(r for r in PROJECT_RULES if r.rule_id == rule_id)
     assert rule.title
     assert rule.rationale
-
-
-def test_abft008_findings_cite_the_arena_module_as_evidence():
-    result = run_rule(FIXTURES / "abft008_bad", "ABFT008")
-    assert result.findings
-    for finding in result.findings:
-        assert any(path.endswith("shm.py") for path in finding.related)
 
 
 def test_abft010_finding_cites_the_nonrefreshing_caller_as_evidence():

@@ -36,7 +36,7 @@ def test_lint_package_self_hosts_without_suppressions():
 
 
 def test_src_tree_is_clean_in_project_mode():
-    """ABFT008-012 over the whole tree: the parallel backends obey their
+    """ABFT010-012 over the whole tree: the plan backends obey their
     own protocols (or carry reasoned suppressions)."""
     result = analyze_project([SRC], base=REPO_ROOT)
     assert result.files_checked > 50

@@ -6,11 +6,7 @@ from repro.obs import (
     DEFAULT_FRACTION_BUCKETS,
     DEFAULT_RATIO_BUCKETS,
     DEFAULT_TIME_BUCKETS,
-    InMemoryExporter,
     Registry,
-    Telemetry,
-    WorkerRecorder,
-    merge_delta,
     metric_name,
     registry_from_events,
     render_openmetrics,
@@ -83,18 +79,3 @@ def test_bucket_heuristic_fraction_names():
     registry = registry_from_events(events)
     hist = registry.get("abft.block_recompute_fraction")
     assert hist.edges == DEFAULT_FRACTION_BUCKETS
-
-
-def test_registry_from_events_applies_worker_deltas():
-    recorder = WorkerRecorder()
-    recorder.telemetry.observe(
-        "kernel.detect_shard.seconds", 1e-3, buckets=DEFAULT_TIME_BUCKETS
-    )
-    parent = Telemetry(exporter=InMemoryExporter())
-    merge_delta(parent, 0, recorder.delta())
-    registry = registry_from_events(parent.events())
-    hist = registry.get("kernel.detect_shard.seconds")
-    assert hist.count == 1
-    assert hist.edges == DEFAULT_TIME_BUCKETS  # exact edges from the delta
-    # Exposing the replayed registry includes the worker histogram.
-    assert "kernel_detect_shard_seconds_count 1" in render_openmetrics(registry)

@@ -1,18 +1,15 @@
 """Markdown campaign reports (:mod:`repro.obs.report`)."""
 
 from repro.obs import (
-    DEFAULT_TIME_BUCKETS,
     InMemoryExporter,
     Telemetry,
-    WorkerRecorder,
     aggregate_events,
-    merge_delta,
     render_report,
 )
 
 
 def _campaign_summary():
-    """A summary with counters, raw + worker histograms, spans, workers."""
+    """A summary with counters, histograms and spans."""
     tel = Telemetry(exporter=InMemoryExporter())
     tel.count("abft.checks", 4.0)
     tel.count("abft.detections")
@@ -21,14 +18,6 @@ def _campaign_summary():
     with tel.span("abft.multiply"):
         with tel.span("abft.detect"):
             pass
-    for worker in (0, 1):
-        recorder = WorkerRecorder()
-        recorder.telemetry.observe(
-            "kernel.detect_shard.seconds",
-            1e-3 * (worker + 1),
-            buckets=DEFAULT_TIME_BUCKETS,
-        )
-        merge_delta(tel, worker, recorder.delta())
     return aggregate_events(tel.events())
 
 
@@ -42,13 +31,8 @@ def test_report_renders_every_section():
     assert "### Distributions" in text
     assert "abft.syndrome_margin" in text
     assert "abft.block_recompute_fraction" in text
-    assert "kernel.detect_shard.seconds (worker)" in text
     assert "### Span breakdown" in text
     assert "abft.multiply" in text
-    assert "### Worker balance" in text
-    # Both workers appear as rows.
-    assert "\n| 0 | 1 | 1 |" in text
-    assert "\n| 1 | 1 | 1 |" in text
 
 
 def test_report_headline_counters_lead():

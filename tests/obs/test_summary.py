@@ -1,55 +1,14 @@
-"""Summary aggregation: delta folding, bucketed quantiles, worker stats."""
-
-import math
+"""Summary aggregation: batched histograms, tolerant loading, JSON view."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import (
-    BucketedHistogram,
-    DEFAULT_TIME_BUCKETS,
-    InMemoryExporter,
-    Telemetry,
-    WorkerRecorder,
     aggregate_events,
     load_events,
-    merge_delta,
     read_events,
-    render_summary,
     summary_as_dict,
 )
-
-
-def _delta_event(worker, seconds):
-    """A realistic delta event: one worker kernel timing."""
-    recorder = WorkerRecorder()
-    recorder.telemetry.observe(
-        "kernel.detect_shard.seconds", seconds, buckets=DEFAULT_TIME_BUCKETS
-    )
-    recorder.telemetry.count("abft.shard_checks")
-    parent = Telemetry(exporter=InMemoryExporter())
-    merge_delta(parent, worker, recorder.delta())
-    return parent.events()[0]
-
-
-# ----------------------------------------------------------------------
-# Delta folding
-# ----------------------------------------------------------------------
-def test_delta_events_fold_into_histograms_and_workers():
-    events = [_delta_event(0, 1e-3), _delta_event(1, 2e-3), _delta_event(0, 3e-3)]
-    summary = aggregate_events(events)
-    assert summary.n_events == 3
-    assert summary.counters["abft.shard_checks"] == 3.0
-    hist = summary.histograms["kernel.detect_shard.seconds"]
-    assert hist.count == 3
-    assert hist.sum == pytest.approx(6e-3)
-    assert hist.min == pytest.approx(1e-3)
-    assert hist.max == pytest.approx(3e-3)
-    workers = summary.workers
-    assert sorted(workers) == [0, 1]
-    assert workers[0].deltas == 2 and workers[1].deltas == 1
-    assert workers[0].kernel_count == 2 and workers[1].kernel_count == 1
-    assert workers[0].kernel_seconds == pytest.approx(4e-3)
 
 
 def test_batched_hist_events_aggregate_all_values():
@@ -59,41 +18,6 @@ def test_batched_hist_events_aggregate_all_values():
     ]
     summary = aggregate_events(events)
     assert summary.histogram_values["m"] == [0.1, 0.2, 0.3]
-
-
-def test_render_summary_includes_worker_sections():
-    events = [_delta_event(0, 1e-3), _delta_event(1, 2e-3)]
-    text = render_summary(events)
-    assert "== worker histograms ==" in text
-    assert "kernel.detect_shard.seconds" in text
-    assert "== workers ==" in text
-
-
-# ----------------------------------------------------------------------
-# BucketedHistogram
-# ----------------------------------------------------------------------
-def test_bucketed_quantile_clamps_to_observed_extremes():
-    hist = BucketedHistogram(edges=(1.0, 10.0, 100.0))
-    for value in (2.0, 3.0, 50.0):
-        hist.observe(value)
-    # p50 bucket is (1, 10]; its upper edge 10 exceeds the observed max of
-    # that data region but stays within [min, max] overall.
-    assert hist.quantile(0.5) == 10.0
-    assert hist.quantile(1.0) == 50.0  # clamped to the observed max
-    assert hist.quantile(0.0) >= hist.min
-
-
-def test_bucketed_quantile_empty_and_invalid():
-    hist = BucketedHistogram(edges=(1.0, 2.0))
-    assert math.isnan(hist.quantile(0.5))
-    with pytest.raises(ConfigurationError):
-        hist.quantile(1.5)
-
-
-def test_bucketed_merge_rejects_wrong_width():
-    hist = BucketedHistogram(edges=(1.0, 2.0))
-    with pytest.raises(ConfigurationError):
-        hist.merge_delta({"counts": [1, 2]})  # needs len(edges) + 1 slots
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +48,6 @@ def test_summary_as_dict_round_trips_through_json():
     import json
 
     events = [
-        _delta_event(0, 1e-3),
         {"type": "counter", "name": "abft.checks", "value": 2.0, "attrs": {}},
         {"type": "hist", "name": "m", "values": [0.1, 0.9], "attrs": {}},
         {"type": "span", "name": "s", "start": 0.0, "end": 0.5, "depth": 0},
@@ -135,6 +58,4 @@ def test_summary_as_dict_round_trips_through_json():
     assert payload["skipped_lines"] == 1
     assert payload["counters"]["abft.checks"] == 2.0
     assert payload["histogram_values"]["m"]["count"] == 2
-    assert payload["histograms"]["kernel.detect_shard.seconds"]["count"] == 1
-    assert payload["workers"]["0"]["kernel_count"] == 1
     assert payload["spans"]["s"]["total"] == 0.5

@@ -9,12 +9,10 @@ Two layers of the bit-identity contract:
    numerics change — even for schemes that take no planned path at all.
 
 2. **Plan layer** — the planned ABFT multiply with real multi-shard
-   fan-out (``serial_cutoff=0`` so ``processes`` engages on the tiny
-   corpus): clean runs, per-shard injected bursts, and a flag-every-block
+   fan-out: clean runs, per-shard injected bursts, and a flag-every-block
    correction storm must agree with the serial reference on value bits,
    detection/correction history, simulated seconds and flops — in
-   float64, and in float32 storage on CSR (every backend) and BSR
-   (serial and threads; processes always runs CSR).  Under a bound that
+   float64, and in float32 storage on CSR and BSR.  Under a bound that
    must be evaluated at every check, every result field must agree too.
 """
 
@@ -46,9 +44,8 @@ N_SHARDS = 4
 BACKENDS = tuple(sorted(BUILTIN_BACKENDS))
 
 #: ``(storage format, backend)`` legs of the float32 plan layer.
-FLOAT32_LEGS = tuple(("csr", backend) for backend in BACKENDS) + (
-    ("bsr", "serial"),
-    ("bsr", "threads"),
+FLOAT32_LEGS = tuple(
+    (fmt, backend) for fmt in ("csr", "bsr") for backend in BACKENDS
 )
 
 
@@ -132,10 +129,8 @@ def _plan(corpus, backend, sparse_format="csr", dtype=None, **config_kwargs):
         operator,
         n_shards=N_SHARDS,
         parallel=backend,
-        backend_options={"serial_cutoff": 0} if backend == "processes" else None,
-        # The golden snapshots are CSR products; pin the format so a
-        # REPRO_FORMAT override can't diverge the serial/threads legs from
-        # the processes leg (which always coerces to CSR).
+        # The golden snapshots are CSR products; pin the format against a
+        # REPRO_FORMAT override.
         sparse_format=sparse_format,
     )
 
@@ -145,16 +140,16 @@ def serial_reference(corpus):
     """Serial-backend snapshots for every plan-layer scenario."""
     _, b = corpus
     reference = {}
-    with _plan(corpus, "serial") as plan:
-        assert plan.spmv.n_shards == N_SHARDS
-        reference["clean"] = snapshot(plan.multiply(b.copy()))
-        for shard, (r0, r1) in enumerate(plan._shard_rows):
-            tamper = one_shot_burst(index=(r0 + r1) // 2)
-            reference[f"burst_shard{shard}"] = snapshot(
-                plan.multiply(b.copy(), tamper=tamper)
-            )
-    with _plan(corpus, "serial", bound_scale=1e-12, max_correction_rounds=2) as plan:
-        reference["flag_all"] = snapshot(plan.multiply(b.copy()))
+    plan = _plan(corpus, "serial")
+    assert plan.spmv.n_shards == N_SHARDS
+    reference["clean"] = snapshot(plan.multiply(b.copy()))
+    for shard, (r0, r1) in enumerate(plan._shard_rows):
+        tamper = one_shot_burst(index=(r0 + r1) // 2)
+        reference[f"burst_shard{shard}"] = snapshot(
+            plan.multiply(b.copy(), tamper=tamper)
+        )
+    plan = _plan(corpus, "serial", bound_scale=1e-12, max_correction_rounds=2)
+    reference["flag_all"] = snapshot(plan.multiply(b.copy()))
     return reference
 
 
@@ -163,12 +158,12 @@ def test_plan_clean_multiply_bit_identical_across_backends(
     corpus, serial_reference, backend
 ):
     _, b = corpus
-    with _plan(corpus, backend) as plan:
-        if backend != "serial":
-            assert plan.backend.parallel_active
-        assert snapshot(plan.multiply(b.copy())) == serial_reference["clean"]
-        # Steady state: repeated multiplies stay on the same bits.
-        assert snapshot(plan.multiply(b.copy())) == serial_reference["clean"]
+    plan = _plan(corpus, backend)
+    if backend != "serial":
+        assert plan.backend.parallel_active
+    assert snapshot(plan.multiply(b.copy())) == serial_reference["clean"]
+    # Steady state: repeated multiplies stay on the same bits.
+    assert snapshot(plan.multiply(b.copy())) == serial_reference["clean"]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -176,13 +171,13 @@ def test_plan_per_shard_burst_bit_identical_across_backends(
     corpus, serial_reference, backend
 ):
     _, b = corpus
-    with _plan(corpus, backend) as plan:
-        for shard, (r0, r1) in enumerate(plan._shard_rows):
-            tamper = one_shot_burst(index=(r0 + r1) // 2)
-            result = snapshot(plan.multiply(b.copy(), tamper=tamper))
-            assert result == serial_reference[f"burst_shard{shard}"], (
-                f"backend {backend!r} diverged on shard {shard} burst"
-            )
+    plan = _plan(corpus, backend)
+    for shard, (r0, r1) in enumerate(plan._shard_rows):
+        tamper = one_shot_burst(index=(r0 + r1) // 2)
+        result = snapshot(plan.multiply(b.copy(), tamper=tamper))
+        assert result == serial_reference[f"burst_shard{shard}"], (
+            f"backend {backend!r} diverged on shard {shard} burst"
+        )
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -192,12 +187,12 @@ def test_plan_correction_storm_bit_identical_across_backends(
     """A microscopic bound flags every block: every backend corrects and
     re-verifies to the same bits."""
     _, b = corpus
-    with _plan(
+    plan = _plan(
         corpus, backend, bound_scale=1e-12, max_correction_rounds=2
-    ) as plan:
-        result = snapshot(plan.multiply(b.copy()))
-        assert result == serial_reference["flag_all"]
-        assert result["corrected_blocks"]  # the storm actually corrected
+    )
+    result = snapshot(plan.multiply(b.copy()))
+    assert result == serial_reference["flag_all"]
+    assert result["corrected_blocks"]  # the storm actually corrected
 
 
 @pytest.mark.parametrize(
@@ -211,22 +206,22 @@ def test_plan_float32_bit_identical_across_backends(corpus, sparse_format, backe
     _, b = corpus
     b32 = b.astype(np.float32)
     for scenario in ({}, {"bound_scale": 1e-12, "max_correction_rounds": 2}):
-        with _plan(corpus, "serial", sparse_format, "float32", **scenario) as plan:
-            reference = snapshot(plan.multiply(b32))
-        with _plan(corpus, backend, sparse_format, "float32", **scenario) as plan:
-            assert plan.sparse_format == sparse_format
-            assert plan.spmv.n_shards == N_SHARDS
-            if backend != "serial":
-                assert plan.backend.parallel_active
-            result = plan.multiply(b32)
-            assert result.value.dtype == np.float32
-            assert snapshot(result) == reference
-            if scenario:
-                assert reference["corrected_blocks"]  # the storm corrected
+        plan = _plan(corpus, "serial", sparse_format, "float32", **scenario)
+        reference = snapshot(plan.multiply(b32))
+        plan = _plan(corpus, backend, sparse_format, "float32", **scenario)
+        assert plan.sparse_format == sparse_format
+        assert plan.spmv.n_shards == N_SHARDS
+        if backend != "serial":
+            assert plan.backend.parallel_active
+        result = plan.multiply(b32)
+        assert result.value.dtype == np.float32
+        assert snapshot(result) == reference
+        if scenario:
+            assert reference["corrected_blocks"]  # the storm corrected
 
 
 #: ``(storage format, backend)`` legs of the re-verification check.
-REVERIFY_LEGS = (("csr", "threads"), ("csr", "processes"), ("bsr", "threads"))
+REVERIFY_LEGS = (("csr", "threads"), ("bsr", "threads"))
 
 
 def _reverify_fields(sparse_format, backend):
@@ -238,21 +233,20 @@ def _reverify_fields(sparse_format, backend):
         matrix, config=config, bound_override=FirstCheckFlagsBlockOne(bound)
     )
     b = np.random.default_rng(RHS_SEED).standard_normal(matrix.n_cols)
-    with ProtectedPlan(
+    plan = ProtectedPlan(
         operator,
         n_shards=3,
         parallel=backend,
-        backend_options={"serial_cutoff": 0} if backend == "processes" else None,
         sparse_format=sparse_format,
-    ) as plan:
-        if backend != "serial":
-            assert plan.backend.parallel_active
-        result = plan.multiply(b)
-        fields = {
-            field.name: getattr(result, field.name)
-            for field in dataclasses.fields(result)
-        }
-        fields["value"] = result.value.tobytes()
+    )
+    if backend != "serial":
+        assert plan.backend.parallel_active
+    result = plan.multiply(b)
+    fields = {
+        field.name: getattr(result, field.name)
+        for field in dataclasses.fields(result)
+    }
+    fields["value"] = result.value.tobytes()
     return fields
 
 
@@ -271,12 +265,12 @@ def test_reverification_reads_fresh_thresholds_on_every_backend(sparse_format, b
 
 
 def test_plan_clean_matches_unplanned_golden(corpus):
-    """The multi-shard processes plan agrees with the committed unplanned
+    """The multi-shard threads plan agrees with the committed unplanned
     abft snapshot — linking the plan layer back to the PR 5 corpus."""
     _, b = corpus
     golden = json.loads((GOLDEN / "abft_clean.json").read_text())
-    with _plan(corpus, "processes") as plan:
-        result = plan.multiply(b.copy())
-        assert [float(v).hex() for v in result.value] == golden["value"]
-        assert float(result.seconds).hex() == golden["seconds"]
-        assert float(result.flops) == golden["flops"]
+    plan = _plan(corpus, "threads")
+    result = plan.multiply(b.copy())
+    assert [float(v).hex() for v in result.value] == golden["value"]
+    assert float(result.seconds).hex() == golden["seconds"]
+    assert float(result.flops) == golden["flops"]

@@ -12,7 +12,7 @@ import pytest
 from repro.core import AbftConfig, FaultTolerantSpMV
 from repro.errors import ConfigurationError
 from repro.obs import InMemoryExporter, Telemetry
-from repro.perf import BACKEND_ENV_VAR, ProtectedPlan, SpmvPlan
+from repro.perf import BACKEND_ENV_VAR, ProtectedPlan
 from repro.solvers.ft_pcg import FtPcgOptions, run_pcg
 from repro.sparse import (
     FORMAT_ENV_VAR,
@@ -28,9 +28,8 @@ BLOCK = 16
 
 @pytest.fixture(autouse=True)
 def _clean_format_env(monkeypatch):
-    """Selection tests need a known baseline: no ambient REPRO_FORMAT, and
-    no ambient REPRO_PARALLEL — the processes backend coerces every format
-    request to CSR (pinned by test_processes_backend_coerces_to_csr)."""
+    """Selection tests need a known baseline: no ambient REPRO_FORMAT or
+    REPRO_PARALLEL."""
     monkeypatch.delenv(FORMAT_ENV_VAR, raising=False)
     monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
 
@@ -124,23 +123,6 @@ def test_planned_cache_is_keyed_on_format(blocky):
     assert csr_plan.sparse_format == "csr"
 
 
-def test_processes_backend_coerces_to_csr(blocky):
-    plan = ProtectedPlan(_operator(blocky), parallel="processes",
-                         sparse_format="bsr")
-    try:
-        assert plan.sparse_format == "csr"
-        assert plan.format_choice.requested == "bsr"
-        assert "shared memory" in plan.format_choice.reason
-    finally:
-        plan.close()
-
-
-def test_spmv_plan_rejects_workspace_with_storage(blocky):
-    storage = BsrMatrix.from_csr(blocky, 8)
-    with pytest.raises(ConfigurationError, match="workspace"):
-        SpmvPlan(blocky, storage=storage, workspace=np.empty(blocky.nnz))
-
-
 # ----------------------------------------------------------------------
 # Execution: clean multiplies
 # ----------------------------------------------------------------------
@@ -185,9 +167,8 @@ def test_threaded_format_plan_matches_serial(blocky, requested):
     b = np.random.default_rng(2).standard_normal(blocky.n_cols)
     serial = ProtectedPlan(op, n_shards=3, parallel="serial",
                            sparse_format=requested).multiply(b).value.copy()
-    with ProtectedPlan(op, n_shards=3, parallel="threads",
-                       sparse_format=requested) as plan:
-        np.testing.assert_array_equal(plan.multiply(b).value, serial)
+    plan = ProtectedPlan(op, n_shards=3, parallel="threads", sparse_format=requested)
+    np.testing.assert_array_equal(plan.multiply(b).value, serial)
 
 
 # ----------------------------------------------------------------------
@@ -230,26 +211,25 @@ def test_fused_threaded_correction_on_format_storage(blocky, requested):
     )
     b = np.random.default_rng(4).standard_normal(blocky.n_cols)
     clean = build_format(blocky, requested).matvec(b)
-    with ProtectedPlan(op, n_shards=3, parallel="threads",
-                       sparse_format=requested) as plan:
-        assert plan.sparse_format == requested
-        assert plan.backend.parallel_active
-        result = plan.multiply(b)
-        shards = [
-            e["attrs"]["shard"] for e in telemetry.events()
-            if e["type"] == "span" and e["name"] == "plan.shard"
-        ]
-        assert sorted(shards) == [0, 1, 2]
-        assert result.detections == (True, False)
-        assert result.corrected_blocks == (1,)
-        np.testing.assert_array_equal(
-            result.value[BLOCK : 2 * BLOCK],
-            blocky.matvec(b)[BLOCK : 2 * BLOCK],
-        )
-        np.testing.assert_array_equal(result.value[: BLOCK], clean[: BLOCK])
-        np.testing.assert_array_equal(
-            result.value[2 * BLOCK :], clean[2 * BLOCK :]
-        )
+    plan = ProtectedPlan(op, n_shards=3, parallel="threads", sparse_format=requested)
+    assert plan.sparse_format == requested
+    assert plan.backend.parallel_active
+    result = plan.multiply(b)
+    shards = [
+        e["attrs"]["shard"] for e in telemetry.events()
+        if e["type"] == "span" and e["name"] == "plan.shard"
+    ]
+    assert sorted(shards) == [0, 1, 2]
+    assert result.detections == (True, False)
+    assert result.corrected_blocks == (1,)
+    np.testing.assert_array_equal(
+        result.value[BLOCK : 2 * BLOCK],
+        blocky.matvec(b)[BLOCK : 2 * BLOCK],
+    )
+    np.testing.assert_array_equal(result.value[: BLOCK], clean[: BLOCK])
+    np.testing.assert_array_equal(
+        result.value[2 * BLOCK :], clean[2 * BLOCK :]
+    )
 
 
 def test_tampered_bsr_plan_calls_the_hook_like_a_csr_plan(blocky):

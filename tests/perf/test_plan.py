@@ -413,11 +413,11 @@ def test_operator_multiply_value_survives_the_next_call(matrix, b):
 
 
 @pytest.mark.parametrize(
-    "variable, value", [(BACKEND_ENV_VAR, "processes"), (FORMAT_ENV_VAR, "bsr")]
+    "variable, value", [(BACKEND_ENV_VAR, "threads"), (FORMAT_ENV_VAR, "bsr")]
 )
 def test_operator_multiply_ignores_plan_overrides(monkeypatch, matrix, b, variable, value):
-    """``op.multiply`` never starts workers or restages ``A``: its plan is
-    one serial CSR shard whatever ``REPRO_PARALLEL``/``REPRO_FORMAT`` say."""
+    """``op.multiply`` never fans out or restages ``A``: its plan is one
+    serial CSR shard whatever ``REPRO_PARALLEL``/``REPRO_FORMAT`` say."""
     monkeypatch.setenv(variable, value)
     op = FaultTolerantSpMV(matrix, block_size=BLOCK)
     result = op.multiply(b)
@@ -503,11 +503,11 @@ def test_planned_rebuilds_on_shard_change(matrix):
 
 
 @pytest.mark.parametrize("source", ["config", "env"])
-@pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("backend", ["serial", "threads"])
 def test_planned_defaults_to_backend_worker_count(monkeypatch, backend, source):
     """``planned()`` takes its shard count from the resolved backend:
-    serial plans get one shard, threads and processes plans one per
-    worker and the fused multi-shard path."""
+    serial plans get one shard, threads plans one per worker and the
+    fused multi-shard path."""
     monkeypatch.setattr(backends.os, "cpu_count", lambda: 8)  # 4 workers
     monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
     if source == "env":
@@ -515,16 +515,15 @@ def test_planned_defaults_to_backend_worker_count(monkeypatch, backend, source):
         config = AbftConfig(block_size=BLOCK)
     else:
         config = AbftConfig(block_size=BLOCK, parallel=backend)
-    # Large enough that the processes backend engages by default.
     matrix = random_spd(4096, 40_000, seed=22)
     b = np.random.default_rng(22).standard_normal(matrix.n_cols)
     op = FaultTolerantSpMV(matrix, config=config)
-    with op.planned(sparse_format="csr") as plan:
-        expected = 1 if backend == "serial" else 4
-        assert plan.backend_name == backend
-        assert plan.n_shards == plan.spmv.n_shards == expected
-        assert plan.backend.parallel_active is (backend != "serial")
-        np.testing.assert_array_equal(plan.multiply(b).value, op.multiply(b).value)
+    plan = op.planned(sparse_format="csr")
+    expected = 1 if backend == "serial" else 4
+    assert plan.backend_name == backend
+    assert plan.n_shards == plan.spmv.n_shards == expected
+    assert plan.backend.parallel_active is (backend != "serial")
+    np.testing.assert_array_equal(plan.multiply(b).value, op.multiply(b).value)
 
 
 # ----------------------------------------------------------------------

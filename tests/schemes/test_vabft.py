@@ -317,7 +317,7 @@ def test_planned_vabft_matches_unplanned(f32_corpus):
     expected = direct.multiply(b.copy())
     # Bit-identity with the unplanned multiply is the CSR contract; pin
     # the format against a REPRO_FORMAT override.
-    with planned_scheme.planned(n_shards=2, sparse_format="csr") as plan:
-        got = plan.multiply(b.copy())
+    plan = planned_scheme.planned(n_shards=2, sparse_format="csr")
+    got = plan.multiply(b.copy())
     np.testing.assert_array_equal(got.value, expected.value)
     assert got.detections == expected.detections
