@@ -2,8 +2,8 @@
 
 Unlike the figure benches (which report *modeled* device time), these time
 the actual NumPy implementations with pytest-benchmark: the SpMV, the
-partial SpMV, checksum construction, the full detection pass, the dense
-check, and one PCG iteration's worth of work.  They guard against
+block correction kernel, checksum construction, the full detection pass,
+the dense check, and one PCG iteration's worth of work.  They guard against
 performance regressions in the substrate itself.
 """
 
@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from repro.baselines import DenseChecksum
-from repro.core import BlockAbftDetector, ChecksumMatrix, FaultTolerantSpMV
+from repro.core import BlockAbftDetector, BlockPartition, ChecksumMatrix, FaultTolerantSpMV
+from repro.kernels import VectorizedKernels
 from repro.solvers import make_preconditioner, pcg
 from repro.sparse import suite_matrix
 
@@ -32,8 +33,15 @@ def test_kernel_spmv(benchmark, matrix, operand):
 
 
 def test_kernel_partial_spmv(benchmark, matrix, operand):
-    result = benchmark(matrix.matvec_rows, 512, 544, operand)
-    assert result.shape == (32,)
+    # Rows 512-544 are block 16 at block size 32: the correction kernel
+    # recomputes them into a result vector in place.
+    partition = BlockPartition(matrix.n_rows, 32)
+    r = np.zeros(matrix.n_rows)
+    rows, _ = benchmark(
+        VectorizedKernels().correct_blocks, matrix, partition, operand, r, np.array([16])
+    )
+    assert rows == 32
+    np.testing.assert_array_equal(r[512:544], matrix.matvec(operand)[512:544])
 
 
 def test_kernel_checksum_build(benchmark, matrix):

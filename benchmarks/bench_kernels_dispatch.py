@@ -1,6 +1,8 @@
 """Naive-vs-vectorized kernel dispatch benchmark.
 
-Times the registered kernel sets head-to-head on the hot paths of a
+Times the library's kernel set against the naive oracle of the test suite
+(:mod:`tests.kernels.naive`, installed through its
+:func:`~tests.kernels.naive.kernels_installed`) on the hot paths of a
 protected multiply — full detection, selected-block re-verification and
 block correction — over a 10k-row random SPD matrix, and records the
 speedup table to ``results/bench_kernels_dispatch.txt``.  The vectorized
@@ -24,7 +26,9 @@ import pytest
 from benchmarks.conftest import bench_env, write_json, write_result
 from repro.core import AbftConfig, BlockAbftDetector, ChecksumMatrix
 from repro.core.corrector import correct_blocks
+from repro.kernels import VectorizedKernels
 from repro.sparse import banded_spd, random_spd
+from tests.kernels.naive import NaiveKernels, kernels_installed
 
 N_ROWS = 10_000
 NNZ = 120_000
@@ -52,12 +56,13 @@ def operand(matrix):
 
 @pytest.fixture(scope="module")
 def detectors(matrix):
-    return {
-        name: BlockAbftDetector(
-            matrix, AbftConfig(block_size=BLOCK_SIZE, kernel=name)
-        )
-        for name in ("naive", "vectorized")
-    }
+    detectors = {}
+    for kernels in (NaiveKernels(), VectorizedKernels()):
+        with kernels_installed(kernels):
+            detectors[kernels.name] = BlockAbftDetector(
+                matrix, AbftConfig(block_size=BLOCK_SIZE)
+            )
+    return detectors
 
 
 def _best_of(fn, repeats=REPEATS):
@@ -79,11 +84,11 @@ def _timings(matrix, banded, operand, detectors):
         scratch = r.copy()
         rows[name] = {
             "encode": _best_of(
-                lambda n=name: ChecksumMatrix.build(matrix, BLOCK_SIZE, kernel=n),
+                lambda d=detector: ChecksumMatrix.build(matrix, BLOCK_SIZE, kernels=d.kernels),
                 repeats=3,
             ),
             "encode_banded": _best_of(
-                lambda n=name: ChecksumMatrix.build(banded, BLOCK_SIZE, kernel=n),
+                lambda d=detector: ChecksumMatrix.build(banded, BLOCK_SIZE, kernels=d.kernels),
                 repeats=3,
             ),
             "detect": _best_of(lambda d=detector: d.detect(operand, r)),
@@ -92,7 +97,7 @@ def _timings(matrix, banded, operand, detectors):
             ),
             "correct": _best_of(
                 lambda d=detector, s=scratch: correct_blocks(
-                    matrix, d.partition, operand, s, blocks, kernel=d.kernels
+                    matrix, d.partition, operand, s, blocks, kernels=d.kernels
                 )
             ),
         }

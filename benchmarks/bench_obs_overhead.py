@@ -114,7 +114,7 @@ def _baseline(operator):
             fused.checksum_spmv.execute(b)
             beta = detector.operand_norm(b)
             detector.checksum.result_checksums(
-                r, kernel=detector.kernels, out=fused.t2, workspace=fused.t2_workspace
+                r, out=fused.t2, workspace=fused.t2_workspace
             )
             np.multiply(coefficients, beta, out=fused.thresholds)
             fused.compare_range(0, detector.n_blocks)

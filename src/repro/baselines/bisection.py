@@ -173,10 +173,9 @@ class PartialRecomputationSpMV(BaselineContext):
         max_rounds: int = 8,
         early_stop_fraction: float = DEFAULT_EARLY_STOP,
         bound_scale: float = 1.0,
-        kernel: object = None,
         telemetry: object = None,
     ) -> None:
-        super().__init__(matrix, machine=machine, kernel=kernel, telemetry=telemetry)
+        super().__init__(matrix, machine=machine, telemetry=telemetry)
         self.max_rounds = max_rounds
         self.checker = DenseChecksum(matrix, bound_scale=bound_scale)
         self.localizer = BisectionLocalizer(matrix, early_stop_fraction)

@@ -109,14 +109,12 @@ class CheckpointSpMV(DenseCheckSpMV):
         matrix: CsrMatrix,
         machine: Optional[Machine] = None,
         bound_scale: float = 1.0,
-        kernel: object = None,
         telemetry: object = None,
     ) -> None:
         super().__init__(
             matrix,
             machine=machine,
             bound_scale=bound_scale,
-            kernel=kernel,
             telemetry=telemetry,
         )
         self.store = CheckpointStore()

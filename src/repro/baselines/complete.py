@@ -30,10 +30,9 @@ class CompleteRecomputationSpMV(BaselineContext):
         machine: Optional[Machine] = None,
         max_rounds: int = 8,
         bound_scale: float = 1.0,
-        kernel: object = None,
         telemetry: object = None,
     ) -> None:
-        super().__init__(matrix, machine=machine, kernel=kernel, telemetry=telemetry)
+        super().__init__(matrix, machine=machine, telemetry=telemetry)
         self.max_rounds = max_rounds
         self.checker = DenseChecksum(matrix, bound_scale=bound_scale)
 

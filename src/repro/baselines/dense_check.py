@@ -150,10 +150,9 @@ class DenseCheckSpMV(BaselineContext):
         matrix: CsrMatrix,
         machine: Optional[Machine] = None,
         bound_scale: float = 1.0,
-        kernel: object = None,
         telemetry: object = None,
     ) -> None:
-        super().__init__(matrix, machine=machine, kernel=kernel, telemetry=telemetry)
+        super().__init__(matrix, machine=machine, telemetry=telemetry)
         self.checker = DenseChecksum(matrix, bound_scale=bound_scale)
 
     def multiply(

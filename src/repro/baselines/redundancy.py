@@ -55,10 +55,9 @@ class DwcSpMV(BaselineContext):
         matrix: CsrMatrix,
         machine: Optional[Machine] = None,
         max_rounds: int = 8,
-        kernel: object = None,
         telemetry: object = None,
     ) -> None:
-        super().__init__(matrix, machine=machine, kernel=kernel, telemetry=telemetry)
+        super().__init__(matrix, machine=machine, telemetry=telemetry)
         self.max_rounds = max_rounds
 
     def _duplicate_graph(self) -> TaskGraph:
@@ -167,10 +166,9 @@ class TmrSpMV(BaselineContext):
         self,
         matrix: CsrMatrix,
         machine: Optional[Machine] = None,
-        kernel: object = None,
         telemetry: object = None,
     ) -> None:
-        super().__init__(matrix, machine=machine, kernel=kernel, telemetry=telemetry)
+        super().__init__(matrix, machine=machine, telemetry=telemetry)
 
     def _triplicate_graph(self) -> TaskGraph:
         matrix = self.matrix

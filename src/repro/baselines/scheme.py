@@ -14,8 +14,9 @@ from typing import Optional
 
 import numpy as np
 
+import repro.kernels
 from repro.core.corrector import TamperHook
-from repro.kernels import KernelSet, resolve_kernels
+from repro.kernels import KernelSet
 from repro.machine import ExecutionMeter, Machine
 from repro.obs import Telemetry, resolve_telemetry
 from repro.sparse.csr import CsrMatrix
@@ -26,9 +27,9 @@ class BaselineContext:
 
     Resolves the machine model, kernel set and telemetry stream once at
     construction so baseline hot paths (range recomputation, checksum
-    refreshes) dispatch through the same registered kernels — and emit
-    into the same telemetry stream — as the block-ABFT scheme, making
-    overhead comparisons kernel-for-kernel.
+    refreshes) dispatch through the same kernels — and emit into the same
+    telemetry stream — as the block-ABFT scheme, making overhead
+    comparisons kernel-for-kernel.
     """
 
     #: Registry name; subclasses override.
@@ -38,13 +39,12 @@ class BaselineContext:
         self,
         matrix: CsrMatrix,
         machine: Optional[Machine] = None,
-        kernel: object = None,
         telemetry: object = None,
     ) -> None:
         self.matrix = matrix
         self.machine = machine or Machine()
         self.telemetry: Telemetry = resolve_telemetry(telemetry)
-        self.kernels: KernelSet = self.telemetry.wrap_kernels(resolve_kernels(kernel))
+        self.kernels: KernelSet = self.telemetry.wrap_kernels(repro.kernels.KERNELS)
         self._span_name = f"scheme.{self.name}.multiply"
 
     # ------------------------------------------------------------------
@@ -65,8 +65,8 @@ class BaselineContext:
         injected kernel set; returns the nnz touched.
 
         ``row_checksums`` dots each selected CSR row with ``b`` — the
-        same left-to-right per-row reduction as ``matvec_rows``, so the
-        recomputed segment is bit-identical under every kernel set.
+        same left-to-right per-row reduction as ``CsrMatrix.matvec``, so
+        the recomputed segment is bit-identical to a full multiply's.
         """
         rows = np.arange(start, stop, dtype=np.int64)
         segment, nnz = self.kernels.row_checksums(self.matrix, rows, b)

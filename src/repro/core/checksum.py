@@ -9,34 +9,29 @@ cheap compared to a dense checksum vector.
 
 The construction itself follows Figure 3: a structure pass derives ``C``'s
 sparsity pattern from ``A``'s, then a numeric pass accumulates the weighted
-column sums.  The numeric kernels dispatch through :mod:`repro.kernels`
-(``"vectorized"`` marks each block's non-empty columns inside the block's
-column envelope for the structure pass and sums the weighted entries into
-the marked cells in row order; ``"naive"`` iterates blocks).
+column sums.  The numeric kernels come from :mod:`repro.kernels`: the
+encoder marks each block's non-empty columns inside the block's column
+envelope for the structure pass and sums the weighted entries into the
+marked cells in row order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import Optional
 
 import numpy as np
 
+import repro.kernels
 from repro.errors import ConfigurationError
 from repro.core.blocking import BlockPartition
-from repro.kernels import DEFAULT_KERNEL, resolve_kernels
-from repro.kernels.base import ACCUMULATION_DTYPE
+from repro.kernels.base import ACCUMULATION_DTYPE, KernelSet
 from repro.obs import resolve_telemetry
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.kernels.base import KernelSet
 from repro.machine import KernelCost, log2ceil
 from repro.sparse.csr import CsrMatrix
 
 
-def make_weights(
-    kind: str, partition: BlockPartition, kernel: object = None
-) -> np.ndarray:
+def make_weights(kind: str, partition: BlockPartition) -> np.ndarray:
     """Full-length weight vector ``w`` with ``w[i]`` = weight of row i.
 
     ``"ones"`` is the paper's choice (checksums are plain column sums);
@@ -45,9 +40,6 @@ def make_weights(
     deterministic weights from [0.5, 1.5], which defeats the classic ABFT
     blind spot of exactly-cancelling multi-errors (two corruptions summing
     to zero no longer cancel in the weighted checksum).
-
-    ``kernel`` selects the :mod:`repro.kernels` implementation for the
-    per-block ``"linear"`` ramp (name, instance, or None for the default).
     """
     if kind == "ones":
         # Weights live on the accumulation side of the pipeline: float64
@@ -55,7 +47,7 @@ def make_weights(
         # therefore t1/t2) accumulates wide even for narrow storage.
         return np.ones(partition.n_rows, dtype=ACCUMULATION_DTYPE)
     if kind == "linear":
-        return resolve_kernels(kernel).linear_weights(partition)
+        return repro.kernels.KERNELS.linear_weights(partition)
     if kind == "random":
         rng = np.random.default_rng(0x5EED)
         return rng.uniform(0.5, 1.5, size=partition.n_rows)
@@ -77,8 +69,8 @@ class ChecksumMatrix:
         checksum_norms: per block, ``||c_k||_2``.
         setup_cost: kernel cost of building ``C`` (one-time preprocessing;
             paper Section III-E notes it amortizes over reuse).
-        kernel_name: name of the kernel set the checksum was built with;
-            checksum evaluations default to the same set.
+        kernels: the kernel set the checksum was built with; checksum
+            evaluations run on the same set.
     """
 
     matrix: CsrMatrix
@@ -89,7 +81,7 @@ class ChecksumMatrix:
     checksum_norms: np.ndarray
     setup_cost: KernelCost
     source_nnz: int
-    kernel_name: str = DEFAULT_KERNEL
+    kernels: KernelSet
 
     @classmethod
     def build(
@@ -97,7 +89,7 @@ class ChecksumMatrix:
         source: CsrMatrix,
         block_size: int,
         weight_kind: str = "ones",
-        kernel: object = None,
+        kernels: Optional[KernelSet] = None,
         telemetry: object = None,
     ) -> "ChecksumMatrix":
         """Encode ``source`` into its checksum matrix.
@@ -106,19 +98,19 @@ class ChecksumMatrix:
             source: the input matrix ``A``.
             block_size: rows per block (b_s).
             weight_kind: weight-vector scheme (see :func:`make_weights`).
-            kernel: kernel-set name or instance executing the encoding and
-                later checksum evaluations (None = configured default).
+            kernels: kernel set executing the encoding and later checksum
+                evaluations (None = :data:`repro.kernels.KERNELS`).
             telemetry: :mod:`repro.obs` selection; the build is traced as
                 a ``checksum.build`` span when enabled.
         """
         tel = resolve_telemetry(telemetry)
-        kernels = tel.wrap_kernels(resolve_kernels(kernel))
+        kernels = tel.wrap_kernels(repro.kernels.KERNELS if kernels is None else kernels)
         with tel.span(
             "checksum.build", rows=source.n_rows, nnz=source.nnz,
             block_size=block_size, kernel=kernels.name,
         ):
             partition = BlockPartition(source.n_rows, block_size)
-            weights = make_weights(weight_kind, partition, kernels)
+            weights = make_weights(weight_kind, partition)
             checksum = kernels.encode(source, partition, weights)
 
             nonempty = checksum.row_lengths()
@@ -146,12 +138,8 @@ class ChecksumMatrix:
             checksum_norms=checksum_norms,
             setup_cost=setup_cost,
             source_nnz=source.nnz,
-            kernel_name=kernels.name,
+            kernels=kernels,
         )
-
-    def _kernels(self, kernel: object = None) -> "KernelSet":
-        """Resolve the kernel set for one evaluation (env override applies)."""
-        return resolve_kernels(kernel if kernel is not None else self.kernel_name)
 
     @property
     def n_blocks(self) -> int:
@@ -188,12 +176,11 @@ class ChecksumMatrix:
     def result_checksums(
         self,
         r: np.ndarray,
-        kernel: object = None,
         out: np.ndarray | None = None,
         workspace: np.ndarray | None = None,
     ) -> np.ndarray:
         """t2_k = w_k^T r_k: segmented weighted sums of the result vector."""
-        return self._kernels(kernel).result_checksums(
+        return self.kernels.result_checksums(
             self.weights, r, self.partition, out=out, workspace=workspace
         )
 
@@ -201,7 +188,6 @@ class ChecksumMatrix:
         self,
         r: np.ndarray,
         blocks: np.ndarray,
-        kernel: object = None,
         out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Recompute t2 for selected blocks only (re-verification path).
@@ -209,6 +195,6 @@ class ChecksumMatrix:
         Raises:
             ConfigurationError: if any block id is negative or >= n_blocks.
         """
-        return self._kernels(kernel).result_checksums_for_blocks(
+        return self.kernels.result_checksums_for_blocks(
             self.weights, r, self.partition, blocks, out=out
         )

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.kernels.base import DEFAULT_KERNEL, KERNEL_SELECTOR
+from repro.kernels.base import DEFAULT_KERNEL
 from repro.obs.exporters import DEFAULT_EXPORTER, TELEMETRY_SELECTOR
 from repro.registry import Selector
 
@@ -44,10 +44,9 @@ class AbftConfig:
             for the bound-tightness ablation.
         max_correction_rounds: verification/correction iterations before a
             protected multiply gives up (errors can hit corrections too).
-        kernel: registered kernel-set name executing the hot paths (see
-            :mod:`repro.kernels`); the ``REPRO_KERNELS`` environment
-            variable overrides it process-wide.  Custom sets must be
-            registered before the config is constructed.
+        kernel: name of the kernel set executing the hot paths (see
+            :mod:`repro.kernels`).  The library has one, so
+            ``"vectorized"`` is the only value accepted.
         telemetry: registered exporter name receiving protocol telemetry
             (see :mod:`repro.obs`); ``"off"`` (the default) disables all
             instrumentation down to a single guard per update site.  The
@@ -123,12 +122,16 @@ class AbftConfig:
             raise ConfigurationError(
                 f"near_miss_fraction must be >= 0, got {self.near_miss_fraction}"
             )
+        if self.kernel != DEFAULT_KERNEL:
+            raise ConfigurationError(
+                f"AbftConfig.kernel must be {DEFAULT_KERNEL!r}, got {self.kernel!r}"
+            )
         for selector in selectors():
             selector.check(getattr(self, selector.name), "AbftConfig")
 
 
 def selectors() -> Tuple[Selector, ...]:
-    """The six selectors behind :class:`AbftConfig`'s name fields, in
+    """The five selectors behind :class:`AbftConfig`'s name fields, in
     field order (each selector's ``name`` is its field)."""
     # Lazy imports: these subsystems import this module.
     from repro.core.dtypes import DTYPE_SELECTOR
@@ -136,5 +139,5 @@ def selectors() -> Tuple[Selector, ...]:
     from repro.schemes.registry import SCHEME_SELECTOR
     from repro.sparse.formats import FORMAT_SELECTOR
 
-    return (KERNEL_SELECTOR, TELEMETRY_SELECTOR, SCHEME_SELECTOR, BACKEND_SELECTOR,
-            FORMAT_SELECTOR, DTYPE_SELECTOR)
+    return (TELEMETRY_SELECTOR, SCHEME_SELECTOR, BACKEND_SELECTOR, FORMAT_SELECTOR,
+            DTYPE_SELECTOR)

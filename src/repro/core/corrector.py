@@ -12,8 +12,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+import repro.kernels
 from repro.core.blocking import BlockPartition
-from repro.kernels import resolve_kernels
+from repro.kernels.base import KernelSet
 from repro.machine import KernelCost, log2ceil
 from repro.sparse.csr import CsrMatrix
 
@@ -43,7 +44,7 @@ def correct_blocks(
     r: np.ndarray,
     blocks: np.ndarray,
     tamper: Optional[TamperHook] = None,
-    kernel: object = None,
+    kernels: Optional[KernelSet] = None,
 ) -> CorrectionOutcome:
     """Recompute the result rows of ``blocks`` in place.
 
@@ -56,15 +57,15 @@ def correct_blocks(
         tamper: optional fault hook; receives each recomputed segment so
             campaigns can corrupt corrections too (errors do not pause
             while the scheme repairs earlier errors).
-        kernel: :mod:`repro.kernels` selection (name, instance, or None
-            for the configured default); ``"vectorized"`` recomputes all
-            flagged blocks in one fused gather/segment-sum kernel.
+        kernels: kernel set recomputing the blocks (None =
+            :data:`repro.kernels.KERNELS`, which recomputes all flagged
+            blocks in one fused gather/segment-sum kernel).
 
     Returns:
         Row/nnz accounting for the round.
     """
     blocks = np.asarray(blocks, dtype=np.int64)
-    rows, nnz = resolve_kernels(kernel).correct_blocks(
-        matrix, partition, b, r, blocks, tamper
-    )
+    if kernels is None:
+        kernels = repro.kernels.KERNELS
+    rows, nnz = kernels.correct_blocks(matrix, partition, b, r, blocks, tamper)
     return CorrectionOutcome(blocks=blocks, rows_recomputed=rows, nnz_recomputed=nnz)

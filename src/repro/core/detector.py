@@ -15,13 +15,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
+import repro.kernels
 from repro.core.blocking import BlockPartition
 from repro.core.bounds import Bound, make_bound
 from repro.core.checksum import ChecksumMatrix
 from repro.core.config import AbftConfig
 from repro.core.dtypes import DtypePolicy, resolve_dtype_policy
 from repro.errors import ShapeMismatchError
-from repro.kernels import resolve_kernels
 from repro.kernels.base import ACCUMULATION_DTYPE
 from repro.obs import Telemetry, resolve_telemetry
 from repro.machine import (
@@ -146,12 +146,12 @@ class BlockAbftDetector:
             self.config.dtype, dtype
         )
         self.epsilon = self.dtype_policy.epsilon_for(matrix.dtype)
-        self.kernels = self.telemetry.wrap_kernels(resolve_kernels(self.config.kernel))
+        self.kernels = self.telemetry.wrap_kernels(repro.kernels.KERNELS)
         self.checksum = ChecksumMatrix.build(
             matrix,
             self.config.block_size,
             self.config.weights,
-            kernel=self.kernels,
+            kernels=self.kernels,
             telemetry=self.telemetry,
         )
         if self.telemetry.enabled:
@@ -195,7 +195,7 @@ class BlockAbftDetector:
             raise ShapeMismatchError(
                 f"result has shape {r.shape}, expected ({self.matrix.n_rows},)"
             )
-        return self.checksum.result_checksums(r, kernel=self.kernels)
+        return self.checksum.result_checksums(r)
 
     @np.errstate(over="ignore", invalid="ignore")
     def operand_norm(self, b: np.ndarray) -> float:

@@ -266,7 +266,7 @@ class FaultTolerantSpMV:
             ):
                 outcome = correct_blocks(
                     matrix, detector.partition, b, r, flagged, tamper,
-                    kernel=detector.kernels,
+                    kernels=detector.kernels,
                 )
                 corrected.update(int(x) for x in flagged)
 
@@ -277,9 +277,7 @@ class FaultTolerantSpMV:
                         b, t1, flagged, tamper
                     )
 
-                recheck = detector.checksum.result_checksums_for_blocks(
-                    r, flagged, kernel=detector.kernels
-                )
+                recheck = detector.checksum.result_checksums_for_blocks(r, flagged)
                 self._tamper(tamper, "t2", recheck, 2.0 * outcome.rows_recomputed)
                 report = detector.compare(t1[flagged], recheck, beta, blocks=flagged)
 

@@ -1,29 +1,21 @@
-"""Kernel registry and dispatch for the ABFT hot paths.
+"""The kernel-set interface of the ABFT hot paths.
 
 The scheme's per-multiply cost is dominated by a handful of kernels:
 checksum encoding, result-checksum evaluation (full and per-block),
 syndrome/threshold comparison, block recomputation and the ``t1``
-refresh.  Each of these exists in more than one implementation — the
-reference per-block Python loops (``"naive"``) and the
-batched/vectorized NumPy versions (``"vectorized"``) — grouped into a
-:class:`KernelSet` and selected by name through a process-wide
-registry.
+refresh.  A :class:`KernelSet` groups one implementation of each.  The
+library runs one set, :class:`repro.kernels.vectorized.VectorizedKernels`
+(:data:`repro.kernels.KERNELS`); the interface also admits the
+telemetry wrapper :class:`repro.obs.timing.TimedKernels` and the test
+suite's reference oracle, the per-block loops the vectorized set is
+differentially tested against.
 
 Every kernel that touches a matrix takes CSR: the operator's matrix or
 its checksum matrix.  A plan that multiplies in another storage format
 (see :mod:`repro.sparse.formats`) still detects against the CSR checksum
 matrix and recomputes flagged blocks through these kernels.
 
-Selection follows the rule of :mod:`repro.registry` (first match wins):
-
-1. an explicit :class:`KernelSet` instance passed to ``resolve_kernels``;
-2. the :data:`KERNEL_ENV_VAR` environment variable (``REPRO_KERNELS``),
-   which overrides every configured name — useful to A/B a whole run
-   without touching code;
-3. the name passed in (usually ``AbftConfig.kernel``);
-4. :data:`DEFAULT_KERNEL`.
-
-Every implementation pair is held to the differential-testing contract of
+Every implementation is held to the differential-testing contract of
 ``tests/kernels``: structural outputs (sparsity patterns, flag masks,
 accounting) must match bit-level, floating-point reductions must agree
 within the paper's own rounding-error bounds.
@@ -37,14 +29,10 @@ from typing import TYPE_CHECKING, Callable, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.registry import Registry, Selector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotations only)
     from repro.core.blocking import BlockPartition
     from repro.sparse.csr import CsrMatrix
-
-#: Environment variable that overrides the configured kernel-set name.
-KERNEL_ENV_VAR = "REPRO_KERNELS"
 
 #: Dtype of the checksum side of every pipeline: weights, checksum rows,
 #: ``t1``/``t2``, syndromes and thresholds.  Every builtin
@@ -55,7 +43,8 @@ KERNEL_ENV_VAR = "REPRO_KERNELS"
 #: place instead of scattered ``np.float64`` literals.
 ACCUMULATION_DTYPE = np.dtype(np.float64)
 
-#: Kernel set used when neither a name nor the environment selects one.
+#: Name of the library's kernel set: the only value ``AbftConfig.kernel``
+#: and ``FtPcgOptions.kernel`` accept.
 DEFAULT_KERNEL = "vectorized"
 
 #: Fault-campaign hook signature (mirrors :data:`repro.core.corrector.TamperHook`).
@@ -152,7 +141,7 @@ class KernelSet(abc.ABC):
     under every kernel set).
     """
 
-    #: Registry key; subclasses override.
+    #: The set's name (telemetry tags events with it); subclasses override.
     name: str = "abstract"
 
     # -- weights / encoding ------------------------------------------------
@@ -243,50 +232,3 @@ class KernelSet(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<KernelSet {self.name}>"
-
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-#: Kernel sets that ship with the library (and cannot be unregistered).
-BUILTIN_KERNELS = ("naive", "vectorized")
-
-#: Kernel sets keyed by name.
-KERNEL_REGISTRY: Registry[KernelSet] = Registry(
-    "kernel set", builtins=BUILTIN_KERNELS, entry_type=KernelSet,
-    key=lambda impl: impl.name)
-
-#: ``REPRO_KERNELS`` overrides every configured name.
-KERNEL_SELECTOR = Selector("kernel", KERNEL_ENV_VAR, KERNEL_REGISTRY, DEFAULT_KERNEL)
-
-
-def register_kernels(impl: KernelSet, overwrite: bool = False) -> KernelSet:
-    """Register ``impl`` under ``impl.name``."""
-    return KERNEL_REGISTRY.register(impl, overwrite=overwrite)
-
-
-def unregister_kernels(name: str) -> None:
-    """Remove a registered kernel set (primarily for test isolation)."""
-    KERNEL_REGISTRY.unregister(name)
-
-
-def available_kernels() -> Tuple[str, ...]:
-    """Registered kernel-set names, sorted."""
-    return KERNEL_REGISTRY.available()
-
-
-def get_kernels(name: str) -> KernelSet:
-    """Look up a kernel set by name."""
-    return KERNEL_REGISTRY.get(name)
-
-
-def resolve_kernels(kernel: object = None) -> KernelSet:
-    """Resolve a kernel selection to a concrete :class:`KernelSet`.
-
-    ``kernel`` may be a :class:`KernelSet` (returned as-is), a registered
-    name, or ``None``.  The :data:`KERNEL_ENV_VAR` environment variable
-    overrides any *name* (but never an explicit instance).
-    """
-    if isinstance(kernel, KernelSet):
-        return kernel
-    return KERNEL_SELECTOR.get(kernel)

@@ -1,19 +1,21 @@
-"""Batched kernel set: every per-block loop becomes one fused reduction.
+"""The library's kernel set: every per-block loop is one fused reduction.
 
 Selected-block operations gather their row (or entry) ranges into a single
 flat index array (:func:`repro.kernels.base.flat_segment_indices`) and
 reduce with ``np.add.reduceat`` — one NumPy call regardless of how many
 blocks are selected.  Reduction order within each row/segment matches the
-naive kernels exactly, so recomputed values are bit-identical; whole-block
-dot products may differ from the naive BLAS calls in the last ulp, which
-the differential suite checks against the paper's own rounding bounds.
+per-block reference loops of the test suite's oracle exactly, so
+recomputed values are bit-identical; whole-block dot products may differ
+from the oracle's BLAS calls in the last ulp, which the differential
+suite checks against the paper's own rounding bounds.
 
 ``encode`` groups ``A``'s entries by ``(block, column)`` without sorting
 them.  Each row block's column envelope (the range from its smallest to
 its largest stored column) is laid end to end with the others; one
 scatter marks the cells ``A`` occupies, and the marked cells, in order,
 are ``C``'s pattern.  ``np.add.at`` then sums every group sequentially in
-row order, as the naive encoder does, so ``C`` is bit-identical.  Inputs
+row order, as the oracle's per-block encoder does, so ``C`` is
+bit-identical.  Inputs
 whose envelopes hold more than :data:`ENVELOPE_CELLS_PER_ENTRY` cells per
 stored entry sort their entries through ``CooMatrix.to_csr`` instead,
 which groups and sums in the same order.

@@ -1,9 +1,9 @@
 """Pluggable rule registry, one :class:`repro.registry.Registry`.
 
 Rules are registered under their rule id; the engine runs every registered
-rule unless the caller selects or ignores a subset.  Like kernel sets, the
-built-in rule pack cannot be unregistered — test isolation removes only
-rules it added itself.
+rule unless the caller selects or ignores a subset.  Like every
+registry's built-ins, the built-in rule pack cannot be unregistered — test
+isolation removes only rules it added itself.
 """
 
 from __future__ import annotations

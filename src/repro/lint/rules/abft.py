@@ -64,7 +64,7 @@ SELECTOR_PARAMS = frozenset(
 #: registry or selector that raise on a bad name (``pick`` validates
 #: nothing).
 VALIDATOR_CALLS = frozenset(
-    {"resolve_kernels", "make_weights", "make_bound", "validate_blocks", "AbftConfig",
+    {"make_weights", "make_bound", "validate_blocks", "AbftConfig",
      "make_scheme", "resolve_scheme", "canonical_scheme_name",
      "canonical_format_name", "resolve_format_name", "select_format",
      "build_format", "registry.available", "registry.canonical", "registry.check",
@@ -474,7 +474,7 @@ class MissingValidationRule(LintRule):
     title = "public API selector parameter without validation-error path"
     rationale = (
         "Every configuration fork in the scheme (bound kind, weight kind, "
-        "kernel set) changes what the detector guarantees; a selector that "
+        "storage format) changes what the detector guarantees; a selector that "
         "silently ignores unknown values runs the wrong protection without "
         "telling anyone — the repo-wide contract is ConfigurationError."
     )

@@ -165,7 +165,7 @@ def registry_method(node: ast.Call) -> str:
     """Method name of a call on a :mod:`repro.registry` object, else ``""``.
 
     Registries and selectors are module constants named ``*_REGISTRY``
-    and ``*_SELECTOR``: ``KERNEL_REGISTRY.register(impl)`` yields
+    and ``*_SELECTOR``: ``SCHEME_REGISTRY.register(factory, name)`` yields
     ``"register"``, ``atexit.register(fn)`` yields ``""``.
     """
     func = node.func

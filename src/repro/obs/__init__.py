@@ -14,7 +14,7 @@ records the numbers the protected hot paths would otherwise discard:
   injectable monotonic clock (deterministic event streams under test);
 * pluggable exporters — in-memory, JSONL event log, text summary —
   selected via ``AbftConfig.telemetry`` or the ``REPRO_OBS`` environment
-  override, with the registry contract of :mod:`repro.kernels`;
+  override, with the registry contract of :mod:`repro.registry`;
 * ``python -m repro.obs`` tooling: ``summarize`` (text or ``--json``)
   renders a recorded run, ``report`` writes a markdown campaign report,
   ``expose`` prints OpenMetrics exposition text.

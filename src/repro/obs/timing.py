@@ -1,12 +1,12 @@
 """Dispatch-level kernel timing: a :class:`KernelSet` decorator.
 
-:class:`TimedKernels` wraps any registered kernel set (naive, vectorized
-or a custom one) and records the wall time of every hot-path call into a
-``kernel.<op>.seconds`` histogram, tagging each event with the wrapped
-set's name.  Wrapping happens at *dispatch* level —
-:meth:`repro.obs.telemetry.Telemetry.wrap_kernels` — so both built-in
-kernel sets (and any future one) are covered without touching their code,
-and the disabled path never sees the wrapper at all.
+:class:`TimedKernels` wraps any kernel set (the library's vectorized set
+or the test suite's reference oracle) and records the wall time of every
+hot-path call into a ``kernel.<op>.seconds`` histogram, tagging each
+event with the wrapped set's name.  Wrapping happens at *dispatch* level
+— :meth:`repro.obs.telemetry.Telemetry.wrap_kernels` — so any kernel set
+is covered without touching its code, and the disabled path never sees
+the wrapper at all.
 """
 
 from __future__ import annotations

@@ -759,7 +759,7 @@ class ProtectedPlan:
             tamper("beta", self._beta_box, self._stage_work[2])
             beta = float(self._beta_box[0])
         t2 = detector.checksum.result_checksums(
-            r, kernel=detector.kernels, out=self._t2, workspace=self._t2_workspace
+            r, out=self._t2, workspace=self._t2_workspace
         )
         if tamper is not None:
             tamper("t2", t2, self._stage_work[3])

@@ -1,14 +1,14 @@
 """One registry and one selector for every named choice in the library.
 
-Seven subsystems pick an implementation by name: kernel sets
-(:mod:`repro.kernels`), protection schemes (:mod:`repro.schemes`), plan
-backends (:mod:`repro.perf.backends`), telemetry exporters
-(:mod:`repro.obs.exporters`), lint rules (:mod:`repro.lint`), dtype
-policies (:mod:`repro.core.dtypes`) and sparse formats
-(:mod:`repro.sparse.formats`).  Each declares one :class:`Registry` —
-its entry check, its key function and its accepted spellings — and the
-six behind an :class:`~repro.core.AbftConfig` field declare one
-:class:`Selector`.  Everything else about names lives here.
+Six subsystems pick an implementation by name: protection schemes
+(:mod:`repro.schemes`), plan backends (:mod:`repro.perf.backends`),
+telemetry exporters (:mod:`repro.obs.exporters`), lint rules
+(:mod:`repro.lint`), dtype policies (:mod:`repro.core.dtypes`) and
+sparse formats (:mod:`repro.sparse.formats`).  Each declares one
+:class:`Registry` — its entry check, its key function and its accepted
+spellings — and the five behind an :class:`~repro.core.AbftConfig`
+field declare one :class:`Selector`.  Everything else about names lives
+here.
 
 Registry contract:
 
@@ -37,8 +37,7 @@ value that came from the environment or a config field names its source.
 Error text is built only on failure.
 
 This module imports only :mod:`repro.errors`: substrate packages
-(:mod:`repro.sparse`, :mod:`repro.kernels`) use it without importing
-:mod:`repro.core`.
+(:mod:`repro.sparse`) use it without importing :mod:`repro.core`.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ class Registry(Generic[T]):
     """Entries of one kind, keyed by name, with sealed built-ins.
 
     Args:
-        kind: noun naming the entries in every error ("kernel set").
+        kind: noun naming the entries in every error ("scheme").
         builtins: keys that ship with the library.
         entry_type: class every entry must be an instance of; an
             instance also spells its own key.  ``None`` means entries are

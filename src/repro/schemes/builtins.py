@@ -137,7 +137,6 @@ def make_bisection(
         max_rounds=config.max_correction_rounds,
         early_stop_fraction=early_stop,
         bound_scale=config.bound_scale,
-        kernel=config.kernel,
         telemetry=telemetry,
     )
 
@@ -159,7 +158,6 @@ def make_complete(
         machine=machine,
         max_rounds=config.max_correction_rounds,
         bound_scale=config.bound_scale,
-        kernel=config.kernel,
         telemetry=telemetry,
     )
 
@@ -180,7 +178,6 @@ def make_dense_check(
         matrix,
         machine=machine,
         bound_scale=config.bound_scale,
-        kernel=config.kernel,
         telemetry=telemetry,
     )
 
@@ -203,7 +200,6 @@ def make_checkpoint(
         matrix,
         machine=machine,
         bound_scale=config.bound_scale,
-        kernel=config.kernel,
         telemetry=telemetry,
     )
 
@@ -224,7 +220,6 @@ def make_redundancy(
         matrix,
         machine=machine,
         max_rounds=config.max_correction_rounds,
-        kernel=config.kernel,
         telemetry=telemetry,
     )
 
@@ -244,6 +239,5 @@ def make_tmr(
     return TmrSpMV(
         matrix,
         machine=machine,
-        kernel=config.kernel,
         telemetry=telemetry,
     )

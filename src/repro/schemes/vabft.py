@@ -290,7 +290,5 @@ class VarianceAdaptiveSpMV(FaultTolerantSpMV):
                     continue
                 r = matrix.matvec(b)
                 with np.errstate(invalid="ignore", over="ignore"):
-                    syndrome = checksum.operand_checksums(
-                        b
-                    ) - checksum.result_checksums(r, kernel=detector.kernels)
+                    syndrome = checksum.operand_checksums(b) - checksum.result_checksums(r)
                     self.estimator.update(np.abs(syndrome) / beta)

@@ -38,7 +38,7 @@ from repro.core.config import AbftConfig
 from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
 from repro.faults.process import ErrorProcess
-from repro.kernels.base import DEFAULT_KERNEL, KERNEL_SELECTOR
+from repro.kernels.base import DEFAULT_KERNEL
 from repro.machine import (
     ExecutionMeter,
     Machine,
@@ -73,6 +73,8 @@ class FtPcgOptions:
     block_size: int = 32
     preconditioner: str = "jacobi"
     max_correction_rounds: int = 8
+    #: Kernel-set name; ``"vectorized"``, the library's one set, is the
+    #: only value accepted.
     kernel: str = DEFAULT_KERNEL
     #: Storage format for the planned protected multiply ("csr", "bsr" or
     #: "auto"); None keeps the CSR default.  Resolution follows
@@ -91,7 +93,10 @@ class FtPcgOptions:
             raise ConfigurationError(
                 f"checkpoint_interval must be >= 1, got {self.checkpoint_interval}"
             )
-        KERNEL_SELECTOR.check(self.kernel, "FtPcgOptions")
+        if self.kernel != DEFAULT_KERNEL:
+            raise ConfigurationError(
+                f"FtPcgOptions.kernel must be {DEFAULT_KERNEL!r}, got {self.kernel!r}"
+            )
         FORMAT_SELECTOR.check(self.sparse_format, "FtPcgOptions")
 
 
@@ -195,7 +200,6 @@ def run_pcg(
     config = AbftConfig(
         block_size=options.block_size,
         max_correction_rounds=options.max_correction_rounds,
-        kernel=options.kernel,
         sparse_format=options.sparse_format,
     )
     if scheme in ("abft", "hybrid"):

@@ -5,11 +5,10 @@ experimental setup (Section IV-B: "the evaluated matrices were stored in the
 compressed sparse row storage format").  All kernels are vectorized with
 NumPy; none delegate to SciPy — the substrate is built from scratch.
 
-The two kernels the ABFT scheme cares about are:
-
-* :meth:`CsrMatrix.matvec` — the full SpMV ``r = A b``;
-* :meth:`CsrMatrix.matvec_rows` — the *partial* SpMV over a row range,
-  which is what error correction recomputes for an erroneous block.
+The kernel the ABFT scheme protects is :meth:`CsrMatrix.matvec`, the
+full SpMV ``r = A b``.  Error correction recomputes an erroneous block's
+rows with the same per-row reduction, in
+:meth:`repro.kernels.vectorized.VectorizedKernels.correct_blocks`.
 """
 
 from __future__ import annotations
@@ -265,40 +264,6 @@ class CsrMatrix:
     def __matmul__(self, b: np.ndarray) -> np.ndarray:
         return self.matvec(b)
 
-    def matvec_rows(
-        self,
-        row_start: int,
-        row_stop: int,
-        b: np.ndarray,
-        out: Optional[np.ndarray] = None,
-        workspace: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Partial SpMV over rows ``[row_start, row_stop)``.
-
-        This is the correction kernel: an erroneous result block is repaired
-        by recomputing exactly these rows.  Cost is proportional to the nnz
-        of the selected rows only.  ``out`` (length ``row_stop - row_start``)
-        and ``workspace`` (length >= nnz of the row range) mirror
-        :meth:`matvec`.
-        """
-        row_start, row_stop = self._check_row_range(row_start, row_stop)
-        b = np.asarray(b, dtype=self.data.dtype)
-        if b.shape != (self.n_cols,):
-            raise ShapeMismatchError(
-                f"operand has shape {b.shape}, expected ({self.n_cols},)"
-            )
-        lo, hi = self.indptr[row_start], self.indptr[row_stop]
-        if workspace is None:
-            products = self.data[lo:hi] * b[self.indices[lo:hi]]
-        else:
-            products = workspace[: hi - lo]
-            # mode="clip": gather in place (see matvec); indices are
-            # validated in-range at construction.
-            np.take(b, self.indices[lo:hi], out=products, mode="clip")
-            np.multiply(products, self.data[lo:hi], out=products)
-        local_indptr = self.indptr[row_start : row_stop + 1] - lo
-        return _segment_sums(products, local_indptr, row_stop - row_start, out=out)
-
     def matmat(self, b: np.ndarray) -> np.ndarray:
         """Sparse-matrix × dense-block product ``R = A B`` (SpMM).
 
@@ -361,11 +326,6 @@ class CsrMatrix:
                 f"row range [{row_start}, {row_stop}) invalid for {self.n_rows} rows"
             )
         return row_start, row_stop
-
-    def nnz_in_rows(self, row_start: int, row_stop: int) -> int:
-        """Stored-entry count of the row range ``[row_start, row_stop)``."""
-        row_start, row_stop = self._check_row_range(row_start, row_stop)
-        return int(self.indptr[row_stop] - self.indptr[row_start])
 
     def nonempty_columns(self, row_start: int, row_stop: int) -> np.ndarray:
         """Sorted unique column indices with at least one entry in the rows.

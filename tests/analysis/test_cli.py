@@ -74,7 +74,6 @@ def test_env_reports_each_selector_and_its_source(monkeypatch, capsys):
     assert main(["env"]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
     assert {row[0]: (row[2], row[3]) for row in rows} == {
-        "kernel": ("vectorized", "default"),
         "telemetry": ("off", "default"),
         "scheme": ("abft", "default"),
         "parallel": ("serial", "default"),

@@ -117,7 +117,7 @@ def test_correct_blocks_restores_exact_result(setup):
     outcome = correct_blocks(a, detector.partition, b, r, flagged)
     np.testing.assert_array_equal(r, reference)
     assert outcome.rows_recomputed == 32
-    assert outcome.nnz_recomputed == a.nnz_in_rows(128, 160)
+    assert outcome.nnz_recomputed == int(a.indptr[160] - a.indptr[128])
 
 
 def test_correct_blocks_touches_only_flagged_rows(setup):

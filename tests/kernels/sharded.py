@@ -13,9 +13,9 @@ slices of shared buffers.
 :class:`ShardedKernels` holds every block-batched kernel to that
 property: it runs the vectorized kernel once per shard, concurrently on
 the shared pool, and stitches the shard outputs together.  The
-differential and detection-property suites register it as ``parallel``
-(:func:`sharded_kernels_registered`) and compare it with the naive and
-vectorized sets over the whole edge-case corpus.  A block never
+differential and detection-property suites run it as the ``parallel``
+set and compare it with the naive and vectorized sets over the whole
+edge-case corpus.  A block never
 straddles two shards, so the stitched result must match the vectorized
 set bit for bit.
 
@@ -26,13 +26,12 @@ detects shard by shard only when no hook is installed).
 
 from __future__ import annotations
 
-import contextlib
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from repro.core.blocking import BlockPartition
-from repro.kernels import register_kernels, unregister_kernels, validate_blocks
+from repro.kernels import validate_blocks
 from repro.kernels.base import ACCUMULATION_DTYPE, Tamper
 from repro.kernels.vectorized import VectorizedKernels
 from repro.perf.backends import get_executor
@@ -246,14 +245,3 @@ class ShardedKernels(VectorizedKernels):
         rows_as_blocks = BlockPartition(csr.n_rows, 1)
         return values, sum(self._each_owner(rows_as_blocks, rows, shard, csr.indptr))
 
-
-@contextlib.contextmanager
-def sharded_kernels_registered(
-    n_shards: int = DEFAULT_SHARDS,
-) -> Iterator[ShardedKernels]:
-    """Register :class:`ShardedKernels` as ``parallel`` for the block."""
-    impl = register_kernels(ShardedKernels(n_shards))
-    try:
-        yield impl
-    finally:
-        unregister_kernels(impl.name)

@@ -1,7 +1,8 @@
 """Property-based detection-invariant tests, run under every kernel set.
 
-Two invariants, for each registered kernel implementation and for the
-block-sharded ``parallel`` leg (:mod:`tests.kernels.sharded`):
+Two invariants, for the library's ``vectorized`` set, the ``naive``
+oracle (:mod:`tests.kernels.naive`) and the block-sharded ``parallel``
+leg (:mod:`tests.kernels.sharded`):
 
 * clean runs never flag — on an error-free SpMV no block's syndrome
   exceeds the sparse per-block bound (zero false positives);
@@ -16,13 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import AbftConfig, BlockAbftDetector
-from repro.kernels import available_kernels
+from repro.kernels import VectorizedKernels
 from repro.sparse import random_spd
+from tests.kernels.naive import NaiveKernels, kernels_installed
 from tests.kernels.sharded import ShardedKernels
 
-pytestmark = pytest.mark.usefixtures("sharded_kernels")
-
-KERNELS = tuple(sorted(available_kernels() + (ShardedKernels.name,)))
+SETS = {impl.name: impl for impl in (NaiveKernels(), ShardedKernels(), VectorizedKernels())}
+KERNELS = tuple(sorted(SETS))
 
 
 @st.composite
@@ -40,9 +41,8 @@ def _setup(kernel, n, nnz, seed, block_size, scale):
     matrix = random_spd(n, nnz, seed=seed)
     rng = np.random.default_rng(seed + 1)
     b = rng.standard_normal(n) * scale
-    detector = BlockAbftDetector(
-        matrix, AbftConfig(block_size=block_size, kernel=kernel)
-    )
+    with kernels_installed(SETS[kernel]):
+        detector = BlockAbftDetector(matrix, AbftConfig(block_size=block_size))
     return matrix, b, detector, rng
 
 

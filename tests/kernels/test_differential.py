@@ -1,4 +1,4 @@
-"""Differential tests: every registered kernel pair over the full corpus.
+"""Differential tests: every kernel-set pair over the full corpus.
 
 Contract (see ``repro/kernels/base.py``): structural outputs — sparsity
 patterns, flag masks, accounting, tamper-call traces — must match at bit
@@ -9,8 +9,9 @@ Recomputation kernels and the encoders reduce in the same per-row order
 in every set, so corrected values and the checksum matrix are asserted
 bit-identical.
 
-Besides the registered sets, every pair includes the ``parallel`` leg:
-the vectorized kernels run block-sharded on the threads backend's pool
+The sets are the library's ``vectorized`` set, the ``naive`` oracle
+(:mod:`tests.kernels.naive`) and the ``parallel`` leg: the vectorized
+kernels run block-sharded on the threads backend's pool
 (:mod:`tests.kernels.sharded`).
 """
 
@@ -24,14 +25,14 @@ from repro.core.blocking import BlockPartition
 from repro.core.bounds import SparseBlockBound
 from repro.core.corrector import correct_blocks
 from repro.errors import ConfigurationError
-from repro.kernels import available_kernels, get_kernels
+from repro.kernels import VectorizedKernels
 from tests.kernels.corpus import corpus, corpus_ids
+from tests.kernels.naive import NaiveKernels
 from tests.kernels.sharded import ShardedKernels
 
-pytestmark = pytest.mark.usefixtures("sharded_kernels")
-
 CASES = corpus()
-KERNELS = tuple(sorted(available_kernels() + (ShardedKernels.name,)))
+SETS = {impl.name: impl for impl in (NaiveKernels(), ShardedKernels(), VectorizedKernels())}
+KERNELS = tuple(sorted(SETS))
 PAIRS = list(itertools.combinations(KERNELS, 2))
 WEIGHT_KINDS = ("ones", "linear", "random")
 
@@ -60,7 +61,7 @@ def _rounding_tolerance(checksum: ChecksumMatrix, reference: np.ndarray) -> np.n
 def test_encode_structure_and_values(case, pair, weight_kind):
     _, matrix, block_size = case
     built = [
-        ChecksumMatrix.build(matrix, block_size, weight_kind, kernel=name)
+        ChecksumMatrix.build(matrix, block_size, weight_kind, kernels=SETS[name])
         for name in pair
     ]
     a, b = (c.matrix for c in built)
@@ -81,7 +82,7 @@ def test_encode_structure_and_values(case, pair, weight_kind):
 def test_linear_weights_bit_identical(case, pair):
     _, matrix, block_size = case
     partition = BlockPartition(matrix.n_rows, block_size)
-    a, b = (get_kernels(name).linear_weights(partition) for name in pair)
+    a, b = (SETS[name].linear_weights(partition) for name in pair)
     np.testing.assert_array_equal(a, b)
 
 
@@ -93,7 +94,10 @@ def test_result_checksums_within_rounding_bound(case, pair):
     r = rng.standard_normal(matrix.n_rows)
     checksum = ChecksumMatrix.build(matrix, block_size)
     tolerance = _rounding_tolerance(checksum, r)
-    a, b = (checksum.result_checksums(r, kernel=name) for name in pair)
+    a, b = (
+        SETS[name].result_checksums(checksum.weights, r, checksum.partition)
+        for name in pair
+    )
     assert a.shape == b.shape == (checksum.n_blocks,)
     assert np.all(np.abs(a - b) <= tolerance)
 
@@ -117,7 +121,9 @@ def test_result_checksums_for_blocks_matches_full(case, pair):
     tolerance = _rounding_tolerance(checksum, r)
     for blocks in subsets:
         a, b = (
-            checksum.result_checksums_for_blocks(r, blocks, kernel=name)
+            SETS[name].result_checksums_for_blocks(
+                checksum.weights, r, checksum.partition, blocks
+            )
             for name in pair
         )
         assert a.shape == b.shape == (blocks.size,)
@@ -134,7 +140,9 @@ def test_for_blocks_rejects_bad_ids_everywhere(case, pair):
     for name in pair:
         for bad in ([-1], [checksum.n_blocks], [0, 10_000]):
             with pytest.raises(ConfigurationError):
-                checksum.result_checksums_for_blocks(r, np.array(bad), kernel=name)
+                SETS[name].result_checksums_for_blocks(
+                    checksum.weights, r, checksum.partition, np.array(bad)
+                )
 
 
 @_pair_params()
@@ -151,7 +159,7 @@ def test_for_blocks_rejects_bad_ids_everywhere(case, pair):
 )
 def test_compare_syndromes_flags_bit_identical(pair, t1, t2, thresholds):
     t1, t2, thresholds = (np.asarray(x, dtype=np.float64) for x in (t1, t2, thresholds))
-    results = [get_kernels(name).compare_syndromes(t1, t2, thresholds) for name in pair]
+    results = [SETS[name].compare_syndromes(t1, t2, thresholds) for name in pair]
     (syn_a, exc_a), (syn_b, exc_b) = results
     np.testing.assert_array_equal(exc_a, exc_b)
     np.testing.assert_array_equal(np.isnan(syn_a), np.isnan(syn_b))
@@ -194,7 +202,7 @@ def test_correct_blocks_bit_identical(case, pair):
         r = clean + 1.0  # corrupt everything; selected blocks get repaired
         trace = _TamperTrace()
         outcome = correct_blocks(
-            matrix, partition, b, r, blocks, tamper=trace, kernel=name
+            matrix, partition, b, r, blocks, tamper=trace, kernels=SETS[name]
         )
         outputs.append((r, outcome))
         traces.append(trace)
@@ -210,7 +218,7 @@ def test_correct_blocks_bit_identical(case, pair):
     # Without a hook a set may repair shard by shard; not a bit may move.
     for name in pair:
         r = clean + 1.0
-        outcome = correct_blocks(matrix, partition, b, r, blocks, kernel=name)
+        outcome = correct_blocks(matrix, partition, b, r, blocks, kernels=SETS[name])
         np.testing.assert_array_equal(r, r_a)
         assert outcome.rows_recomputed == out_a.rows_recomputed
         assert outcome.nnz_recomputed == out_a.nnz_recomputed
@@ -225,7 +233,7 @@ def test_row_checksums_bit_identical(case, pair):
     b = rng.standard_normal(matrix.n_cols)
     rows = np.arange(checksum.n_blocks, dtype=np.int64)
     results = [
-        get_kernels(name).row_checksums(checksum.matrix, rows, b) for name in pair
+        SETS[name].row_checksums(checksum.matrix, rows, b) for name in pair
     ]
     (vals_a, nnz_a), (vals_b, nnz_b) = results
     np.testing.assert_array_equal(vals_a, vals_b)

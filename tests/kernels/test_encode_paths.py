@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 
 from repro.core.blocking import BlockPartition
 from repro.core.checksum import make_weights
-from repro.kernels import NaiveKernels, VectorizedKernels
+from repro.kernels import VectorizedKernels
 from repro.kernels.vectorized import ENVELOPE_CELLS_PER_ENTRY
 from repro.sparse import CooMatrix
 from tests.kernels.corpus import corpus, corpus_ids
+from tests.kernels.naive import NaiveKernels
 
 WEIGHT_KINDS = ("ones", "linear", "random")
 

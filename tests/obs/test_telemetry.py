@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.kernels import resolve_kernels
+from repro.kernels import VectorizedKernels
 from repro.obs import (
     InMemoryExporter,
     Telemetry,
@@ -97,13 +97,13 @@ def test_disabled_span_is_reused():
 
 
 def test_wrap_kernels_disabled_returns_input_unchanged():
-    kernels = resolve_kernels("vectorized")
+    kernels = VectorizedKernels()
     assert Telemetry.disabled().wrap_kernels(kernels) is kernels
 
 
 def test_wrap_kernels_enabled_times_dispatch():
     tel = Telemetry(exporter=InMemoryExporter())
-    kernels = resolve_kernels("vectorized")
+    kernels = VectorizedKernels()
     wrapped = tel.wrap_kernels(kernels)
     assert isinstance(wrapped, TimedKernels)
     assert wrapped.name == kernels.name
@@ -118,12 +118,8 @@ def test_timed_kernels_record_per_op_histograms():
 
     from repro.core.blocking import BlockPartition
 
-    from repro.kernels import get_kernels
-
     tel = Telemetry(exporter=InMemoryExporter())
-    # get_kernels, not resolve_kernels: an ambient REPRO_KERNELS override
-    # must not change which set this timing test wraps.
-    wrapped = tel.wrap_kernels(get_kernels("vectorized"))
+    wrapped = tel.wrap_kernels(VectorizedKernels())
     partition = BlockPartition(8, 4)
     weights = np.ones(8)
     wrapped.result_checksums(weights, np.arange(8.0), partition)

@@ -18,16 +18,23 @@ import pytest
 import repro.perf.backends as backends
 from repro.core import AbftConfig, FaultTolerantSpMV
 from repro.errors import ConfigurationError, ShapeMismatchError
+from repro.kernels import VectorizedKernels
 from repro.machine import ExecutionMeter
 from repro.obs import InMemoryExporter, Telemetry
 from repro.perf import BACKEND_ENV_VAR, ProtectedPlan, SpmvPlan
 from repro.schemes import make_scheme
 from repro.sparse import FORMAT_ENV_VAR, CooMatrix, random_spd
+from tests.kernels.naive import NaiveKernels, kernels_installed
 
 N = 256
 BLOCK = 32
 #: Shard counts the threaded fused path must reproduce bit for bit.
 SHARD_COUNTS = (1, 2, 3, 4)
+
+#: The operator's kernel set: the library's, and the naive oracle.
+KERNEL_SETS = pytest.mark.parametrize(
+    "kernels", [NaiveKernels, VectorizedKernels], ids=["naive", "vectorized"]
+)
 
 
 @pytest.fixture
@@ -174,10 +181,10 @@ def _assert_clean_reference(result, op, b):
     assert result.flops == graph.total_work()
 
 
-@pytest.mark.parametrize("kernel", ["naive", "vectorized"])
-def test_clean_multiply_bit_identical(matrix, b, kernel):
-    config = AbftConfig(block_size=BLOCK, kernel=kernel)
-    op = FaultTolerantSpMV(matrix, config=config)
+@KERNEL_SETS
+def test_clean_multiply_bit_identical(matrix, b, kernels):
+    with kernels_installed(kernels()):
+        op = FaultTolerantSpMV(matrix, config=AbftConfig(block_size=BLOCK))
     # Bit-identity with CsrMatrix.matvec is the *CSR* contract; pin it so
     # a REPRO_FORMAT override doesn't change the storage under test
     # (format coverage lives in test_format_plan.py).
@@ -190,10 +197,10 @@ def test_clean_multiply_bit_identical(matrix, b, kernel):
     _assert_clean_reference(unplanned, op, b)
 
 
-@pytest.mark.parametrize("kernel", ["naive", "vectorized"])
-def test_tampered_multiply_bit_identical(matrix, b, kernel):
-    config = AbftConfig(block_size=BLOCK, kernel=kernel)
-    op = FaultTolerantSpMV(matrix, config=config)
+@KERNEL_SETS
+def test_tampered_multiply_bit_identical(matrix, b, kernels):
+    with kernels_installed(kernels()):
+        op = FaultTolerantSpMV(matrix, config=AbftConfig(block_size=BLOCK))
     plan = op.planned(sparse_format="csr")
 
     def mutate(d):

@@ -11,7 +11,10 @@ three — on CSR and on BSR storage.  The contract:
   ``BlockAbftDetector.detect(b, A b)`` flags;
 * a ``threads`` plan returns the serial plan of the same format field
   for field: value bits, detections, corrections, rounds, ``exhausted``
-  and the detected and corrected block tuples.
+  and the detected and corrected block tuples;
+* a serial CSR plan built on the naive oracle (:mod:`tests.kernels.naive`)
+  returns ``CsrMatrix.matvec``'s value bits and the vectorized plan's
+  detections, corrected blocks, rounds and ``exhausted``.
 
 The results are compared with references, not with expected verdicts:
 ``subnormal-values`` is a known false alarm (the thresholds underflow
@@ -23,9 +26,10 @@ import numpy as np
 import pytest
 
 from repro.core import AbftConfig, FaultTolerantSpMV
-from repro.kernels import KERNEL_ENV_VAR
+from repro.kernels import VectorizedKernels
 from repro.perf import ProtectedPlan
 from tests.kernels.corpus import corpus, corpus_ids
+from tests.kernels.naive import NaiveKernels, kernels_installed
 
 CASES = corpus()
 
@@ -37,11 +41,12 @@ FORMATS = ("csr", "bsr")
 
 
 @pytest.fixture(autouse=True)
-def _vectorized_kernels(monkeypatch):
+def _vectorized_kernels():
     """The fused shard path reduces t2 in the vectorized kernels' order;
-    the serial reference must too, so an ambient REPRO_KERNELS=naive
-    (whose per-block sums round differently) is cleared."""
-    monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
+    the serial reference must too, so a session run under the naive
+    oracle (whose per-block sums round differently) pins them here."""
+    with kernels_installed(VectorizedKernels()):
+        yield
 
 
 def _multiply(case, backend, n_shards, sparse_format):
@@ -90,3 +95,17 @@ def test_threads_plan_equals_the_serial_plan(case, sparse_format, n_shards):
     reference = _fields(serial)
     _, _, threaded = _multiply(case, "threads", n_shards, sparse_format)
     assert _fields(threaded) == reference
+
+
+@pytest.mark.parametrize("case", CASES, ids=corpus_ids())
+def test_serial_plan_under_the_oracle(case):
+    _, _, vectorized = _multiply(case, "serial", 1, "csr")
+    with kernels_installed(NaiveKernels()):
+        operator, b, result = _multiply(case, "serial", 1, "csr")
+    assert operator.detector.kernels.name == "naive"
+    expected = operator.detector.matrix.matvec(b)
+    assert result.value.dtype == expected.dtype
+    assert result.value.tobytes() == expected.tobytes()
+    oracle, reference = _fields(result), _fields(vectorized)
+    for key in ("detections", "corrected_blocks", "rounds", "exhausted"):
+        assert oracle[key] == reference[key], key

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from repro.core import AbftConfig, FaultTolerantSpMV
-from repro.kernels import KERNEL_ENV_VAR
+from repro.kernels import VectorizedKernels
 from repro.obs import InMemoryExporter, Telemetry
 from repro.perf import ProtectedPlan
 from repro.sparse import random_spd
+from tests.kernels.naive import kernels_installed
 
 N = 96
 NNZ = 900
@@ -32,11 +33,12 @@ SCENARIOS = {
 
 
 @pytest.fixture(autouse=True)
-def _vectorized_kernels(monkeypatch):
+def _vectorized_kernels():
     """The fused shard path reduces t2 in the vectorized kernels' order;
-    the serial reference must too, so an ambient REPRO_KERNELS=naive
-    (whose per-block sums round differently) is cleared."""
-    monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
+    the serial reference must too, so a session run under the naive
+    oracle (whose per-block sums round differently) pins them here."""
+    with kernels_installed(VectorizedKernels()):
+        yield
 
 
 def _campaign(n_shards, parallel, scenario):

@@ -49,22 +49,6 @@ def test_matvec_rejects_wrong_operand_shape(paper_matrix):
         paper_matrix.matvec(np.ones(5))
 
 
-def test_matvec_rows_equals_slice_of_full_product(paper_matrix):
-    b = np.array([1.0, -1.0, 2.0, 0.5, 3.0, -2.0])
-    full = paper_matrix.matvec(b)
-    for start, stop in [(0, 2), (2, 4), (4, 6), (0, 6), (3, 3)]:
-        np.testing.assert_allclose(
-            paper_matrix.matvec_rows(start, stop, b), full[start:stop]
-        )
-
-
-def test_matvec_rows_rejects_bad_range(paper_matrix):
-    with pytest.raises(ShapeMismatchError):
-        paper_matrix.matvec_rows(4, 2, np.ones(6))
-    with pytest.raises(ShapeMismatchError):
-        paper_matrix.matvec_rows(0, 7, np.ones(6))
-
-
 def test_rmatvec_matches_dense_transpose(paper_matrix):
     w = np.array([1.0, 2.0, 0.0, -1.0, 0.5, 1.0])
     np.testing.assert_allclose(paper_matrix.rmatvec(w), paper_matrix.to_dense().T @ w)
@@ -91,12 +75,6 @@ def test_nonempty_columns(paper_matrix):
     np.testing.assert_array_equal(paper_matrix.nonempty_columns(0, 2), [0, 1, 3, 5])
     np.testing.assert_array_equal(paper_matrix.nonempty_columns(2, 4), [0, 2, 3])
     np.testing.assert_array_equal(paper_matrix.nonempty_columns(4, 6), [1, 4, 5])
-
-
-def test_nnz_in_rows(paper_matrix):
-    assert paper_matrix.nnz_in_rows(0, 2) == 4
-    assert paper_matrix.nnz_in_rows(0, 6) == paper_matrix.nnz
-    assert paper_matrix.nnz_in_rows(2, 2) == 0
 
 
 def test_row_slice_matches_dense(paper_matrix):
@@ -199,17 +177,6 @@ def test_matvec_buffered_bit_identical(paper_matrix):
     result = paper_matrix.matvec(b, out=out, workspace=workspace)
     assert result is out
     np.testing.assert_array_equal(result, expected)
-
-
-def test_matvec_rows_buffered_bit_identical(paper_matrix):
-    b = np.array([1.0, -2.0, 3.0, 0.5, -1.5, 6.0])
-    for start, stop in [(0, 3), (2, 6), (0, 6)]:
-        expected = paper_matrix.matvec_rows(start, stop, b)
-        out = np.full(stop - start, np.nan)
-        workspace = np.full(paper_matrix.nnz, np.nan)
-        result = paper_matrix.matvec_rows(start, stop, b, out=out, workspace=workspace)
-        assert result is out
-        np.testing.assert_array_equal(result, expected)
 
 
 def _reference_matvec(matrix, b):

@@ -1,4 +1,4 @@
-"""The generic Registry and Selector, and the seven registries built on them.
+"""The generic Registry and Selector, and the six registries built on them.
 
 A hypothesis state machine drives one Registry and its Selector against a
 plain-dict model; a contract test runs the same assertions against every
@@ -16,8 +16,6 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.core.config import AbftConfig, selectors
 from repro.core.dtypes import DTYPE_REGISTRY, DtypePolicy, resolve_dtype_name
 from repro.errors import ConfigurationError
-from repro.kernels.base import KERNEL_REGISTRY, resolve_kernels
-from repro.kernels.naive import NaiveKernels
 from repro.lint.registry import RULE_REGISTRY
 from repro.lint.rules.base import LintRule
 from repro.obs.exporters import EXPORTER_REGISTRY
@@ -146,10 +144,6 @@ test_registry_and_selector_against_a_model = RegistryMachine.TestCase
 # ----------------------------------------------------------------------
 # The same contract for every declared registry
 # ----------------------------------------------------------------------
-class _ContractKernels(NaiveKernels):
-    name = "contract-test"
-
-
 class _ContractRule(LintRule):
     rule_id = "contract-test"
 
@@ -164,7 +158,6 @@ def _factory(*args, **kwargs):
 #: registry -> (an entry for the custom key "contract-test", whether the
 #: registry derives keys from entries).
 DECLARED = {
-    "kernels": (KERNEL_REGISTRY, _ContractKernels(), True),
     "schemes": (SCHEME_REGISTRY, _factory, False),
     "backends": (BACKEND_REGISTRY, _factory, False),
     "exporters": (EXPORTER_REGISTRY, _factory, False),
@@ -214,7 +207,6 @@ _MATRIX = random_spd(16, 60, seed=1)
 
 #: env var -> (resolution through the library's entry point, accepted names).
 RESOLVERS = {
-    "REPRO_KERNELS": (lambda: resolve_kernels("vectorized"), KERNEL_REGISTRY.available()),
     "REPRO_OBS": (lambda: resolve_telemetry("off"), EXPORTER_REGISTRY.available()),
     "REPRO_SCHEME": (lambda: resolve_scheme(_MATRIX), SCHEME_REGISTRY.available()),
     "REPRO_PARALLEL": (lambda: resolve_backend_name("serial"), BACKEND_REGISTRY.available()),

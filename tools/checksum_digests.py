@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.blocking import BlockPartition
 from repro.core.checksum import make_weights
-from repro.kernels import get_kernels
+from repro.kernels import VectorizedKernels
 from repro.sparse.csr import CsrMatrix
 from repro.sparse.generators import block_stencil_spd
 from repro.sparse.suite import SUITE_SPECS, suite_matrix
@@ -71,14 +71,14 @@ def digests(names: Optional[Iterable[str]] = None) -> Dict[str, Dict[str, str]]:
     (``MATRIX_NAMES`` when None), in input order."""
     builders = _builders()
     selected = MATRIX_NAMES if names is None else tuple(names)
-    kernels = get_kernels("vectorized")
+    kernels = VectorizedKernels()
     records: Dict[str, Dict[str, str]] = {}
     for name in selected:
         matrix = builders[name]()
         for block_size in BLOCK_SIZES:
             partition = BlockPartition(matrix.n_rows, block_size)
             for kind in WEIGHT_KINDS:
-                weights = make_weights(kind, partition, kernels)
+                weights = make_weights(kind, partition)
                 checksum = kernels.encode(matrix, partition, weights)
                 records[f"{name}/{block_size}/{kind}"] = digest(checksum)
     return records
