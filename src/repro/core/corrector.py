@@ -58,8 +58,9 @@ def correct_blocks(
             campaigns can corrupt corrections too (errors do not pause
             while the scheme repairs earlier errors).
         kernels: kernel set recomputing the blocks (None =
-            :data:`repro.kernels.KERNELS`, which recomputes all flagged
-            blocks in one fused gather/segment-sum kernel).
+            :data:`repro.kernels.KERNELS`, which recomputes a few flagged
+            blocks slice by slice and many in one fused gather/segment-sum
+            kernel).
 
     Returns:
         Row/nnz accounting for the round.

@@ -24,6 +24,7 @@ realities of injections into the detection path itself:
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING, List, Optional, Set, Tuple
 
 import numpy as np
@@ -268,7 +269,7 @@ class FaultTolerantSpMV:
                     matrix, detector.partition, b, r, flagged, tamper,
                     kernels=detector.kernels,
                 )
-                corrected.update(int(x) for x in flagged)
+                corrected.update(flagged.tolist())
 
                 refresh = rounds >= 2
                 refreshed_nnz = 0
@@ -288,7 +289,7 @@ class FaultTolerantSpMV:
                 )
             )
             flagged = report.flagged
-            detected.append(tuple(int(x) for x in flagged))
+            detected.append(tuple(flagged.tolist()))
         return rounds, exhausted
 
     def planned(
@@ -392,6 +393,11 @@ class FaultTolerantSpMV:
             t1[flagged] = fresh
         return nnz
 
+    @cached_property
+    def _row_span(self) -> float:
+        """Span of a row-range recomputation: ``log2ceil`` of the longest row."""
+        return log2ceil(int(self.matrix.row_lengths().max(initial=1)))
+
     def _correction_graph(
         self,
         round_index: int,
@@ -401,13 +407,11 @@ class FaultTolerantSpMV:
         refreshed_nnz: int,
     ) -> TaskGraph:
         """Cost of one correction round (partial SpMV + re-verification)."""
-        matrix = self.matrix
-        max_row = int(matrix.row_lengths().max(initial=1))
         graph = TaskGraph()
-        graph.add("recompute", 2.0 * nnz_recomputed, log2ceil(max_row))
+        graph.add("recompute", 2.0 * nnz_recomputed, self._row_span)
         recheck_deps = ["recompute"]
         if refreshed_nnz:
-            graph.add("t1-refresh", 2.0 * refreshed_nnz, log2ceil(max_row))
+            graph.add("t1-refresh", 2.0 * refreshed_nnz, self._row_span)
             recheck_deps.append("t1-refresh")
         recheck = blocked_checksum_cost(
             rows_recomputed, self.config.block_size, n_flagged

@@ -55,13 +55,20 @@ Tamper = Optional[Callable[[str, np.ndarray, float], None]]
 # Shared segment utilities
 # ----------------------------------------------------------------------
 def validate_blocks(blocks: np.ndarray, n_blocks: int) -> np.ndarray:
-    """Return ``blocks`` as an int64 array, rejecting out-of-range ids.
+    """Return ``blocks`` as a 1-D int64 array, rejecting out-of-range ids.
 
     Fancy indexing with a negative or too-large block id would silently
     mis-slice (NumPy wraps negatives); every kernel therefore validates
-    eagerly and raises a clear :class:`ConfigurationError`.
+    eagerly and raises a clear :class:`ConfigurationError`.  A single
+    (0-d) id selects one block; an array of two or more dimensions is
+    rejected.
     """
     blocks = np.asarray(blocks)
+    if blocks.ndim > 1:
+        raise ConfigurationError(
+            f"block ids must be a 1-D array, got shape {blocks.shape}"
+        )
+    blocks = blocks.reshape(-1)
     if blocks.dtype == object or not (
         blocks.size == 0 or np.issubdtype(blocks.dtype, np.integer)
     ):

@@ -1,11 +1,17 @@
-"""The library's kernel set: every per-block loop is one fused reduction.
+"""The library's kernel set: batched NumPy forms of the per-block loops.
 
-Selected-block operations gather their row (or entry) ranges into a single
-flat index array (:func:`repro.kernels.base.flat_segment_indices`) and
-reduce with ``np.add.reduceat`` — one NumPy call regardless of how many
-blocks are selected.  Reduction order within each row/segment matches the
-per-block reference loops of the test suite's oracle exactly, so
-recomputed values are bit-identical; whole-block dot products may differ
+Selected-block operations (re-verification, correction and the ``t1``
+refresh) take one of two paths, chosen by the number of selected blocks.
+A selection of more than :data:`MAX_SLICED_BLOCKS` blocks gathers its row
+(or entry) ranges into a single flat index array
+(:func:`repro.kernels.base.flat_segment_indices`) and reduces with
+``np.add.reduceat``: a fixed few dozen NumPy calls, however many blocks
+are selected.  A smaller selection, such as a correction round's one or
+two flagged blocks, reads each block's contiguous rows and CSR entries as
+slices: one gather, one multiply and one ``np.add.reduceat`` per block.
+Both paths reduce every row/segment in the same order as the per-block
+reference loops of the test suite's oracle, so recomputed values are
+bit-identical across paths and sets; whole-block dot products may differ
 from the oracle's BLAS calls in the last ulp, which the differential
 suite checks against the paper's own rounding bounds.
 
@@ -23,7 +29,7 @@ which groups and sums in the same order.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,6 +57,23 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotations only)
 #: the memory.
 ENVELOPE_CELLS_PER_ENTRY = 4
 
+#: Most blocks (checksum rows, for :meth:`~VectorizedKernels.row_checksums`)
+#: a selected-block kernel reads as contiguous slices, one block at a time;
+#: a larger selection gathers every range through one flat index array.  A
+#: slice costs about six NumPy calls per block, the gather about 45 calls
+#: whatever it selects.  Measured against the gather (2-CPU Xeon, NumPy
+#: 2.4), both bit-identical: up to 6 blocks the slices were faster in all
+#: three kernels on every input tried (32-row blocks of nos3, bcsstk13,
+#: s3rmt3m3 and msc10848, 8-row blocks of a 10k-row random SPD matrix); at
+#: 12 they were slower in ``result_checksums_for_blocks`` on all of them.
+#: In ``correct_blocks`` the crossover ran from 6-8 blocks (the random SPD
+#: matrix) to past 64 (msc10848).  A fault campaign's correction round
+#: selects one or two blocks.
+MAX_SLICED_BLOCKS = 6
+
+#: ``np.add.reduceat``'s start index for a slice reduced as one segment.
+_WHOLE = np.zeros(1, dtype=np.intp)
+
 
 def _check_operand(matrix: "CsrMatrix", b: np.ndarray) -> np.ndarray:
     # The operand joins the matrix's working dtype: float64 checksum
@@ -62,6 +85,57 @@ def _check_operand(matrix: "CsrMatrix", b: np.ndarray) -> np.ndarray:
             f"operand has shape {b.shape}, expected ({matrix.n_cols},)"
         )
     return b
+
+
+def _sliced_ids(blocks: np.ndarray, n_blocks: int) -> Optional[List[int]]:
+    """``blocks`` as Python ints when the slices take the selection.
+
+    They take a 1-D integer selection of at most :data:`MAX_SLICED_BLOCKS`
+    ids, each in ``[0, n_blocks)``.  Anything else returns None and goes
+    to the flat gather, whose :func:`validate_blocks` raises for bad ids.
+    """
+    blocks = np.asarray(blocks)
+    if (
+        blocks.ndim != 1
+        or blocks.size > MAX_SLICED_BLOCKS
+        or blocks.dtype.kind not in "iu"
+    ):
+        return None
+    ids: List[int] = blocks.tolist()
+    for k in ids:
+        if not 0 <= k < n_blocks:
+            return None
+    return ids
+
+
+def _correct_sliced(
+    matrix: "CsrMatrix",
+    partition: "BlockPartition",
+    b: np.ndarray,
+    r: np.ndarray,
+    ids: List[int],
+    tamper: Tamper,
+) -> Tuple[int, int]:
+    """:meth:`VectorizedKernels.correct_blocks` over contiguous slices."""
+    indptr = matrix.indptr
+    row_lengths = matrix.row_lengths()
+    rows = nnz = 0
+    for k in ids:
+        lo, hi = partition.bounds(k)
+        p0, p1 = int(indptr[lo]), int(indptr[hi])
+        products = matrix.data[p0:p1] * b.take(matrix.indices[p0:p1])
+        if np.count_nonzero(row_lengths[lo:hi]) == hi - lo:
+            # reprolint: disable=ABFT002 -- each row sums left to right, as
+            # in segment_sums and the oracle's row-range SpMV
+            sums = np.add.reduceat(products, indptr[lo:hi] - p0)
+        else:
+            sums = segment_sums(products, indptr[lo : hi + 1] - p0)
+        if tamper is not None:
+            tamper("corrected", sums, 2.0 * (p1 - p0))
+        r[lo:hi] = sums
+        rows += hi - lo
+        nnz += p1 - p0
+    return rows, nnz
 
 
 class VectorizedKernels(KernelSet):
@@ -175,6 +249,17 @@ class VectorizedKernels(KernelSet):
         blocks: np.ndarray,
         out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
+        ids = _sliced_ids(blocks, partition.n_blocks)
+        if ids is not None:
+            if out is None:
+                out = np.empty(len(ids), dtype=ACCUMULATION_DTYPE)
+            with np.errstate(invalid="ignore", over="ignore"):
+                for j, k in enumerate(ids):
+                    lo, hi = partition.bounds(k)
+                    # reprolint: disable=ABFT002 -- one left-to-right segment,
+                    # the order of the flat path's segment_sums
+                    out[j] = np.add.reduceat(weights[lo:hi] * r[lo:hi], _WHOLE)[0]
+            return out
         blocks = validate_blocks(blocks, partition.n_blocks)
         if blocks.size == 0:
             return out if out is not None else np.empty(0, dtype=ACCUMULATION_DTYPE)
@@ -202,6 +287,10 @@ class VectorizedKernels(KernelSet):
         blocks: np.ndarray,
         tamper: Tamper = None,
     ) -> Tuple[int, int]:
+        ids = _sliced_ids(blocks, partition.n_blocks)
+        if ids is not None:
+            b = _check_operand(matrix, b)
+            return _correct_sliced(matrix, partition, b, r, ids, tamper)
         blocks = validate_blocks(blocks, partition.n_blocks)
         b = _check_operand(matrix, b)
         starts = partition.block_starts()
@@ -227,6 +316,20 @@ class VectorizedKernels(KernelSet):
     def row_checksums(
         self, csr: "CsrMatrix", rows: np.ndarray, b: np.ndarray
     ) -> Tuple[np.ndarray, int]:
+        ids = _sliced_ids(rows, csr.n_rows)
+        if ids is not None:
+            b = _check_operand(csr, b)
+            values = np.zeros(len(ids), dtype=csr.data.dtype)
+            nnz = 0
+            for j, k in enumerate(ids):
+                p0, p1 = int(csr.indptr[k]), int(csr.indptr[k + 1])
+                if p1 > p0:
+                    products = csr.data[p0:p1] * b.take(csr.indices[p0:p1])
+                    # reprolint: disable=ABFT002 -- one left-to-right segment,
+                    # the order of the flat path's segment_sums
+                    values[j] = np.add.reduceat(products, _WHOLE)[0]
+                    nnz += p1 - p0
+            return values, nnz
         rows = validate_blocks(rows, csr.n_rows)
         b = _check_operand(csr, b)
         entry_indices, entry_offsets = flat_segment_indices(

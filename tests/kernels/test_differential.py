@@ -12,7 +12,9 @@ bit-identical.
 The sets are the library's ``vectorized`` set, the ``naive`` oracle
 (:mod:`tests.kernels.naive`) and the ``parallel`` leg: the vectorized
 kernels run block-sharded on the threads backend's pool
-(:mod:`tests.kernels.sharded`).
+(:mod:`tests.kernels.sharded`).  The vectorized set's selected-block
+kernels read up to ``MAX_SLICED_BLOCKS`` blocks as contiguous slices and
+gather larger selections; both paths must produce the same bits.
 """
 
 import itertools
@@ -25,7 +27,8 @@ from repro.core.blocking import BlockPartition
 from repro.core.bounds import SparseBlockBound
 from repro.core.corrector import correct_blocks
 from repro.errors import ConfigurationError
-from repro.kernels import VectorizedKernels
+from repro.kernels import VectorizedKernels, vectorized
+from repro.kernels.vectorized import MAX_SLICED_BLOCKS
 from tests.kernels.corpus import corpus, corpus_ids
 from tests.kernels.naive import NaiveKernels
 from tests.kernels.sharded import ShardedKernels
@@ -136,13 +139,26 @@ def test_result_checksums_for_blocks_matches_full(case, pair):
 def test_for_blocks_rejects_bad_ids_everywhere(case, pair):
     _, matrix, block_size = case
     checksum = ChecksumMatrix.build(matrix, block_size)
+    partition = checksum.partition
     r = np.zeros(matrix.n_rows)
+    b = np.zeros(matrix.n_cols)
+    bad_ids = (
+        [-1],
+        [checksum.n_blocks],
+        [0, 10_000],
+        [0] * MAX_SLICED_BLOCKS + [checksum.n_blocks],  # past the crossover
+        [[0]],  # 2-D, both sides of the crossover
+        [[0] * (MAX_SLICED_BLOCKS + 1)],
+    )
     for name in pair:
-        for bad in ([-1], [checksum.n_blocks], [0, 10_000]):
+        kernels = SETS[name]
+        for bad in map(np.array, bad_ids):
             with pytest.raises(ConfigurationError):
-                SETS[name].result_checksums_for_blocks(
-                    checksum.weights, r, checksum.partition, np.array(bad)
-                )
+                kernels.result_checksums_for_blocks(checksum.weights, r, partition, bad)
+            with pytest.raises(ConfigurationError):
+                kernels.correct_blocks(matrix, partition, b, r.copy(), bad)
+            with pytest.raises(ConfigurationError):
+                kernels.row_checksums(checksum.matrix, bad, b)
 
 
 @_pair_params()
@@ -238,3 +254,96 @@ def test_row_checksums_bit_identical(case, pair):
     (vals_a, nnz_a), (vals_b, nnz_b) = results
     np.testing.assert_array_equal(vals_a, vals_b)
     assert nnz_a == nnz_b == checksum.nnz
+
+
+def _selections(matrix, partition):
+    """Block selections on both sides of ``MAX_SLICED_BLOCKS``, by name."""
+    n_blocks = partition.n_blocks
+    last = n_blocks - 1
+    cycle = np.arange(MAX_SLICED_BLOCKS + 1) % n_blocks
+    picks = {
+        "one": [n_blocks // 2],
+        "two": [last, 0],
+        "at-crossover": cycle[:MAX_SLICED_BLOCKS],
+        "past-crossover": cycle,
+        "first": [0],
+        "last": [last],
+        "duplicates": [last, 0, last],
+        "reverse": np.arange(min(n_blocks, MAX_SLICED_BLOCKS))[::-1],
+    }
+    empty_rows = np.flatnonzero(matrix.row_lengths() == 0)
+    if empty_rows.size:
+        picks["empty-row"] = [int(empty_rows[-1]) // partition.block_size]
+    return {name: np.asarray(ids, dtype=np.int64) for name, ids in picks.items()}
+
+
+def _bits(values):
+    values = np.asarray(values)
+    return values.view(np.dtype(f"u{values.dtype.itemsize}"))
+
+
+class _CorruptingTrace(_TamperTrace):
+    """Records every hook call, then corrupts the data as a campaign does."""
+
+    def __call__(self, stage, data, work):
+        super().__call__(stage, data, work)
+        if data.size:
+            data[0] += 1.0
+
+
+def _no_gather(*args, **kwargs):
+    raise AssertionError("a selection below the crossover took the flat gather")
+
+
+@_case_params()
+@pytest.mark.parametrize("storage", ["float64", "float32"])
+def test_sliced_selections_match_the_flat_gather(case, storage, monkeypatch):
+    """Slices and the flat gather give the same bits for every selection."""
+    _, matrix, block_size = case
+    matrix = matrix.astype(storage)
+    checksum = ChecksumMatrix.build(matrix, block_size)
+    partition = checksum.partition
+    if partition.n_blocks == 0:
+        pytest.skip("no blocks to select")
+    rng = np.random.default_rng(11)
+    b = rng.standard_normal(matrix.n_cols)
+    r = matrix.matvec(b) + 1.0  # every block needs repair
+    r[0] = np.nan
+    r[-1] = np.inf
+    kernels = VectorizedKernels()
+
+    def run(blocks):
+        fixed = r.copy()
+        trace = _CorruptingTrace()
+        counts = kernels.correct_blocks(matrix, partition, b, fixed, blocks, trace)
+        t2 = kernels.result_checksums_for_blocks(checksum.weights, r, partition, blocks)
+        into = np.full(blocks.size, -1.0)
+        assert kernels.result_checksums_for_blocks(
+            checksum.weights, r, partition, blocks, out=into
+        ) is into
+        values, nnz = kernels.row_checksums(checksum.matrix, blocks, b)
+        return fixed, counts, trace, t2, into, values, nnz
+
+    for name, blocks in _selections(matrix, partition).items():
+        with monkeypatch.context() as patch:
+            if blocks.size <= MAX_SLICED_BLOCKS:
+                patch.setattr(vectorized, "flat_segment_indices", _no_gather)
+            sliced = run(blocks)
+        with monkeypatch.context() as patch:
+            patch.setattr(vectorized, "MAX_SLICED_BLOCKS", 0)
+            flat = run(blocks)
+        for got, want in zip(sliced, flat):
+            if isinstance(got, _TamperTrace):
+                got.assert_equal(want)
+            elif isinstance(got, np.ndarray):
+                assert got.dtype == want.dtype, name
+                np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=name)
+            else:
+                assert got == want, name
+        # Corrections also match the oracle's row-range SpMV bit for bit.
+        fixed = r.copy()
+        trace = _CorruptingTrace()
+        counts = NaiveKernels().correct_blocks(matrix, partition, b, fixed, blocks, trace)
+        np.testing.assert_array_equal(_bits(sliced[0]), _bits(fixed), err_msg=name)
+        assert sliced[1] == counts, name
+        sliced[2].assert_equal(trace)

@@ -27,6 +27,19 @@ def test_validate_blocks_rejects_out_of_range():
         validate_blocks(np.array([-1]), 4)
 
 
+def test_validate_blocks_rejects_2d_ids():
+    with pytest.raises(ConfigurationError, match="1-D"):
+        validate_blocks(np.array([[0, 1]]), 4)
+    with pytest.raises(ConfigurationError, match="1-D"):
+        validate_blocks(np.zeros((1, 1, 1), dtype=np.int64), 4)
+
+
+def test_validate_blocks_reads_a_0d_id_as_one_block():
+    out = validate_blocks(np.array(3), 4)
+    assert out.shape == (1,) and out.dtype == np.int64
+    assert out[0] == 3
+
+
 def test_validate_blocks_accepts_empty_and_valid():
     assert validate_blocks(np.empty(0), 4).size == 0
     out = validate_blocks(np.array([3, 0], dtype=np.int32), 4)
