@@ -3,25 +3,23 @@
 The runtime cannot see protocol slips that only manifest as *missing*
 protection: a mutated matrix whose checksums were never rebuilt still
 detects nothing, a wrong comparison still returns a boolean, and a
-swallowed injection error still looks like a clean trial.  This subsystem
-closes that gap statically with a pluggable rule registry (a
-:class:`repro.registry.Registry`), an initial pack of six ABFT rules (ABFT001-006),
-inline ``# reprolint: disable=RULE -- reason`` suppressions, a committed
+swallowed injection error still looks like a clean trial.  This
+subsystem closes that gap statically, one file at a time, with a rule
+registry (a :class:`repro.registry.Registry`), the ABFT rule pack
+(ABFT001-007, ABFT013 and ABFT014), inline
+``# reprolint: disable=RULE -- reason`` suppressions, a committed
 baseline so pre-existing findings warn instead of fail, and text / JSON /
 SARIF reporters.
 
-A second, project-wide generation of rules (ABFT010-012) lives in
-:mod:`repro.lint.project`: the whole tree is parsed once into per-file
-summaries, linked into a symbol table / import graph / call graph, and
-checked for cross-module hazards — interprocedural checksum staleness,
-unsynchronized shared state, hot-path allocation — with a content-hash incremental
-cache so warm runs re-analyze only changed files and their
-reverse-import dependents.
+Three properties that span modules are pinned by runtime tests instead:
+``tests/schemes/test_conformance.py`` checks that no multiply writes the
+protected matrix ``A`` or its checksum matrix ``C``,
+``tests/perf/test_module_state.py`` that the ``threads`` path writes no
+module-level state, and ``tests/perf/test_zero_alloc.py`` that a planned
+multiply, serial or threaded, allocates nothing after warmup.
 
-Run it as ``python -m repro.lint src/`` (per-file rules) or
-``python -m repro.lint --project src/`` (project rules); see
-:mod:`repro.lint.cli` for exit codes.  Programmatic entry points:
-:func:`lint_paths` and :func:`analyze_project`.
+Run it as ``python -m repro.lint src/``; see :mod:`repro.lint.cli` for
+exit codes.  Programmatic entry point: :func:`lint_paths`.
 """
 
 from repro.lint.baseline import (
@@ -33,12 +31,6 @@ from repro.lint.baseline import (
 )
 from repro.lint.engine import LintResult, lint_paths, lint_source
 from repro.lint.findings import Finding, fingerprint, fingerprint_all
-from repro.lint.project import (
-    PROJECT_RULES,
-    ProjectContext,
-    ProjectResult,
-    analyze_project,
-)
 from repro.lint.registry import (
     BUILTIN_RULES,
     available_rules,
@@ -49,10 +41,9 @@ from repro.lint.registry import (
 )
 from repro.lint.reporters import FORMATS, render, render_json, render_sarif, render_text
 from repro.lint.rules import ABFT_RULES, LintRule, ModuleContext
-from repro.lint.rules.base import ProjectRule
 from repro.lint.suppressions import SuppressionIndex, parse_suppressions
 
-for _rule in (*ABFT_RULES, *PROJECT_RULES):
+for _rule in ABFT_RULES:
     register_rule(_rule)
 
 __all__ = [
@@ -60,10 +51,8 @@ __all__ = [
     "fingerprint",
     "fingerprint_all",
     "LintRule",
-    "ProjectRule",
     "ModuleContext",
     "ABFT_RULES",
-    "PROJECT_RULES",
     "BUILTIN_RULES",
     "register_rule",
     "unregister_rule",
@@ -73,9 +62,6 @@ __all__ = [
     "LintResult",
     "lint_paths",
     "lint_source",
-    "analyze_project",
-    "ProjectResult",
-    "ProjectContext",
     "SuppressionIndex",
     "parse_suppressions",
     "BaselineComparison",

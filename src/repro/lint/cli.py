@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.errors import ConfigurationError, ReproError
 from repro.lint.baseline import (
@@ -22,8 +22,7 @@ from repro.lint.baseline import (
     load_baseline,
     write_baseline,
 )
-from repro.lint.engine import LintResult, lint_paths
-from repro.lint.project import CACHE_FILENAME, analyze_project
+from repro.lint.engine import lint_paths
 from repro.lint.registry import available_rules, get_rule
 from repro.lint.reporters import FORMATS, render
 
@@ -76,23 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule pack and exit"
     )
-    parser.add_argument(
-        "--project",
-        action="store_true",
-        help="run the project-wide rules (ABFT010-012) over the whole tree "
-        "instead of the per-file rules",
-    )
-    parser.add_argument(
-        "--cache",
-        type=Path,
-        default=None,
-        help=f"project-mode summary cache file (default: ./{CACHE_FILENAME})",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="project mode: re-analyze every file, ignore and skip the cache",
-    )
     return parser
 
 
@@ -125,33 +107,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CLEAN
 
     try:
-        project_stats: Optional[Dict[str, int]] = None
-        if args.project:
-            cache_path: Optional[Path] = None
-            if not args.no_cache:
-                cache_path = args.cache or Path.cwd() / CACHE_FILENAME
-            project_result = analyze_project(
-                [Path(p) for p in args.paths],
-                select=_split_rules(args.select),
-                ignore=_split_rules(args.ignore),
-                cache_path=cache_path,
-            )
-            result = LintResult(
-                findings=project_result.findings,
-                suppressed=project_result.suppressed,
-                reasonless_suppressions=project_result.reasonless_suppressions,
-                files_checked=project_result.files_checked,
-            )
-            project_stats = {
-                "cache_hits": project_result.cache_hits,
-                "reanalyzed": project_result.reanalyzed,
-            }
-        else:
-            result = lint_paths(
-                [Path(p) for p in args.paths],
-                select=_split_rules(args.select),
-                ignore=_split_rules(args.ignore),
-            )
+        result = lint_paths(
+            [Path(p) for p in args.paths],
+            select=_split_rules(args.select),
+            ignore=_split_rules(args.ignore),
+        )
 
         baseline_path = args.baseline
         if baseline_path is None and not args.no_baseline:
@@ -185,7 +145,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         known=comparison.known,
         files_checked=result.files_checked,
         suppressed=result.suppressed,
-        project=project_stats,
     )
     _emit(report, args.output)
 

@@ -5,14 +5,6 @@ position.  Findings also carry a *fingerprint* — a content hash over the
 rule id, the file path, and the offending source line (plus an ordinal for
 repeated identical lines) — deliberately excluding line numbers, so a
 committed baseline survives unrelated edits that shift code up or down.
-
-Project-mode findings may additionally carry *evidence paths*
-(:attr:`Finding.related`): files other than the primary location whose
-content the finding depends on — the non-refreshing caller of a mutating
-helper, the spawn site that makes a function a worker entry point.  The
-fingerprint covers those paths too, so renaming an evidence file
-invalidates the baseline entry even though the primary location did not
-move.
 """
 
 from __future__ import annotations
@@ -34,9 +26,6 @@ class Finding:
         message: human-readable description of the violation.
         snippet: the stripped source line, used for fingerprinting and
             for context in reports.
-        related: paths of *evidence* files a cross-module finding depends
-            on (sorted, deduplicated, excluding :attr:`path`); part of
-            the fingerprint so evidence renames invalidate baselines.
     """
 
     path: str
@@ -45,7 +34,6 @@ class Finding:
     rule: str
     message: str
     snippet: str = field(default="", compare=False)
-    related: Tuple[str, ...] = field(default=(), compare=False)
 
     def location(self) -> str:
         """``path:line:column`` (the clickable prefix of text reports)."""
@@ -57,12 +45,8 @@ def fingerprint(finding: Finding, ordinal: int = 0) -> str:
 
     ``ordinal`` disambiguates several identical violations (same rule,
     file, and source text) so a baseline tracks *how many* are accepted.
-    Evidence paths (:attr:`Finding.related`) are hashed when present;
-    findings without evidence keep their historical fingerprints.
     """
     payload = f"{finding.rule}|{finding.path}|{finding.snippet}|{ordinal}"
-    if finding.related:
-        payload += "|" + "|".join(finding.related)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:20]
 
 
@@ -70,13 +54,13 @@ def fingerprint_all(findings: Iterable[Finding]) -> List[Tuple[Finding, str]]:
     """Pair every finding with its fingerprint, assigning ordinals.
 
     Findings are processed in order; the n-th occurrence of an identical
-    (rule, path, snippet, related) tuple gets ordinal n-1, making
+    (rule, path, snippet) triple gets ordinal n-1, making
     fingerprints unique within one run.
     """
-    seen: Dict[Tuple[str, str, str, Tuple[str, ...]], int] = {}
+    seen: Dict[Tuple[str, str, str], int] = {}
     out: List[Tuple[Finding, str]] = []
     for finding in findings:
-        key = (finding.rule, finding.path, finding.snippet, finding.related)
+        key = (finding.rule, finding.path, finding.snippet)
         ordinal = seen.get(key, 0)
         seen[key] = ordinal + 1
         out.append((finding, fingerprint(finding, ordinal)))

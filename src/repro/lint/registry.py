@@ -10,16 +10,14 @@ from __future__ import annotations
 
 from typing import Tuple
 
+from repro.lint.rules.abft import ABFT_RULES
 from repro.lint.rules.base import LintRule
 from repro.registry import Registry
 
-#: Rule ids that ship with the package and cannot be unregistered.
-#: ABFT001-007 and 013 are per-file rules; ABFT010-012 are project rules
-#: that only fire in project mode (:mod:`repro.lint.project`).  ABFT008
-#: and ABFT009 (the retired process-backend rules) are not reused.
-BUILTIN_RULES = tuple(
-    f"ABFT{number:03d}" for number in range(1, 14) if number not in (8, 9)
-)
+#: Rule ids that ship with the package and cannot be unregistered: the
+#: ids of :data:`~repro.lint.rules.abft.ABFT_RULES`.  The retired ids
+#: ABFT008-012 are not reused.
+BUILTIN_RULES = tuple(rule.rule_id for rule in ABFT_RULES)
 
 #: Lint rules by rule id.
 RULE_REGISTRY: Registry[LintRule] = Registry(

@@ -2,17 +2,13 @@
 
 The SARIF output targets the subset GitHub code scanning ingests: one run,
 one driver, rule metadata with help text, and per-result partial
-fingerprints (reprolint's line-independent hashes).  Cross-module
-findings carry their evidence files — as an ``[evidence: ...]`` suffix in
-text, a ``related`` array in JSON, and ``relatedLocations`` in SARIF —
-and project-mode runs report their incremental-cache statistics so CI can
-assert that a warm run only re-analyzed changed files.
+fingerprints (reprolint's line-independent hashes).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.errors import ConfigurationError
 from repro.lint.findings import Finding, fingerprint_all
@@ -27,10 +23,7 @@ SARIF_SCHEMA = (
     "Schemata/sarif-schema-2.1.0.json"
 )
 TOOL_NAME = "reprolint"
-TOOL_VERSION = "1.1.0"
-
-#: Cache statistics attached to project-mode reports.
-ProjectStats = Mapping[str, int]
+TOOL_VERSION = "2.0.0"
 
 
 def render_text(
@@ -38,30 +31,19 @@ def render_text(
     known: Sequence[Finding] = (),
     files_checked: int = 0,
     suppressed: int = 0,
-    project: Optional[ProjectStats] = None,
 ) -> str:
     """The default terminal report: one line per finding plus a summary."""
     lines: List[str] = []
-
-    def line_for(finding: Finding, tag: str) -> str:
-        evidence = (
-            f" [evidence: {', '.join(finding.related)}]" if finding.related else ""
-        )
-        return f"{finding.location()}: {finding.rule} {tag}{finding.message}{evidence}"
-
     for finding in findings:
-        lines.append(line_for(finding, ""))
+        lines.append(f"{finding.location()}: {finding.rule} {finding.message}")
     for finding in known:
-        lines.append(line_for(finding, "[baseline] "))
+        lines.append(
+            f"{finding.location()}: {finding.rule} [baseline] {finding.message}"
+        )
     summary = (
         f"{len(findings)} new finding(s), {len(known)} baselined, "
         f"{suppressed} suppressed across {files_checked} file(s)"
     )
-    if project is not None:
-        summary += (
-            f" (project mode: {project.get('cache_hits', 0)} cache hit(s), "
-            f"{project.get('reanalyzed', 0)} re-analyzed)"
-        )
     lines.append(summary)
     return "\n".join(lines) + "\n"
 
@@ -71,7 +53,6 @@ def render_json(
     known: Sequence[Finding] = (),
     files_checked: int = 0,
     suppressed: int = 0,
-    project: Optional[ProjectStats] = None,
 ) -> str:
     """Machine-readable report (stable key order)."""
 
@@ -83,12 +64,11 @@ def render_json(
             "column": finding.column,
             "message": finding.message,
             "snippet": finding.snippet,
-            "related": list(finding.related),
             "fingerprint": print_,
             "baselined": baselined,
         }
 
-    payload: Dict[str, object] = {
+    payload = {
         "tool": TOOL_NAME,
         "version": TOOL_VERSION,
         "files_checked": files_checked,
@@ -98,8 +78,6 @@ def render_json(
             *(encode(f, p, True) for f, p in fingerprint_all(known)),
         ],
     }
-    if project is not None:
-        payload["project"] = dict(project)
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -128,7 +106,6 @@ def render_sarif(
     known: Sequence[Finding] = (),
     files_checked: int = 0,
     suppressed: int = 0,
-    project: Optional[ProjectStats] = None,
 ) -> str:
     """SARIF 2.1.0 report; baselined findings carry level ``note``."""
     rule_ids = sorted(
@@ -139,7 +116,7 @@ def render_sarif(
     rule_index = {rule_id: i for i, rule_id in enumerate(rule_ids)}
 
     def result(finding: Finding, print_: str, baselined: bool) -> Dict[str, object]:
-        entry: Dict[str, object] = {
+        return {
             "ruleId": finding.rule,
             "ruleIndex": rule_index[finding.rule],
             "level": "note" if baselined else "error",
@@ -157,39 +134,26 @@ def render_sarif(
             ],
             "partialFingerprints": {"reprolint/v1": print_},
         }
-        if finding.related:
-            entry["relatedLocations"] = [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": path},
-                        "region": {"startLine": 1},
-                    },
-                    "message": {"text": "evidence for this cross-module finding"},
-                }
-                for path in finding.related
-            ]
-        return entry
 
-    run: Dict[str, object] = {
-        "tool": {
-            "driver": {
-                "name": TOOL_NAME,
-                "version": TOOL_VERSION,
-                "informationUri": "https://example.invalid/reprolint",
-                "rules": _sarif_rules(rule_ids),
-            }
-        },
-        "results": [
-            *(result(f, p, False) for f, p in fingerprint_all(findings)),
-            *(result(f, p, True) for f, p in fingerprint_all(known)),
-        ],
-    }
-    if project is not None:
-        run["properties"] = {"reprolint/project": dict(project)}
     document = {
         "$schema": SARIF_SCHEMA,
         "version": SARIF_VERSION,
-        "runs": [run],
+        "runs": [
+            {
+                "tool": {
+                    "driver": {
+                        "name": TOOL_NAME,
+                        "version": TOOL_VERSION,
+                        "informationUri": "https://example.invalid/reprolint",
+                        "rules": _sarif_rules(rule_ids),
+                    }
+                },
+                "results": [
+                    *(result(f, p, False) for f, p in fingerprint_all(findings)),
+                    *(result(f, p, True) for f, p in fingerprint_all(known)),
+                ],
+            }
+        ],
     }
     return json.dumps(document, indent=2) + "\n"
 
@@ -204,7 +168,6 @@ def render(
     known: Sequence[Finding] = (),
     files_checked: int = 0,
     suppressed: int = 0,
-    project: Optional[ProjectStats] = None,
 ) -> str:
     """Render with the named reporter.
 
@@ -218,9 +181,5 @@ def render(
             f"unknown report format {format_name!r}; expected one of {FORMATS}"
         ) from None
     return renderer(
-        findings,
-        known=known,
-        files_checked=files_checked,
-        suppressed=suppressed,
-        project=project,
+        findings, known=known, files_checked=files_checked, suppressed=suppressed
     )

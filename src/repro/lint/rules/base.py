@@ -5,12 +5,9 @@ from __future__ import annotations
 import abc
 import ast
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.lint.findings import Finding
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotations only)
-    from repro.lint.project.graph import ProjectContext
 
 
 class ModuleContext:
@@ -103,25 +100,6 @@ class LintRule(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<LintRule {self.rule_id}>"
-
-
-class ProjectRule(LintRule):
-    """A rule that needs the whole-project view (symbol table, call graph).
-
-    Project rules participate in the ordinary registry — ``--select``,
-    ``--ignore``, ``--list-rules`` and SARIF metadata all work — but they
-    only produce findings in project mode (:mod:`repro.lint.project`).
-    The per-file :meth:`check` is a deliberate no-op: a single module
-    does not contain the cross-module facts these rules reason about.
-    """
-
-    def check(self, module: ModuleContext) -> Iterator[Finding]:
-        """Per-file pass: project rules have nothing to say about one file."""
-        return iter(())
-
-    @abc.abstractmethod
-    def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
-        """Yield a finding for every violation visible in the project graph."""
 
 
 # ----------------------------------------------------------------------

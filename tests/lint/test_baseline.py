@@ -1,5 +1,6 @@
 """Baseline round trip and line-shift-stable fingerprints."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -7,7 +8,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.lint import (
+    Finding,
     compare_with_baseline,
+    fingerprint,
     fingerprint_all,
     get_rule,
     lint_source,
@@ -107,82 +110,17 @@ def test_committed_repo_baseline_loads_and_is_empty():
     assert baseline == {}
 
 
-# ----------------------------------------------------------------------
-# Cross-module evidence paths in fingerprints (project-mode findings)
-# ----------------------------------------------------------------------
-def cross_module_finding(**overrides):
-    from dataclasses import replace
-
-    from repro.lint import Finding
-
+def test_fingerprints_keep_their_historical_payload():
+    """The fingerprint hashes rule, path, snippet and ordinal, nothing
+    else, so committed baselines from earlier revisions stay valid."""
     finding = Finding(
         path="src/a.py",
         line=10,
         column=5,
-        rule="ABFT010",
-        message="mutation escapes without refresh",
+        rule="ABFT001",
+        message="assignment to 'self.data' without a checksum refresh",
         snippet="self.data[0] = v",
-        related=("src/b.py",),
     )
-    return replace(finding, **overrides) if overrides else finding
-
-
-def test_evidence_paths_enter_the_fingerprint():
-    from repro.lint import fingerprint
-
-    base = cross_module_finding()
-    renamed_evidence = cross_module_finding(related=("src/renamed.py",))
-    assert fingerprint(base) != fingerprint(renamed_evidence)
-    # A finding without evidence hashes differently from one with it.
-    assert fingerprint(base) != fingerprint(cross_module_finding(related=()))
-
-
-def test_evidence_fingerprints_still_survive_line_shifts():
-    from repro.lint import fingerprint
-
-    base = cross_module_finding()
-    shifted = cross_module_finding(line=99)
-    assert fingerprint(base) == fingerprint(shifted)
-
-
-def test_findings_without_evidence_keep_historical_fingerprints():
-    """The seed fingerprint format must not change for per-file findings:
-    committed baselines from earlier revisions stay valid."""
-    import hashlib
-
-    from repro.lint import fingerprint
-
-    plain = cross_module_finding(related=())
-    payload = f"{plain.rule}|{plain.path}|{plain.snippet}|0"
+    payload = f"{finding.rule}|{finding.path}|{finding.snippet}|0"
     expected = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:20]
-    assert fingerprint(plain) == expected
-
-
-def test_renaming_an_evidence_file_invalidates_the_baseline_entry(tmp_path):
-    """End to end: baseline an ABFT010 finding whose evidence lives in
-    caller.py, rename caller.py, and the baseline entry must go stale."""
-    import shutil
-
-    from repro.lint import analyze_project
-
-    fixture = Path(__file__).parent / "fixtures" / "project" / "abft010_bad"
-    root = tmp_path / "proj"
-    shutil.copytree(fixture, root)
-
-    def findings():
-        result = analyze_project([root], select=("ABFT010",), base=tmp_path)
-        return result.findings
-
-    before = findings()
-    assert len(before) == 1 and before[0].related
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(baseline_path, before)
-    comparison = compare_with_baseline(findings(), load_baseline(baseline_path))
-    assert comparison.new == [] and comparison.stale == []
-
-    (root / "caller.py").rename(root / "renamed_caller.py")
-    after = findings()
-    assert len(after) == 1  # same primary location in matrix.py...
-    comparison = compare_with_baseline(after, load_baseline(baseline_path))
-    assert len(comparison.new) == 1  # ...but the evidence path changed
-    assert len(comparison.stale) == 1
+    assert fingerprint(finding) == expected

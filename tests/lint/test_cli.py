@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.lint.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
 
 BAD = (
@@ -81,11 +83,21 @@ def test_sarif_output_to_file(tmp_path):
     assert document["runs"][0]["results"]
 
 
-def test_list_rules(capsys):
+def test_list_rules_prints_exactly_the_rule_pack(capsys):
     assert main(["--list-rules"]) == EXIT_CLEAN
-    out = capsys.readouterr().out
-    for rule_id in ("ABFT001", "ABFT006"):
-        assert rule_id in out
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert listed == [
+        "ABFT001", "ABFT002", "ABFT003", "ABFT004", "ABFT005", "ABFT006",
+        "ABFT007", "ABFT013", "ABFT014",
+    ]
+
+
+@pytest.mark.parametrize("rule_id", ["ABFT008", "ABFT009", "ABFT010", "ABFT011", "ABFT012"])
+def test_retired_rule_ids_are_unknown(tmp_path, capsys, rule_id):
+    path = write(tmp_path, "mod.py", CLEAN)
+    assert main([str(path), "--no-baseline", "--select", rule_id]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "unknown lint rule" in err and rule_id in err
 
 
 def test_module_entry_point(tmp_path):

@@ -1,9 +1,10 @@
-"""Rule-registry behavior (mirrors the kernel-registry contract)."""
+"""Rule-registry behavior (the :mod:`repro.registry` contract)."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.lint import (
+    ABFT_RULES,
     BUILTIN_RULES,
     LintRule,
     available_rules,
@@ -30,12 +31,11 @@ def dummy():
     unregister_rule("TEST901")
 
 
-def test_builtin_pack_is_registered():
-    assert set(BUILTIN_RULES) <= set(available_rules())
-    for rule_id in BUILTIN_RULES:
-        rule = get_rule(rule_id)
-        assert rule.rule_id == rule_id
-        assert rule.title and rule.rationale
+@pytest.mark.parametrize("rule", ABFT_RULES, ids=lambda rule: rule.rule_id)
+def test_builtin_rule_is_registered(rule):
+    assert rule.rule_id in BUILTIN_RULES
+    assert get_rule(rule.rule_id) is rule
+    assert rule.title and rule.rationale
 
 
 def test_register_and_unregister_custom_rule(dummy):
@@ -50,10 +50,11 @@ def test_duplicate_registration_requires_overwrite(dummy):
     assert get_rule("TEST901") is replacement
 
 
-def test_builtins_cannot_be_unregistered():
+@pytest.mark.parametrize("rule", ABFT_RULES, ids=lambda rule: rule.rule_id)
+def test_builtin_rule_cannot_be_unregistered(rule):
     with pytest.raises(ConfigurationError):
-        unregister_rule("ABFT001")
-    assert "ABFT001" in available_rules()
+        unregister_rule(rule.rule_id)
+    assert get_rule(rule.rule_id) is rule
 
 
 def test_non_rule_rejected():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import get_rule, lint_source
+from repro.lint import get_rule, lint_paths, lint_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -146,3 +146,13 @@ def test_syntax_error_becomes_e999_finding():
     assert len(findings) == 1
     assert findings[0].rule == "E999"
     assert findings[0].line == 1
+
+
+def test_non_utf8_file_becomes_e999_finding(tmp_path):
+    root = tmp_path / "proj"
+    root.mkdir()
+    (root / "binary.py").write_bytes(b"\xff\xfe\x00not python\x00")
+    result = lint_paths([root], root=tmp_path)
+    (finding,) = result.findings
+    assert finding.rule == "E999"
+    assert "not valid UTF-8" in finding.message

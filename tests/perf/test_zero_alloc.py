@@ -111,6 +111,27 @@ def test_float32_one_shard_plan_allocates_nothing(b):
     _assert_steady_state_allocates_nothing(lambda: plan.multiply(b32, meter=meter))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+@pytest.mark.parametrize("sparse_format", ["csr", "bsr"])
+def test_threaded_plan_allocates_nothing(sparse_format, dtype, b):
+    """The fused multi-shard path: ``_detect_fused`` stages the operand
+    and fans ``FusedShardBuffers.detect_shard`` out on the thread pool,
+    one task per shard, each writing only its slices of the plan's
+    buffers.  The serial legs above never run that code."""
+    operator = FaultTolerantSpMV(
+        random_spd(N, NNZ, seed=5, dtype=dtype),
+        block_size=BLOCK,
+        telemetry=Telemetry(enabled=False),
+    )
+    plan = ProtectedPlan(
+        operator, n_shards=3, parallel="threads", sparse_format=sparse_format
+    )
+    assert plan.spmv.n_shards == 3
+    meter = ExecutionMeter(machine=operator.machine)
+    operand = b.astype(dtype)
+    _assert_steady_state_allocates_nothing(lambda: plan.multiply(operand, meter=meter))
+
+
 def test_operator_multiply_allocates_the_value_copy(operator, b):
     """Sanity check that the assertion above has teeth: ``op.multiply``
     runs the same kind of plan but hands back a copy of its result

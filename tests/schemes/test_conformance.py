@@ -27,6 +27,9 @@ DETECT_ONLY = ("checkpoint", "dense_check")
 #: every replica alike leaves them in agreement, so it passes unseen.
 REPLICATED = ("redundancy", "tmr")
 
+#: Schemes that encode ``A`` into a block checksum matrix ``C`` at build.
+ENCODED = ("abft", "vabft")
+
 #: Stage names the tamper hook may see (``repro.schemes.base``).
 STAGES = {"result", "t1", "beta", "t2", "corrected"}
 
@@ -115,6 +118,37 @@ def test_cost_lands_on_the_callers_meter(matrix, b, name):
     assert (second.seconds, second.flops) == (first.seconds, first.flops)
     np.testing.assert_array_equal(second.value, first.value)
     assert meter.snapshot() == pytest.approx((2 * first.seconds, 2 * first.flops))
+
+
+@pytest.mark.parametrize("name", BUILTIN_SCHEMES)
+def test_protected_storage_never_changes_under_its_checksum(matrix, b, name):
+    """t1 = t2 certifies a product only while ``A`` is what ``C`` encoded
+    at build (Section III): no multiply, correction round or plan may
+    write ``A``'s arrays, nor the checksum matrix's."""
+    scheme = build(name, matrix)
+    stored = {"A": scheme.matrix}
+    if name in ENCODED:
+        stored["C"] = scheme.detector.checksum.matrix
+    built = {
+        (label, field): getattr(csr, field).tobytes()
+        for label, csr in stored.items()
+        for field in ("data", "indices", "indptr")
+    }
+
+    def burst(row):
+        return one_shot(lambda d: d.__setitem__(row, d[row] + 1e4))
+
+    for _ in range(2):
+        scheme.multiply(b)
+    for row in (3, 70, 200):
+        scheme.multiply(b, tamper=burst(row))
+    if name in ENCODED:
+        plan = scheme.planned(sparse_format="bsr")
+        assert plan.format_choice.format == "bsr"
+        plan.multiply(b)
+        assert not plan.multiply(b, tamper=burst(70)).clean
+    for (label, field), before in built.items():
+        assert getattr(stored[label], field).tobytes() == before, f"{label}.{field}"
 
 
 @pytest.mark.parametrize("name", BUILTIN_SCHEMES)
