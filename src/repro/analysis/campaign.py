@@ -10,8 +10,8 @@ Two campaign kinds:
   full detect-locate-correct pipeline of each scheme, and the simulated
   runtime is recorded.
 
-Schemes are resolved by name through the :mod:`repro.schemes` registry,
-so any registered scheme can run either campaign.
+Schemes are resolved by name through the :mod:`repro.schemes` table,
+so any built-in scheme can run either campaign.
 
 The paper runs 100 000 trials per matrix; the statistics here stabilize at
 a few hundred, which is the default (`trials` is a knob everywhere).
@@ -80,7 +80,7 @@ def run_coverage_campaign(
     true positive; ranges elsewhere are false positives; silence is a false
     negative).
 
-    ``detector`` is a registered scheme name (``"abft"``,
+    ``detector`` is a scheme name (``"abft"``,
     ``"dense_check"``, ...); ``bound="empirical"``
     calibrates an :class:`~repro.core.calibration.EmpiricalBound` for the
     block scheme instead of an analytical bound family.
@@ -164,7 +164,7 @@ def run_correction_campaign(
     Every trial injects one error large enough that *all* compared methods
     detect it (the paper triggers corrections in every evaluated method),
     then runs the scheme's full pipeline and records simulated time.
-    ``scheme`` is any registered scheme name.
+    ``scheme`` is any scheme name.
     """
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")

@@ -60,7 +60,7 @@ def detection_overhead(
 ) -> float:
     """Modeled error-detection overhead of one protected SpMV (Figures 4-5).
 
-    ``method`` is a registered scheme name (``"abft"``, ``"dense_check"``,
+    ``method`` is a scheme name (``"abft"``, ``"dense_check"``,
     ...); the scheme's own ``detection_graph`` provides the modeled cost.
     """
     machine = machine or Machine()

@@ -1,6 +1,6 @@
 """Related-work fault-tolerance baselines the paper compares against.
 
-All of them register with :mod:`repro.schemes` and share its driver
+All of them are entries of the :mod:`repro.schemes` table and share its driver
 contract (injected kernels/telemetry, unified result type):
 
 * :class:`DenseCheckSpMV` — detection-only dense ABFT check of [30], [31]

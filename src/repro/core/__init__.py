@@ -31,8 +31,6 @@ from repro.core.corrector import CorrectionOutcome, TamperHook, correct_blocks
 from repro.core.detector import (
     BlockAbftDetector,
     DetectionReport,
-    NearMiss,
-    NearMissHook,
     ReportHook,
 )
 from repro.core.dtypes import (
@@ -44,10 +42,8 @@ from repro.core.dtypes import (
     canonical_dtype_name,
     coerce_array,
     get_dtype_policy,
-    register_dtype_policy,
     resolve_dtype_name,
     resolve_dtype_policy,
-    unregister_dtype_policy,
 )
 from repro.core.protected import FaultTolerantSpMV, plain_spmv
 
@@ -68,8 +64,6 @@ __all__ = [
     "make_bound",
     "BlockAbftDetector",
     "DetectionReport",
-    "NearMiss",
-    "NearMissHook",
     "ReportHook",
     "BUILTIN_DTYPES",
     "DEFAULT_DTYPE",
@@ -79,10 +73,8 @@ __all__ = [
     "canonical_dtype_name",
     "coerce_array",
     "get_dtype_policy",
-    "register_dtype_policy",
     "resolve_dtype_name",
     "resolve_dtype_policy",
-    "unregister_dtype_policy",
     "CorrectionOutcome",
     "TamperHook",
     "correct_blocks",

@@ -23,10 +23,6 @@ BOUND_KINDS = ("sparse", "dense", "norm")
 #: Supported weight-vector schemes (see repro.core.checksum).
 WEIGHT_KINDS = ("ones", "linear", "random")
 
-#: Default near-miss fraction: a clean block whose syndrome exceeds this
-#: fraction of its bound is reported as false-positive pressure.
-DEFAULT_NEAR_MISS_FRACTION = 0.9
-
 
 @dataclass(frozen=True)
 class AbftConfig:
@@ -47,20 +43,16 @@ class AbftConfig:
         kernel: name of the kernel set executing the hot paths (see
             :mod:`repro.kernels`).  The library has one, so
             ``"vectorized"`` is the only value accepted.
-        telemetry: registered exporter name receiving protocol telemetry
+        telemetry: exporter name receiving protocol telemetry
             (see :mod:`repro.obs`); ``"off"`` (the default) disables all
             instrumentation down to a single guard per update site.  The
             ``REPRO_OBS`` environment variable overrides it process-wide.
-        near_miss_fraction: fraction of the rounding-error bound above
-            which a *clean* block's syndrome counts as a near miss
-            (``abft.false_positive_candidates``) and fires the detector's
-            near-miss hook — the signal adaptive thresholds watch.
-        scheme: registered protection-scheme name (see
+        scheme: protection-scheme name (see
             :mod:`repro.schemes`) used when a caller asks for a default
             scheme; None keeps the library default (``"abft"``).  The
             ``REPRO_SCHEME`` environment variable overrides *defaulted*
             selections process-wide.
-        parallel: registered plan-execution backend name (see
+        parallel: plan-execution backend name (see
             :mod:`repro.perf.backends`) used by planned protected
             multiplies: ``"serial"`` or ``"threads"``.  None keeps the
             default (``"serial"``).  The backend also sets the shard
@@ -78,7 +70,7 @@ class AbftConfig:
             ``sparse_format=`` argument to a planned entry point beats
             both.  ``FaultTolerantSpMV.multiply`` always runs its own
             one-shard serial CSR plan.
-        dtype: registered dtype-policy name (see :mod:`repro.core.dtypes`):
+        dtype: dtype-policy name (see :mod:`repro.core.dtypes`):
             ``"float64"``, ``"float32"``, or ``"bfloat16"``.  The policy
             governs the epsilon model of the rounding-error bounds, the
             dtype explicit data constructions use, and whether values are
@@ -95,7 +87,6 @@ class AbftConfig:
     max_correction_rounds: int = 8
     kernel: str = DEFAULT_KERNEL
     telemetry: str = DEFAULT_EXPORTER
-    near_miss_fraction: float = DEFAULT_NEAR_MISS_FRACTION
     scheme: Optional[str] = None
     parallel: Optional[str] = None
     sparse_format: Optional[str] = None
@@ -117,10 +108,6 @@ class AbftConfig:
         if self.max_correction_rounds < 1:
             raise ConfigurationError(
                 f"max_correction_rounds must be >= 1, got {self.max_correction_rounds}"
-            )
-        if not 0.0 <= self.near_miss_fraction:
-            raise ConfigurationError(
-                f"near_miss_fraction must be >= 0, got {self.near_miss_fraction}"
             )
         if self.kernel != DEFAULT_KERNEL:
             raise ConfigurationError(

@@ -60,31 +60,10 @@ class DetectionReport:
         return self.flagged.size == 0
 
 
-@dataclass(frozen=True)
-class NearMiss:
-    """A clean block whose syndrome ran close to its bound.
-
-    Emitted to the detector's near-miss hook when ``|syndrome| >=
-    near_miss_fraction * threshold`` for a block that was *not* flagged —
-    the false-positive pressure signal adaptive-threshold policies need.
-
-    Attributes:
-        block: index of the near-miss block.
-        margin: ``|syndrome| / threshold`` (in [near_miss_fraction, 1)).
-        syndrome: the block's raw syndrome ``t1_k - t2_k``.
-        threshold: the bound the syndrome was compared against.
-        beta: the operand norm the bound used.
-    """
-
-    block: int
-    margin: float
-    syndrome: float
-    threshold: float
-    beta: float
-
-
-#: Callback type of the detector's near-miss hook.
-NearMissHook = Callable[[NearMiss], None]
+#: A clean block whose ``|syndrome| / threshold`` margin reaches this
+#: fraction is a near miss: it counts toward
+#: ``abft.false_positive_candidates``.
+NEAR_MISS_FRACTION = 0.9
 
 #: Callback type of the detector's report hook: receives every
 #: evaluation's :class:`DetectionReport` plus the per-position exceeded
@@ -108,7 +87,6 @@ class BlockAbftDetector:
         config: AbftConfig | None = None,
         bound_override: Bound | None = None,
         telemetry: object = None,
-        near_miss_hook: Optional[NearMissHook] = None,
         dtype: object = None,
         report_hook: Optional[ReportHook] = None,
     ) -> None:
@@ -122,10 +100,6 @@ class BlockAbftDetector:
                 :class:`~repro.obs.Telemetry` instance or exporter name;
                 None resolves ``config.telemetry`` (``REPRO_OBS`` env
                 override applies to names).
-            near_miss_hook: called with a :class:`NearMiss` for every
-                clean block whose syndrome margin reaches
-                ``config.near_miss_fraction`` of its bound; fires
-                regardless of whether telemetry is enabled.
             dtype: dtype-policy selection (name or
                 :class:`~repro.core.dtypes.DtypePolicy`); None resolves
                 ``config.dtype`` (``REPRO_DTYPE`` env override applies).
@@ -140,7 +114,6 @@ class BlockAbftDetector:
         self.telemetry: Telemetry = resolve_telemetry(
             telemetry if telemetry is not None else self.config.telemetry
         )
-        self.near_miss_hook = near_miss_hook
         self.report_hook = report_hook
         self.dtype_policy: DtypePolicy = resolve_dtype_policy(
             self.config.dtype, dtype
@@ -254,67 +227,49 @@ class BlockAbftDetector:
 
     @property
     def watched(self) -> bool:
-        """Whether telemetry or a hook observes invariant evaluations."""
-        return (
-            self.telemetry.enabled
-            or self.near_miss_hook is not None
-            or self.report_hook is not None
-        )
+        """Whether telemetry or the report hook observes invariant
+        evaluations."""
+        return self.telemetry.enabled or self.report_hook is not None
 
     def record(self, report: DetectionReport, exceeded: np.ndarray) -> None:
         """Record a report built outside :meth:`compare` (planned paths).
 
         :class:`repro.perf.ProtectedPlan` evaluates the invariant in its
         own preallocated buffers and hands the outcome here so telemetry
-        and the hooks observe exactly what :meth:`compare` would have
+        and the report hook observe exactly what :meth:`compare` would have
         emitted.  No-op unless :attr:`watched`.
         """
         if self.watched:
             self._record_report(report, exceeded)
 
     def _record_report(self, report: DetectionReport, exceeded: np.ndarray) -> None:
-        """Telemetry + near-miss side channel of one invariant evaluation.
+        """Report hook and telemetry of one invariant evaluation.
 
-        Emits the per-block ``abft.syndrome_margin`` histogram (margin =
-        ``|syndrome| / threshold``), the check/detection counters, and —
-        for clean blocks whose margin reaches the configured near-miss
-        fraction — bumps ``abft.false_positive_candidates`` and invokes
-        the near-miss hook.  The report hook (when set) sees every
-        evaluation first, before any filtering.
+        The report hook (when set) sees every evaluation first.  Telemetry
+        gets the per-block ``abft.syndrome_margin`` histogram (margin =
+        ``|syndrome| / threshold``), the check/detection counters, and
+        ``abft.false_positive_candidates``: the clean blocks whose margin
+        reaches :data:`NEAR_MISS_FRACTION`.
         """
         observer = self.report_hook
         if observer is not None:
             observer(report, exceeded)
+        telemetry = self.telemetry
+        if not telemetry.enabled:
+            return
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             margins = np.abs(report.syndrome) / report.thresholds
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            telemetry.count("abft.checks", blocks=int(report.blocks.size))
-            if report.flagged.size:
-                telemetry.count("abft.detections")
-                telemetry.count("abft.blocks_flagged", float(report.flagged.size))
-            telemetry.observe_many("abft.syndrome_margin", margins)
-        fraction = self.config.near_miss_fraction
+        telemetry.count("abft.checks", blocks=int(report.blocks.size))
+        if report.flagged.size:
+            telemetry.count("abft.detections")
+            telemetry.count("abft.blocks_flagged", float(report.flagged.size))
+        telemetry.observe_many("abft.syndrome_margin", margins)
         with np.errstate(invalid="ignore"):
-            near = ~exceeded & np.isfinite(margins) & (margins >= fraction)
-        if not near.any():
-            return
-        if telemetry.enabled:
+            near = ~exceeded & np.isfinite(margins) & (margins >= NEAR_MISS_FRACTION)
+        if near.any():
             telemetry.count(
                 "abft.false_positive_candidates", float(np.count_nonzero(near))
             )
-        hook = self.near_miss_hook
-        if hook is not None:
-            for position in np.flatnonzero(near):
-                hook(
-                    NearMiss(
-                        block=int(report.blocks[position]),
-                        margin=float(margins[position]),
-                        syndrome=float(report.syndrome[position]),
-                        threshold=float(report.thresholds[position]),
-                        beta=report.beta,
-                    )
-                )
 
     def detect(self, b: np.ndarray, r: np.ndarray) -> DetectionReport:
         """Full detection pass: checksums, norm, syndrome, comparison."""

@@ -18,8 +18,10 @@ selectable:
   name, so forcing ``REPRO_DTYPE=float32`` process-wide cannot loosen
   the bound of a float64 matrix that happens to be in the same process.
 
+The three policies of :data:`BUILTIN_DTYPES` form a fixed table.
 Resolution follows the selection rule of :mod:`repro.registry` (first
-match wins): an explicit ``dtype=`` argument, the :data:`DTYPE_ENV_VAR`
+match wins): an explicit ``dtype=`` argument (a name or a
+:class:`DtypePolicy`), the :data:`DTYPE_ENV_VAR`
 environment variable (``REPRO_DTYPE``, overriding *configured*
 selections only), ``AbftConfig.dtype``, then :data:`DEFAULT_DTYPE`
 (``"float64"`` — existing callers see bit-identical results until they
@@ -51,7 +53,7 @@ DTYPE_ENV_VAR = "REPRO_DTYPE"
 #: Policy used when neither a name nor the environment selects one.
 DEFAULT_DTYPE = "float64"
 
-#: Dtype policies that ship with the library.
+#: Dtype policies that ship with the library: the keys of :data:`DTYPE_REGISTRY`.
 BUILTIN_DTYPES = ("float64", "float32", "bfloat16")
 
 #: Accepted spellings for the builtin policies.
@@ -107,7 +109,7 @@ class DtypePolicy:
     """One precision contract: storage, accumulation and eps model.
 
     Attributes:
-        name: registry name (``"float64"``, ``"float32"``, ``"bfloat16"``).
+        name: table key (``"float64"``, ``"float32"``, ``"bfloat16"``).
         working: NumPy dtype name of stored values and operands.
         accumulation: NumPy dtype name of checksum rows and syndromes.
         epsilons: storage-dtype-name -> unit-roundoff map used by the
@@ -142,19 +144,6 @@ class DtypePolicy:
                 )
 
     # ------------------------------------------------------------------
-    # Dtype handles
-    # ------------------------------------------------------------------
-    @property
-    def working_dtype(self) -> np.dtype:
-        """The NumPy dtype of stored values and operands."""
-        return np.dtype(self.working)
-
-    @property
-    def accumulation_dtype(self) -> np.dtype:
-        """The NumPy dtype of checksum rows, ``t1``/``t2`` and syndromes."""
-        return np.dtype(self.accumulation)
-
-    # ------------------------------------------------------------------
     # Epsilon model
     # ------------------------------------------------------------------
     def epsilon_for(self, storage_dtype: object) -> float:
@@ -186,11 +175,6 @@ class DtypePolicy:
             return np.asarray(values)
         return _round_to_bfloat16(values)
 
-    def cast_working(self, values: np.ndarray) -> np.ndarray:
-        """``values`` in the working dtype, quantized, copying only if needed."""
-        working = np.asarray(values, dtype=self.working_dtype)
-        return self.quantize(working)
-
 
 #: The frozen-default policy: the paper's float64 contract, verbatim.
 FLOAT64_POLICY = DtypePolicy(
@@ -214,51 +198,34 @@ BFLOAT16_POLICY = DtypePolicy(
 #: Dtype policies by name; spellings fold case and whitespace and
 #: accept :data:`DTYPE_ALIASES`.
 DTYPE_REGISTRY: Registry[DtypePolicy] = Registry(
-    "dtype policy", builtins=BUILTIN_DTYPES, entry_type=DtypePolicy,
-    key=lambda policy: policy.name, fold=True, aliases=DTYPE_ALIASES)
-for _policy in (FLOAT64_POLICY, FLOAT32_POLICY, BFLOAT16_POLICY):
-    DTYPE_REGISTRY.register(_policy)
+    "dtype policy",
+    dict(zip(BUILTIN_DTYPES, (FLOAT64_POLICY, FLOAT32_POLICY, BFLOAT16_POLICY))),
+    fold=True, aliases=DTYPE_ALIASES)
 
 #: ``REPRO_DTYPE`` overrides ``AbftConfig.dtype``; an explicit ``dtype=`` beats both.
 DTYPE_SELECTOR = Selector("dtype", DTYPE_ENV_VAR, DTYPE_REGISTRY, DEFAULT_DTYPE)
 
 
 # ----------------------------------------------------------------------
-# Registry
+# Table lookups
 # ----------------------------------------------------------------------
 def canonical_dtype_name(name: object) -> str:
     """Validate a dtype-policy selection, returning its canonical name.
 
-    Accepts the builtin policy names, their aliases, any registered
-    extension and policy objects; anything else raises
-    :class:`~repro.errors.ConfigurationError`.
+    Accepts the builtin policy names and their aliases; anything else
+    raises :class:`~repro.errors.ConfigurationError`.
     """
     return DTYPE_REGISTRY.canonical(name)
 
 
 def available_dtypes() -> Tuple[str, ...]:
-    """Registered dtype-policy names, sorted."""
+    """Dtype-policy names, sorted."""
     return DTYPE_REGISTRY.available()
 
 
 def get_dtype_policy(name: object) -> DtypePolicy:
-    """The registered policy for ``name`` (aliases accepted)."""
+    """The policy for ``name`` (aliases accepted)."""
     return DTYPE_REGISTRY.get(name)
-
-
-def register_dtype_policy(policy: DtypePolicy, replace: bool = False) -> None:
-    """Register an extension dtype policy under ``policy.name``.
-
-    Builtin policies are protected: they can be neither replaced nor
-    shadowed.  Re-registering an extension name requires
-    ``replace=True``.
-    """
-    DTYPE_REGISTRY.register(policy, overwrite=replace)
-
-
-def unregister_dtype_policy(name: str) -> None:
-    """Remove an extension policy; builtins are protected."""
-    DTYPE_REGISTRY.unregister(name)
 
 
 # ----------------------------------------------------------------------

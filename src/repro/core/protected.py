@@ -122,8 +122,7 @@ class FaultTolerantSpMV:
         dtype: dtype-policy selection (name or
             :class:`~repro.core.dtypes.DtypePolicy`); None resolves
             ``config.dtype`` with the ``REPRO_DTYPE`` environment
-            override.  The policy feeds the detector's epsilon model and
-            keys the cached execution plan.
+            override.  The policy feeds the detector's epsilon model.
     """
 
     #: Registry name in :mod:`repro.schemes` (the paper's scheme).
@@ -321,19 +320,16 @@ class FaultTolerantSpMV:
         from repro.perf.plan import ProtectedPlan
         from repro.sparse.formats import resolve_format_name
 
-        backend = resolve_backend_name(getattr(self.config, "parallel", None))
+        backend = resolve_backend_name(self.config.parallel)
         if n_shards is None:
             n_shards = default_shard_count(backend)
-        requested = resolve_format_name(
-            getattr(self.config, "sparse_format", None), explicit=sparse_format
-        )
+        requested = resolve_format_name(self.config.sparse_format, explicit=sparse_format)
         plan = self._plan
         if (
             plan is not None
             and plan.n_shards == n_shards
             and plan.backend_name == backend
             and plan.format_choice.requested == requested
-            and plan.dtype_policy.name == self.dtype_policy.name
         ):
             if self.telemetry.enabled:
                 self.telemetry.count("plan.cache_hits")

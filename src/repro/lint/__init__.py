@@ -5,7 +5,7 @@ protection: a mutated matrix whose checksums were never rebuilt still
 detects nothing, a wrong comparison still returns a boolean, and a
 swallowed injection error still looks like a clean trial.  This
 subsystem closes that gap statically, one file at a time, with a rule
-registry (a :class:`repro.registry.Registry`), the ABFT rule pack
+table (a :class:`repro.registry.Registry`) of the ABFT rule pack
 (ABFT001-007, ABFT013 and ABFT014), inline
 ``# reprolint: disable=RULE -- reason`` suppressions, a committed
 baseline so pre-existing findings warn instead of fail, and text / JSON /
@@ -35,16 +35,11 @@ from repro.lint.registry import (
     BUILTIN_RULES,
     available_rules,
     get_rule,
-    register_rule,
     resolve_rules,
-    unregister_rule,
 )
 from repro.lint.reporters import FORMATS, render, render_json, render_sarif, render_text
 from repro.lint.rules import ABFT_RULES, LintRule, ModuleContext
 from repro.lint.suppressions import SuppressionIndex, parse_suppressions
-
-for _rule in ABFT_RULES:
-    register_rule(_rule)
 
 __all__ = [
     "Finding",
@@ -54,8 +49,6 @@ __all__ = [
     "ModuleContext",
     "ABFT_RULES",
     "BUILTIN_RULES",
-    "register_rule",
-    "unregister_rule",
     "available_rules",
     "get_rule",
     "resolve_rules",

@@ -95,7 +95,7 @@ def lint_paths(
     ignore: Tuple[str, ...] | None = None,
     root: Path | None = None,
 ) -> LintResult:
-    """Lint every Python file under ``paths`` with the registered rules.
+    """Lint every Python file under ``paths`` with the rule pack.
 
     Args:
         paths: files or directories to scan.

@@ -68,7 +68,7 @@ VALIDATOR_CALLS = frozenset(
      "make_scheme", "resolve_scheme", "canonical_scheme_name",
      "canonical_format_name", "resolve_format_name", "select_format",
      "build_format", "registry.available", "registry.canonical", "registry.check",
-     "registry.get", "registry.register", "registry.resolve", "registry.unregister"}
+     "registry.get", "registry.resolve"}
 )
 
 #: Protection-scheme classes that must be built through the
@@ -665,7 +665,7 @@ def _mentions_enabled(test: ast.expr) -> bool:
     )
 
 
-#: The rule pack, in id order (registered by :mod:`repro.lint`).
+#: The rule pack, in id order (the table of :mod:`repro.lint.registry`).
 ABFT_RULES: Tuple[LintRule, ...] = (
     ChecksumRefreshRule(),
     ReductionOrderRule(),

@@ -143,8 +143,8 @@ def registry_method(node: ast.Call) -> str:
     """Method name of a call on a :mod:`repro.registry` object, else ``""``.
 
     Registries and selectors are module constants named ``*_REGISTRY``
-    and ``*_SELECTOR``: ``SCHEME_REGISTRY.register(factory, name)`` yields
-    ``"register"``, ``atexit.register(fn)`` yields ``""``.
+    and ``*_SELECTOR``: ``SCHEME_REGISTRY.get(name)`` yields ``"get"``,
+    ``os.environ.get(name)`` yields ``""``.
     """
     func = node.func
     if isinstance(func, ast.Attribute) and terminal_name(func.value).lower().endswith(

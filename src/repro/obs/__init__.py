@@ -12,12 +12,12 @@ records the numbers the protected hot paths would otherwise discard:
   ``abft.block_recompute_fraction``, per-span wall time);
 * a :meth:`Telemetry.span` context-manager tracer with nesting and an
   injectable monotonic clock (deterministic event streams under test);
-* pluggable exporters — in-memory, JSONL event log, text summary —
-  selected via ``AbftConfig.telemetry`` or the ``REPRO_OBS`` environment
-  override, with the registry contract of :mod:`repro.registry`;
+* a fixed table of exporters — off, in-memory, JSONL event log, ring
+  buffer — selected via ``AbftConfig.telemetry`` or the ``REPRO_OBS``
+  environment override, with the registry contract of
+  :mod:`repro.registry`;
 * ``python -m repro.obs`` tooling: ``summarize`` (text or ``--json``)
-  renders a recorded run, ``report`` writes a markdown campaign report,
-  ``expose`` prints OpenMetrics exposition text.
+  renders a recorded run, ``report`` writes a markdown campaign report.
 
 Telemetry is off by default and the disabled path costs a single
 ``if telemetry.enabled`` guard per update site (verified by
@@ -38,7 +38,6 @@ from repro.obs.exporters import (
     JsonlExporter,
     NullExporter,
     RingBufferExporter,
-    TextSummaryExporter,
     available_exporters,
     make_exporter,
 )
@@ -51,11 +50,6 @@ from repro.obs.instruments import (
     Histogram,
     Registry,
     log_buckets,
-)
-from repro.obs.expose import (
-    metric_name,
-    registry_from_events,
-    render_openmetrics,
 )
 from repro.obs.report import render_report
 from repro.obs.summary import (
@@ -70,10 +64,8 @@ from repro.obs.summary import (
 from repro.obs.telemetry import (
     Span,
     Telemetry,
-    register_exporter,
     reset_telemetry_cache,
     resolve_telemetry,
-    unregister_exporter,
 )
 from repro.obs.timing import TimedKernels
 
@@ -105,12 +97,9 @@ __all__ = [
     "InMemoryExporter",
     "JsonlExporter",
     "RingBufferExporter",
-    "TextSummaryExporter",
     "DEFAULT_RING_CAPACITY",
     "DEFAULT_FLUSH_EVERY",
     "EVENTS_DROPPED_COUNTER",
-    "register_exporter",
-    "unregister_exporter",
     "available_exporters",
     "make_exporter",
     # summaries
@@ -121,9 +110,6 @@ __all__ = [
     "read_events",
     "render_summary",
     "summary_as_dict",
-    # exposition + reports
-    "metric_name",
-    "registry_from_events",
-    "render_openmetrics",
+    # reports
     "render_report",
 ]

@@ -8,9 +8,7 @@ Commands:
   aggregate instead);
 * ``report <events.jsonl> [...]`` — markdown campaign report, one
   section per log (``--output`` writes to a file);
-* ``expose <events.jsonl>`` — replay the log into a registry and print
-  it in OpenMetrics text exposition format;
-* ``exporters`` — list registered exporter names.
+* ``exporters`` — list the exporter names.
 
 Corrupt or truncated JSONL lines (crashed writers, torn appends) are
 skipped with a counted warning on stderr — the log of a crashed run is
@@ -32,7 +30,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.obs.exporters import available_exporters
-from repro.obs.expose import registry_from_events, render_openmetrics
 from repro.obs.report import render_report
 from repro.obs.summary import (
     EventSummary,
@@ -76,12 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", help="write the report here instead of stdout"
     )
 
-    expose = commands.add_parser(
-        "expose", help="replay a log and print OpenMetrics exposition text"
-    )
-    expose.add_argument("events", help="path to the events.jsonl file")
-
-    commands.add_parser("exporters", help="list registered exporter names")
+    commands.add_parser("exporters", help="list the exporter names")
     return parser
 
 
@@ -128,9 +120,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 Path(args.output).write_text(text, encoding="utf-8")
             else:
                 print(text, end="")
-        elif args.command == "expose":
-            events, _ = _load(args.events)
-            print(render_openmetrics(registry_from_events(events)), end="")
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_USAGE

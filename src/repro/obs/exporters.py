@@ -1,7 +1,7 @@
-"""Telemetry exporters and their pluggable registry.
+"""Telemetry exporters and their table.
 
 An exporter receives one structured event dict per instrument update or
-span completion.  Five ship built in:
+span completion.  Four ship built in:
 
 * ``"off"`` — the :class:`NullExporter`; resolves to the process-wide
   disabled telemetry (the hot paths' zero-cost default);
@@ -17,26 +17,21 @@ span completion.  Five ship built in:
   a downstream sink it streams batches through a background writer
   thread (encode + write off the hot thread), without one it is a
   flight recorder keeping the newest :data:`DEFAULT_RING_CAPACITY`
-  events and counting what it dropped (``events_dropped``);
-* ``"text"`` — :class:`TextSummaryExporter`, buffers like ``"memory"``
-  and renders the human-readable summary on :meth:`close`.
+  events and counting what it dropped (``events_dropped``).
 
-The registry is a :class:`repro.registry.Registry`: built-ins are
-protected, custom exporters register a *factory* under a name (exact
-spelling) and are selectable through ``AbftConfig.telemetry`` or the
+The table is a :class:`repro.registry.Registry` of exporter classes
+keyed by exact name, selectable through ``AbftConfig.telemetry`` or the
 ``REPRO_OBS`` environment override (:data:`TELEMETRY_SELECTOR`).
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
-import sys
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.errors import ConfigurationError
 from repro.registry import Registry, Selector
@@ -66,7 +61,7 @@ EVENTS_DROPPED_COUNTER = "obs.events_dropped"
 class Exporter:
     """Base class for event sinks; subclasses override :meth:`emit`."""
 
-    #: Registry key of the built-in factories; informational for customs.
+    #: Key of the exporter in :data:`EXPORTER_REGISTRY`.
     name: str = "abstract"
 
     def emit(self, event: Event) -> None:
@@ -355,68 +350,27 @@ class RingBufferExporter(Exporter):
             self.sink.close()
 
 
-class TextSummaryExporter(Exporter):
-    """Buffers events and prints a rendered summary when closed.
-
-    ``stream=None`` writes to stderr at close time (not at construction,
-    so pytest capture and redirections are honoured).
-    """
-
-    name = "text"
-
-    def __init__(self, stream: Optional[TextIO] = None) -> None:
-        self.events: List[Event] = []
-        self._stream = stream
-
-    def emit(self, event: Event) -> None:
-        self.events.append(event)
-
-    def render(self, width: int = 48) -> str:
-        """Render the buffered events as the human-readable summary."""
-        from repro.obs.summary import render_summary
-
-        return render_summary(self.events, width=width)
-
-    def close(self) -> None:
-        if not self.events:
-            return
-        stream = self._stream if self._stream is not None else sys.stderr
-        try:
-            stream.write(self.render() + "\n")
-        except (ValueError, io.UnsupportedOperation):  # closed stream at exit
-            pass
-        self.events = []
-
-
 # ----------------------------------------------------------------------
-# Registry
+# Table
 # ----------------------------------------------------------------------
-ExporterFactory = Callable[[], Exporter]
+#: Exporter names that ship with the package: the keys of :data:`EXPORTER_REGISTRY`.
+BUILTIN_EXPORTERS = ("off", "memory", "jsonl", "ring")
 
-#: Exporter names that ship with the package and cannot be unregistered.
-BUILTIN_EXPORTERS = ("off", "memory", "jsonl", "ring", "text")
-
-#: Exporter factories by name.
-EXPORTER_REGISTRY: Registry[ExporterFactory] = Registry("exporter", builtins=BUILTIN_EXPORTERS)
-for _factory in (NullExporter, InMemoryExporter, JsonlExporter, RingBufferExporter,
-                 TextSummaryExporter):
-    EXPORTER_REGISTRY.register(_factory, _factory.name)
+#: Exporter classes by name.
+EXPORTER_REGISTRY: Registry[Type[Exporter]] = Registry(
+    "exporter",
+    dict(zip(BUILTIN_EXPORTERS,
+             (NullExporter, InMemoryExporter, JsonlExporter, RingBufferExporter))))
 
 #: ``REPRO_OBS`` overrides every configured exporter name.
 TELEMETRY_SELECTOR = Selector("telemetry", OBS_ENV_VAR, EXPORTER_REGISTRY, DEFAULT_EXPORTER)
 
 
 def available_exporters() -> Tuple[str, ...]:
-    """Registered exporter names, sorted."""
+    """Exporter names, sorted."""
     return EXPORTER_REGISTRY.available()
 
 
 def make_exporter(name: str) -> Exporter:
-    """Instantiate the exporter registered under ``name``."""
-    exporter = EXPORTER_REGISTRY.get(name)()
-    if not isinstance(exporter, Exporter):
-        raise ConfigurationError(
-            f"exporter factory {name!r} returned {type(exporter).__name__}, "
-            f"which is not an Exporter"
-        )
-    return exporter
+    """Instantiate the exporter ``name`` selects."""
+    return EXPORTER_REGISTRY.get(name)()

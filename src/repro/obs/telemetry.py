@@ -33,11 +33,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
 from repro.errors import ConfigurationError
 from repro.kernels.base import KernelSet
 from repro.obs.exporters import (
-    EXPORTER_REGISTRY,
     TELEMETRY_SELECTOR,
     Event,
     Exporter,
-    ExporterFactory,
     InMemoryExporter,
     NullExporter,
     make_exporter,
@@ -302,8 +300,7 @@ def _flush_cached_telemetries() -> None:
 
     Batched exporters (jsonl, ring) hold a partial batch in memory; a
     process that never calls ``close()`` would lose its tail without
-    this.  Flush, not close: ``close()`` on the text exporter renders a
-    summary, which an exiting process may not want twice.
+    this.
     """
     for cached in list(_BY_NAME.values()):
         try:
@@ -327,8 +324,8 @@ def _register_flush_at_exit() -> None:
 def resolve_telemetry(telemetry: object = None) -> Telemetry:
     """Resolve a telemetry selection to a concrete :class:`Telemetry`.
 
-    ``telemetry`` may be a :class:`Telemetry` (returned as-is), a
-    registered exporter name, or ``None``.  The :data:`OBS_ENV_VAR`
+    ``telemetry`` may be a :class:`Telemetry` (returned as-is), an
+    exporter name, or ``None``.  The :data:`OBS_ENV_VAR`
     environment variable overrides any *name* (but never an explicit
     instance).  Name resolutions are cached process-wide so every
     component configured with the same name shares one event stream.
@@ -344,31 +341,6 @@ def resolve_telemetry(telemetry: object = None) -> Telemetry:
         _BY_NAME[name] = cached
         _register_flush_at_exit()
     return cached
-
-
-def register_exporter(
-    name: str, factory: ExporterFactory, overwrite: bool = False
-) -> ExporterFactory:
-    """Register an exporter factory under ``name``; returns the factory.
-
-    Overwriting evicts the telemetry cached for ``name`` (flushed first,
-    as at exit), so the next resolution builds the new exporter.
-    """
-    EXPORTER_REGISTRY.register(factory, name, overwrite)
-    _evict(name)
-    return factory
-
-
-def unregister_exporter(name: str) -> None:
-    """Remove a registered exporter and evict its cached telemetry."""
-    EXPORTER_REGISTRY.unregister(name)
-    _evict(name)
-
-
-def _evict(name: str) -> None:
-    cached = _BY_NAME.pop(name, None)
-    if cached is not None:
-        cached.flush()
 
 
 def reset_telemetry_cache() -> None:

@@ -16,13 +16,13 @@ well-executed SpMV; this package makes the *execution* side real:
   operand/result checksums, bound, syndrome compare) runs entirely in
   preallocated buffers, with multi-shard clean multiplies fusing each
   shard's multiply with its own detection;
-* a registry of *execution backends* deciding where those fused shard
-  tasks run (:mod:`repro.perf.backends`): ``"serial"`` or ``"threads"``
-  (a shared thread pool).  Selected via ``AbftConfig(parallel=...)``,
-  the ``REPRO_PARALLEL`` environment variable, or an explicit
-  ``ProtectedPlan(parallel=...)`` argument.  The resolved backend also
-  sets the default shard count: one for ``"serial"``, one per worker
-  for ``"threads"``.
+* two *execution backends* (:mod:`repro.perf.backends`): ``"serial"``
+  runs a plan in the calling thread, and a multi-shard ``"threads"``
+  plan submits its fused shard tasks to a shared thread pool.  Selected
+  via ``AbftConfig(parallel=...)``, the ``REPRO_PARALLEL`` environment
+  variable, or an explicit ``ProtectedPlan(parallel=...)`` argument.
+  The resolved backend also sets the default shard count: one for
+  ``"serial"``, one per worker for ``"threads"``.
 
 Plans are built via :meth:`repro.core.FaultTolerantSpMV.planned`, which
 caches one plan per operator (``plan.cache_hits`` telemetry counter).
@@ -31,14 +31,9 @@ caches one plan per operator (``plan.cache_hits`` telemetry counter).
 from repro.perf.backends import (
     BACKEND_ENV_VAR,
     BUILTIN_BACKENDS,
-    PlanBackend,
-    ThreadsBackend,
     available_backends,
     canonical_backend_name,
-    make_backend,
-    register_backend,
     resolve_backend_name,
-    unregister_backend,
 )
 from repro.perf.plan import FusedShardBuffers, ProtectedPlan, SpmvPlan
 from repro.perf.sharding import balanced_cuts, shard_blocks, shard_rows
@@ -52,12 +47,7 @@ __all__ = [
     "shard_rows",
     "BACKEND_ENV_VAR",
     "BUILTIN_BACKENDS",
-    "PlanBackend",
-    "ThreadsBackend",
     "available_backends",
     "canonical_backend_name",
-    "make_backend",
-    "register_backend",
     "resolve_backend_name",
-    "unregister_backend",
 ]

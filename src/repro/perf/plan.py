@@ -27,14 +27,14 @@ products are bit-identical to :meth:`repro.sparse.csr.CsrMatrix.matvec`
 for any shard count and backend, and its first check flags exactly the
 blocks :meth:`repro.core.detector.BlockAbftDetector.detect` flags.
 
-Multi-shard hook-free multiplies detect *fused*: each shard task
-executes its SpMV, operand checksum, result checksum and invariant
-comparison in one unit.  *Where* those tasks run is delegated to a
-registered execution backend (:mod:`repro.perf.backends`): ``"serial"``
-in the calling thread or ``"threads"`` on the shared thread pool.  Fault
-campaigns (a tamper hook) always detect sequentially — the hook-call
-sequence is part of the contract.  Every flagged block, on every
-backend and format, is repaired in the calling process by
+A ``"threads"`` plan (:mod:`repro.perf.backends`) with more than one
+shard detects *fused*: each shard task executes its SpMV, operand
+checksum, result checksum and invariant comparison in one unit, and the
+plan submits one task per shard to the shared thread pool.  Every other
+multiply detects sequentially in the calling thread, and so do fault
+campaigns (a tamper hook) — the hook-call sequence is part of the
+contract.  Every flagged block, on every backend and format, is
+repaired in the calling thread by
 :meth:`repro.core.protected.FaultTolerantSpMV._correction_rounds`.
 """
 
@@ -50,12 +50,7 @@ from repro.core.detector import DetectionReport
 from repro.errors import ConfigurationError, ShapeMismatchError
 from repro.machine import ExecutionMeter
 from repro.obs import Telemetry
-from repro.perf.backends import (
-    PlanBackend,
-    default_shard_count,
-    make_backend,
-    resolve_backend_name,
-)
+from repro.perf.backends import default_shard_count, get_executor, resolve_backend_name
 from repro.perf.sharding import shard_blocks
 from repro.sparse.csr import CsrMatrix
 
@@ -507,9 +502,9 @@ class ProtectedPlan:
             :func:`~repro.perf.backends.default_shard_count` of the
             resolved backend: 1 for ``"serial"``, the worker count for
             ``"threads"``.
-        parallel: explicit backend name (``"serial"``, ``"threads"`` or
-            a registered extension), overriding both ``REPRO_PARALLEL``
-            and ``AbftConfig.parallel``.  ``None`` resolves via
+        parallel: explicit backend name (``"serial"`` or
+            ``"threads"``), overriding both ``REPRO_PARALLEL`` and
+            ``AbftConfig.parallel``.  ``None`` resolves via
             :func:`repro.perf.backends.resolve_backend_name`.
         sparse_format: explicit storage format for the planned multiply
             (``"csr"``, ``"bsr"`` or ``"auto"``), overriding
@@ -536,7 +531,7 @@ class ProtectedPlan:
         from repro.sparse.formats import resolve_format_name, select_format
 
         self.backend_name = resolve_backend_name(
-            getattr(operator.config, "parallel", None), explicit=parallel
+            operator.config.parallel, explicit=parallel
         )
         if n_shards is None:
             n_shards = default_shard_count(self.backend_name)
@@ -548,24 +543,18 @@ class ProtectedPlan:
         n_blocks = partition.n_blocks
         self.operator = operator
         self.n_shards = n_shards
-        # The resolved policy keys the operator's plan cache: a plan built
-        # for one precision contract is never reused under another.
-        self.dtype_policy = detector.dtype_policy
 
         block_starts = partition.block_starts()
         self.block_cuts = shard_blocks(matrix.indptr, block_starts, n_shards)
 
         requested = resolve_format_name(
-            getattr(operator.config, "sparse_format", None),
-            explicit=sparse_format,
+            operator.config.sparse_format, explicit=sparse_format
         )
         self.format_choice, built = select_format(matrix, requested)
         storage: Optional["FormatMatrix"] = (
             built if self.format_choice.format != "csr" else None
         )
         self.sparse_format = self.format_choice.format
-
-        self.backend: PlanBackend = make_backend(self.backend_name, self)
 
         self._fused = FusedShardBuffers(
             matrix,
@@ -590,6 +579,8 @@ class ProtectedPlan:
                 pass
         self.spmv = self._fused.spmv
         self.checksum_spmv = self._fused.checksum_spmv
+        # Hook-free multiplies of a multi-shard threads plan fan out.
+        self._threaded = self.backend_name == "threads" and self.spmv.n_shards > 1
         self._shard_rows = self._fused.shard_rows
         self._t2 = self._fused.t2
         self._t2_workspace = self._fused.t2_workspace
@@ -663,11 +654,7 @@ class ProtectedPlan:
         if meter is None and operator.machine is not self._machine:
             meter = ExecutionMeter(machine=operator.machine)
         start_seconds, start_flops = meter.snapshot() if meter is not None else (0.0, 0.0)
-        fused = (
-            tamper is None
-            and self.backend.parallel_active
-            and self.spmv.n_shards > 1
-        )
+        fused = tamper is None and self._threaded
 
         with telemetry.span("abft.multiply", rows=self._n_rows, nnz=self._nnz):
             if meter is not None:
@@ -771,12 +758,18 @@ class ProtectedPlan:
         self, b: np.ndarray, telemetry: Telemetry
     ) -> Tuple[float, np.ndarray, np.ndarray]:
         """Fused detection: beta and the thresholds here, then one task
-        per shard (SpMV, C b, t2 and comparison) on the backend."""
+        per shard (SpMV, C b, t2 and comparison) on the thread pool."""
         self.spmv.prepare_operand(b)
         staged = self._fused.stage_operand(b)
         beta = self.operator.detector.operand_norm(staged)
         self._fill_thresholds(beta)
-        self.backend.run_detect(b, telemetry)
+        n_shards = self.spmv.n_shards
+        executor = get_executor(n_shards)
+        futures = [
+            executor.submit(self._detect_shard, i, b, telemetry) for i in range(n_shards)
+        ]
+        for future in futures:
+            future.result()
         return beta, self._syndrome, self._exceeded
 
     def _fill_thresholds(self, beta: float) -> None:

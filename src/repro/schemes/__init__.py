@@ -1,27 +1,26 @@
-"""repro.schemes — the pluggable protection-policy layer.
+"""repro.schemes — the protection-policy layer.
 
 Every way of running a trustworthy SpMV — the paper's block-ABFT scheme
-and the five related-work baselines it is evaluated against — lives
-behind one registry with one driver contract:
+and the related-work baselines it is evaluated against — lives behind
+one table with one driver contract:
 
 * :class:`ProtectedSpmvResult` — the unified result type (per-check
   detections, row-range corrections, optional block ids, simulated cost);
 * :class:`ProtectionScheme` — the protocol every scheme satisfies
   (``multiply``/``detection_graph`` bound to one matrix, with injected
   kernels and telemetry);
-* a process-wide registry (:func:`register_scheme` /
-  :func:`make_scheme` / :func:`resolve_scheme`) with protected built-ins
-  and the ``REPRO_SCHEME`` environment override, built on the one
-  registry and selector of :mod:`repro.registry`.
+* a fixed table of the built-ins (:func:`make_scheme` /
+  :func:`resolve_scheme`) and the ``REPRO_SCHEME`` environment
+  override, built on the one registry and selector of
+  :mod:`repro.registry`.
 
 Built-ins: ``abft`` (the paper's scheme), ``dense_check``, ``complete``,
 ``bisection``, ``checkpoint``, ``redundancy`` (DWC), ``tmr`` and
 ``vabft`` (block-ABFT with online variance-adaptive thresholds).
 Campaigns, sweeps, the CLI and :func:`repro.solvers.ft_pcg.run_pcg`
-resolve schemes exclusively through this registry.
+resolve schemes exclusively through this table.
 """
 
-from repro.schemes import builtins as _builtins
 from repro.schemes.base import ProtectionScheme, TamperHook
 from repro.schemes.registry import (
     BUILTIN_SCHEMES,
@@ -34,14 +33,9 @@ from repro.schemes.registry import (
     canonical_scheme_name,
     get_scheme_factory,
     make_scheme,
-    register_scheme,
     resolve_scheme,
-    unregister_scheme,
 )
 from repro.schemes.result import ProtectedSpmvResult
-
-for _name in BUILTIN_SCHEMES:
-    register_scheme(_name, getattr(_builtins, f"make_{_name}"))
 
 __all__ = [
     "ProtectedSpmvResult",
@@ -57,7 +51,5 @@ __all__ = [
     "canonical_scheme_name",
     "get_scheme_factory",
     "make_scheme",
-    "register_scheme",
     "resolve_scheme",
-    "unregister_scheme",
 ]

@@ -1,7 +1,7 @@
-"""Process-wide registry of protection schemes.
+"""The table of protection schemes and the scheme selector.
 
 One :class:`repro.registry.Registry` and :class:`~repro.registry.Selector`:
-named factories, protected built-ins, and an environment override.
+a fixed table of the built-in factories and an environment override.
 Entries are *factories* rather than instances because a scheme is bound
 to one matrix — campaigns build a fresh scheme object per matrix via
 :func:`make_scheme`.
@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Protocol, Tuple, Union
 
-from repro.errors import ConfigurationError
 from repro.registry import Registry, Selector
+from repro.schemes import builtins as _builtins
 from repro.schemes.base import ProtectionScheme
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -41,7 +41,7 @@ SCHEME_ENV_VAR = "REPRO_SCHEME"
 #: Scheme used when neither a name, the config, nor the environment selects one.
 DEFAULT_SCHEME = "abft"
 
-#: Schemes that ship with the library and can never be unregistered.
+#: Schemes that ship with the library: the keys of :data:`SCHEME_REGISTRY`.
 BUILTIN_SCHEMES = (
     "abft",
     "bisection",
@@ -80,32 +80,21 @@ class SchemeFactory(Protocol):
     ) -> ProtectionScheme: ...
 
 
-#: Scheme factories by name.
-SCHEME_REGISTRY: Registry[SchemeFactory] = Registry("scheme", builtins=BUILTIN_SCHEMES)
+#: Scheme factories by name: ``make_<name>`` of :mod:`repro.schemes.builtins`.
+SCHEME_REGISTRY: Registry[SchemeFactory] = Registry(
+    "scheme", {name: getattr(_builtins, f"make_{name}") for name in BUILTIN_SCHEMES})
 
 #: ``REPRO_SCHEME`` fills in only when no name was requested in code.
 SCHEME_SELECTOR = Selector("scheme", SCHEME_ENV_VAR, SCHEME_REGISTRY, DEFAULT_SCHEME)
 
 
-def register_scheme(
-    name: str, factory: SchemeFactory, overwrite: bool = False
-) -> SchemeFactory:
-    """Register ``factory`` under ``name``; returns it for chaining."""
-    return SCHEME_REGISTRY.register(factory, name, overwrite)
-
-
-def unregister_scheme(name: str) -> None:
-    """Remove a registered scheme (primarily for test isolation)."""
-    SCHEME_REGISTRY.unregister(name)
-
-
 def available_schemes() -> Tuple[str, ...]:
-    """Registered scheme names, sorted."""
+    """Scheme names, sorted."""
     return SCHEME_REGISTRY.available()
 
 
 def canonical_scheme_name(name: str) -> str:
-    """Validate that ``name`` is registered and return it."""
+    """Validate that ``name`` names a scheme and return it."""
     return SCHEME_REGISTRY.canonical(name)
 
 
@@ -142,15 +131,9 @@ def make_scheme(
         from repro.obs import resolve_telemetry
 
         telemetry = resolve_telemetry(config.telemetry)
-    scheme = factory(
+    return factory(
         matrix, config=config, machine=machine, telemetry=telemetry, **options
     )
-    if not isinstance(scheme, ProtectionScheme):
-        raise ConfigurationError(
-            f"scheme factory {canonical_scheme_name(name)!r} produced "
-            f"{type(scheme).__name__}, which does not satisfy ProtectionScheme"
-        )
-    return scheme
 
 
 def resolve_scheme(
@@ -165,7 +148,7 @@ def resolve_scheme(
     """Resolve a scheme selection to a concrete instance for ``matrix``.
 
     ``scheme`` may be a :class:`ProtectionScheme` (returned as-is), a
-    registered name, or ``None`` — in which case ``REPRO_SCHEME``, then
+    scheme name, or ``None`` — in which case ``REPRO_SCHEME``, then
     ``config.scheme``, then :data:`DEFAULT_SCHEME` decide.
     """
     if isinstance(scheme, ProtectionScheme) and not isinstance(scheme, str):

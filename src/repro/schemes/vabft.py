@@ -25,7 +25,7 @@ every clean block rather than only the near-miss tail — plus an optional
 seeded warmup (clean synthetic multiplies at construction, mirroring
 :class:`repro.core.calibration.EmpiricalBound`).
 
-The scheme registers as ``"vabft"`` and is exercised by the same golden,
+The scheme is the table entry ``"vabft"`` and is exercised by the same golden,
 differential and campaign suites as every other builtin.
 """
 

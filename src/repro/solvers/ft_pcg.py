@@ -1,8 +1,8 @@
 """Fault-tolerant PCG drivers — the paper's Section VI case study.
 
 One PCG loop, differing only in how the SpMV ``q = A p`` is protected.
-The scheme is selected by name through the :mod:`repro.schemes` registry
-(any registered scheme works, e.g. ``"abft"`` — the proposed block-ABFT
+The scheme is selected by name through the :mod:`repro.schemes` table
+(any built-in scheme works, e.g. ``"abft"`` — the proposed block-ABFT
 SpMV of the paper — ``"bisection"``, or ``"checkpoint"``, whose detections
 roll the solver back to the last snapshot taken every 20 iterations into
 reliable storage), plus two solver-level cases:
@@ -55,11 +55,10 @@ from repro.solvers.preconditioners import make_preconditioner
 from repro.sparse.csr import CsrMatrix
 from repro.sparse.formats import FORMAT_SELECTOR
 
-#: Solver-level cases handled here rather than by a registered scheme.
+#: Solver-level cases handled here rather than by a scheme of the table.
 SOLVER_SCHEMES = ("unprotected", "hybrid")
 
-#: Scheme identifiers accepted by :func:`run_pcg` (any custom registered
-#: scheme also works).
+#: Scheme identifiers accepted by :func:`run_pcg`.
 SCHEMES = SOLVER_SCHEMES + BUILTIN_SCHEMES
 
 
@@ -232,7 +231,7 @@ def run_pcg(
             tamper("result", q, plain_cost.work)
             return q, False, False, 0
 
-    else:  # any registered scheme (checkpoint, bisection, dense_check, ...)
+    else:  # any scheme of the table (checkpoint, bisection, dense_check, ...)
         scheme_obj = make_scheme(
             scheme, matrix, config=config, machine=machine, telemetry=telemetry
         )

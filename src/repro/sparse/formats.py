@@ -255,9 +255,8 @@ def select_format(csr: CsrMatrix, requested: str) -> Tuple[FormatChoice, FormatM
 
 
 #: Selectable formats: the storage classes, and ``"auto"`` -> the selector.
-FORMAT_REGISTRY: Registry[object] = Registry("sparse format", builtins=FORMAT_NAMES, fold=True)
-for _name, _entry in zip(FORMAT_NAMES, (CsrMatrix, BsrMatrix, select_format)):
-    FORMAT_REGISTRY.register(_entry, _name)
+FORMAT_REGISTRY: Registry[object] = Registry(
+    "sparse format", dict(zip(FORMAT_NAMES, (CsrMatrix, BsrMatrix, select_format))), fold=True)
 
 #: ``REPRO_FORMAT`` overrides ``AbftConfig.sparse_format``; an explicit
 #: ``sparse_format=`` argument beats both.

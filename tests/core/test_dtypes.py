@@ -16,11 +16,8 @@ from repro.core.dtypes import (
     available_dtypes,
     canonical_dtype_name,
     coerce_array,
-    get_dtype_policy,
-    register_dtype_policy,
     resolve_dtype_name,
     resolve_dtype_policy,
-    unregister_dtype_policy,
 )
 from repro.errors import ConfigurationError
 from repro.obs import InMemoryExporter, Telemetry
@@ -28,7 +25,7 @@ from repro.sparse import random_spd
 
 
 # ----------------------------------------------------------------------
-# Names, aliases, registry
+# Names and aliases
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "alias, canonical",
@@ -53,29 +50,6 @@ def test_unknown_name_raises():
 
 def test_builtins_are_registered():
     assert set(available_dtypes()) >= {"float64", "float32", "bfloat16"}
-
-
-def test_register_and_unregister_extension_policy():
-    policy = DtypePolicy(name="wide", working="float64", accumulation="float64")
-    register_dtype_policy(policy)
-    try:
-        assert get_dtype_policy("wide") is policy
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_dtype_policy(policy)
-        register_dtype_policy(policy, replace=True)
-    finally:
-        unregister_dtype_policy("wide")
-    with pytest.raises(ConfigurationError):
-        get_dtype_policy("wide")
-
-
-def test_builtin_policies_are_protected():
-    with pytest.raises(ConfigurationError, match="built-in"):
-        register_dtype_policy(
-            DtypePolicy(name="float64", working="float64", accumulation="float64")
-        )
-    with pytest.raises(ConfigurationError, match="built-in"):
-        unregister_dtype_policy("float32")
 
 
 def test_non_float_dtype_rejected():

@@ -1,5 +1,6 @@
 """Fixture: public selector-taking functions with no validation path."""
 
+from repro.schemes.registry import SCHEME_REGISTRY
 from repro.sparse.formats import FORMAT_SELECTOR
 
 
@@ -23,3 +24,9 @@ def pick_format(matrix, sparse_format="csr"):  # MARK:ABFT006
     # A selector's pick() returns the raw winning value: nothing validated.
     name, _ = FORMAT_SELECTOR.pick(sparse_format)
     return (name, matrix)
+
+
+def add_scheme(factory, scheme="custom"):  # MARK:ABFT006
+    # The registries are fixed tables: no write to one validates a name.
+    SCHEME_REGISTRY.register(factory, scheme)
+    return scheme

@@ -106,20 +106,10 @@ def test_report_renders_markdown(event_log, tmp_path, capsys):
     assert "# Telemetry campaign report" in capsys.readouterr().out
 
 
-def test_expose_renders_openmetrics(event_log, capsys):
-    path, result = event_log
-    assert main(["expose", str(path)]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "# TYPE abft_detections counter" in out
-    assert f"abft_detections_total {result.detections}" in out
-    assert 'abft_syndrome_margin_bucket{le="+Inf"}' in out
-    assert out.rstrip().endswith("# EOF")
-
-
 def test_exporters_subcommand_lists_builtins(capsys):
     assert main(["exporters"]) == EXIT_OK
     out = capsys.readouterr().out.split()
-    for builtin in ("off", "memory", "jsonl", "text"):
+    for builtin in ("off", "memory", "jsonl", "ring"):
         assert builtin in out
 
 

@@ -1,4 +1,4 @@
-"""Exporter behavior and the exporter registry contract."""
+"""Exporter behavior and the exporter table."""
 
 import json
 
@@ -8,16 +8,12 @@ from repro.errors import ConfigurationError
 from repro.obs import (
     BUILTIN_EXPORTERS,
     EVENTS_DROPPED_COUNTER,
-    Exporter,
     InMemoryExporter,
     JsonlExporter,
     NullExporter,
     RingBufferExporter,
-    TextSummaryExporter,
     available_exporters,
     make_exporter,
-    register_exporter,
-    unregister_exporter,
 )
 
 
@@ -32,59 +28,11 @@ def test_make_exporter_instantiates_builtins():
     assert isinstance(make_exporter("memory"), InMemoryExporter)
     assert isinstance(make_exporter("jsonl"), JsonlExporter)
     assert isinstance(make_exporter("ring"), RingBufferExporter)
-    assert isinstance(make_exporter("text"), TextSummaryExporter)
 
 
 def test_make_exporter_unknown_name():
     with pytest.raises(ConfigurationError, match="unknown exporter"):
         make_exporter("nope")
-
-
-def test_register_and_unregister_custom_exporter():
-    class Custom(Exporter):
-        def __init__(self):
-            self.seen = []
-
-        def emit(self, event):
-            self.seen.append(event)
-
-    try:
-        register_exporter("custom-test", Custom)
-        assert "custom-test" in available_exporters()
-        exporter = make_exporter("custom-test")
-        exporter.emit({"type": "counter", "name": "x"})
-        assert exporter.seen
-        # Double registration needs overwrite=True.
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_exporter("custom-test", Custom)
-        register_exporter("custom-test", Custom, overwrite=True)
-    finally:
-        unregister_exporter("custom-test")
-    assert "custom-test" not in available_exporters()
-
-
-@pytest.mark.parametrize("builtin", BUILTIN_EXPORTERS)
-def test_builtins_are_protected(builtin):
-    with pytest.raises(ConfigurationError, match="built-in"):
-        register_exporter(builtin, NullExporter, overwrite=True)
-    with pytest.raises(ConfigurationError, match="built-in"):
-        unregister_exporter(builtin)
-
-
-def test_register_validates_name_and_factory():
-    with pytest.raises(ConfigurationError):
-        register_exporter("", NullExporter)
-    with pytest.raises(ConfigurationError):
-        register_exporter("x-test", "not-callable")
-
-
-def test_make_exporter_rejects_non_exporter_factories():
-    try:
-        register_exporter("broken-test", lambda: object())
-        with pytest.raises(ConfigurationError, match="not an Exporter"):
-            make_exporter("broken-test")
-    finally:
-        unregister_exporter("broken-test")
 
 
 def test_in_memory_exporter_buffers_and_clears():
@@ -205,23 +153,3 @@ def test_ring_exporter_validates_parameters():
     with pytest.raises(ConfigurationError, match="flush_every"):
         RingBufferExporter(flush_every=0)
 
-
-def test_text_summary_exporter_renders_on_close():
-    import io
-
-    stream = io.StringIO()
-    exporter = TextSummaryExporter(stream=stream)
-    exporter.emit({"type": "counter", "name": "abft.detections", "value": 1.0})
-    exporter.close()
-    text = stream.getvalue()
-    assert "abft.detections" in text and "== counters ==" in text
-    exporter.close()  # buffer drained; second close writes nothing more
-    assert stream.getvalue() == text
-
-
-def test_text_summary_exporter_empty_close_is_silent():
-    import io
-
-    stream = io.StringIO()
-    TextSummaryExporter(stream=stream).close()
-    assert stream.getvalue() == ""

@@ -8,9 +8,7 @@ from repro.obs import (
     InMemoryExporter,
     Telemetry,
     TimedKernels,
-    register_exporter,
     resolve_telemetry,
-    unregister_exporter,
 )
 
 
@@ -167,27 +165,3 @@ def test_resolve_unknown_name_raises():
     with pytest.raises(ConfigurationError, match="unknown exporter"):
         resolve_telemetry("nope")
 
-
-def test_exporter_changes_evict_the_cached_telemetry():
-    class First(InMemoryExporter):
-        flushes = 0
-
-        def flush(self):
-            First.flushes += 1
-
-    class Second(InMemoryExporter):
-        pass
-
-    register_exporter("evict-test", First)
-    try:
-        first = resolve_telemetry("evict-test")
-        assert resolve_telemetry("evict-test") is first
-        register_exporter("evict-test", Second, overwrite=True)
-        assert First.flushes == 1  # flushed on eviction, as at exit
-        second = resolve_telemetry("evict-test")
-        assert second is not first
-        assert type(second.exporter) is Second
-    finally:
-        unregister_exporter("evict-test")
-    with pytest.raises(ConfigurationError, match="unknown exporter"):
-        resolve_telemetry("evict-test")

@@ -8,8 +8,8 @@ instruments fire (and that the "off" path emits nothing at all).
 import numpy as np
 import pytest
 
+import repro.core.detector
 from repro.core import AbftConfig, BlockAbftDetector, FaultTolerantSpMV
-from repro.core.detector import NearMiss
 from repro.faults.injector import FaultInjector
 from repro.obs import InMemoryExporter, Telemetry
 from repro.sparse import banded_spd
@@ -91,40 +91,27 @@ def test_off_telemetry_emits_nothing(matrix):
 
 
 # ----------------------------------------------------------------------
-# Near-miss hook
+# Near misses
 # ----------------------------------------------------------------------
-def test_near_miss_hook_fires_for_clean_blocks(matrix):
-    seen = []
-    config = AbftConfig(block_size=32, near_miss_fraction=0.0)
-    detector = BlockAbftDetector(matrix, config, near_miss_hook=seen.append)
-    b = np.ones(matrix.n_rows)
-    detector.detect(b, matrix.matvec(b))
-    # fraction 0.0 makes every clean finite-margin block a near miss.
-    assert len(seen) == detector.n_blocks
-    near = seen[0]
-    assert isinstance(near, NearMiss)
-    assert 0 <= near.block < detector.n_blocks
-    assert near.margin == pytest.approx(abs(near.syndrome) / near.threshold)
-
-
-def test_near_miss_hook_default_fraction_is_quiet(matrix):
-    seen = []
-    detector = BlockAbftDetector(
-        matrix, AbftConfig(block_size=32), near_miss_hook=seen.append
-    )
-    b = np.ones(matrix.n_rows)
-    detector.detect(b, matrix.matvec(b))
-    assert seen == []  # clean syndromes sit far below 0.9 * bound
-
-
-def test_near_miss_counter_tracks_candidates(matrix):
+def test_near_miss_counter_tracks_candidates(matrix, monkeypatch):
+    # Fraction 0.0 makes every clean finite-margin block a near miss.
+    monkeypatch.setattr(repro.core.detector, "NEAR_MISS_FRACTION", 0.0)
     tel = Telemetry(exporter=InMemoryExporter())
-    config = AbftConfig(block_size=32, near_miss_fraction=0.0)
-    detector = BlockAbftDetector(matrix, config, telemetry=tel)
+    detector = BlockAbftDetector(matrix, AbftConfig(block_size=32), telemetry=tel)
     b = np.ones(matrix.n_rows)
     detector.detect(b, matrix.matvec(b))
     candidates = tel.registry.counter("abft.false_positive_candidates").value
     assert candidates == detector.n_blocks
+
+
+def test_clean_syndromes_are_no_near_misses(matrix):
+    tel = Telemetry(exporter=InMemoryExporter())
+    detector = BlockAbftDetector(matrix, AbftConfig(block_size=32), telemetry=tel)
+    b = np.ones(matrix.n_rows)
+    detector.detect(b, matrix.matvec(b))
+    # Clean syndromes sit far below 0.9 of the bound.
+    assert "abft.false_positive_candidates" not in tel.registry.names()
+    assert "abft.checks" in tel.registry.names()
 
 
 # ----------------------------------------------------------------------

@@ -159,8 +159,7 @@ def test_plan_clean_multiply_bit_identical_across_backends(
 ):
     _, b = corpus
     plan = _plan(corpus, backend)
-    if backend != "serial":
-        assert plan.backend.parallel_active
+    assert plan.backend_name == backend
     assert snapshot(plan.multiply(b.copy())) == serial_reference["clean"]
     # Steady state: repeated multiplies stay on the same bits.
     assert snapshot(plan.multiply(b.copy())) == serial_reference["clean"]
@@ -211,8 +210,7 @@ def test_plan_float32_bit_identical_across_backends(corpus, sparse_format, backe
         plan = _plan(corpus, backend, sparse_format, "float32", **scenario)
         assert plan.sparse_format == sparse_format
         assert plan.spmv.n_shards == N_SHARDS
-        if backend != "serial":
-            assert plan.backend.parallel_active
+        assert plan.backend_name == backend
         result = plan.multiply(b32)
         assert result.value.dtype == np.float32
         assert snapshot(result) == reference
@@ -239,8 +237,7 @@ def _reverify_fields(sparse_format, backend):
         parallel=backend,
         sparse_format=sparse_format,
     )
-    if backend != "serial":
-        assert plan.backend.parallel_active
+    assert plan.backend_name == backend
     result = plan.multiply(b)
     fields = {
         field.name: getattr(result, field.name)

@@ -213,7 +213,7 @@ def test_fused_threaded_correction_on_format_storage(blocky, requested):
     clean = build_format(blocky, requested).matvec(b)
     plan = ProtectedPlan(op, n_shards=3, parallel="threads", sparse_format=requested)
     assert plan.sparse_format == requested
-    assert plan.backend.parallel_active
+    assert plan.backend_name == "threads"
     result = plan.multiply(b)
     shards = [
         e["attrs"]["shard"] for e in telemetry.events()

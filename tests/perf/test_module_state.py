@@ -6,7 +6,7 @@ plan: a module-level counter or cache written there is shared by every
 plan in the process, and concurrent shards race on it without a lock.
 
 The check runs in a fresh interpreter, so no other test's imports or
-registrations leak in.  It builds a 3-shard ``threads`` plan, starts its
+patches leak in.  It builds a 3-shard ``threads`` plan, starts its
 thread pool, snapshots the top-level names of every imported ``repro``
 module (containers by shallow copy, scalars by value, every other object
 by identity), runs three multiplies and prints every name that changed.
@@ -79,7 +79,7 @@ def same(before, after):
 operator = FaultTolerantSpMV(random_spd(3000, 24000, seed=7), block_size=64)
 plan = ProtectedPlan(operator, n_shards=3, parallel="threads", sparse_format=sys.argv[1])
 assert plan.spmv.n_shards == 3, plan.spmv.n_shards
-get_executor(plan.backend.n_workers)
+get_executor(plan.spmv.n_shards)
 b = np.random.default_rng(7).standard_normal(3000)
 
 before = snapshot()

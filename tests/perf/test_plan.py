@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import repro.perf.backends as backends
+import repro.perf.plan as plan_module
 from repro.core import AbftConfig, FaultTolerantSpMV
 from repro.errors import ConfigurationError, ShapeMismatchError
 from repro.kernels import VectorizedKernels
@@ -23,7 +24,7 @@ from repro.machine import ExecutionMeter
 from repro.obs import InMemoryExporter, Telemetry
 from repro.perf import BACKEND_ENV_VAR, ProtectedPlan, SpmvPlan
 from repro.schemes import make_scheme
-from repro.sparse import FORMAT_ENV_VAR, CooMatrix, random_spd
+from repro.sparse import FORMAT_ENV_VAR, CooMatrix, build_format, random_spd
 from tests.kernels.naive import NaiveKernels, kernels_installed
 
 N = 256
@@ -133,6 +134,21 @@ def test_spmv_plan_rejects_bad_row_cuts(matrix, cuts):
 def test_spmv_plan_rejects_bad_operand(matrix):
     with pytest.raises(ShapeMismatchError):
         SpmvPlan(matrix).execute(np.ones(N + 1))
+
+
+def test_spmv_plan_rejects_storage_of_another_shape(matrix):
+    storage = build_format(random_spd(N + 8, 2500, seed=21), "bsr")
+    with pytest.raises(ConfigurationError, match="storage shape"):
+        SpmvPlan(matrix, storage=storage)
+
+
+def test_spmv_plan_rejects_a_storage_format_without_shards(matrix):
+    class Ellpack:
+        format_name = "ell"
+        shape = (N, N)
+
+    with pytest.raises(ConfigurationError, match="unsupported plan storage format 'ell'"):
+        SpmvPlan(matrix, storage=Ellpack())
 
 
 # ----------------------------------------------------------------------
@@ -380,20 +396,6 @@ def test_vabft_report_hook_sees_every_evaluation(matrix, b):
     np.testing.assert_array_equal(op.estimator.counts - before, 5)
 
 
-def test_near_miss_hook_sees_every_clean_block(matrix, b):
-    op = FaultTolerantSpMV(
-        matrix, config=AbftConfig(block_size=BLOCK, near_miss_fraction=0.0)
-    )
-    seen = []
-    op.detector.near_miss_hook = seen.append
-    plan = op.planned(sparse_format="csr")
-    for _ in range(2):
-        assert plan.multiply(b).clean
-    assert op.multiply(b).clean
-    n_blocks = op.detector.n_blocks
-    assert [miss.block for miss in seen] == list(range(n_blocks)) * 3
-
-
 # ----------------------------------------------------------------------
 # FaultTolerantSpMV.multiply: the lazily built one-shard serial plan
 # ----------------------------------------------------------------------
@@ -529,7 +531,6 @@ def test_planned_defaults_to_backend_worker_count(monkeypatch, backend, source):
     expected = 1 if backend == "serial" else 4
     assert plan.backend_name == backend
     assert plan.n_shards == plan.spmv.n_shards == expected
-    assert plan.backend.parallel_active is (backend != "serial")
     np.testing.assert_array_equal(plan.multiply(b).value, op.multiply(b).value)
 
 
@@ -566,6 +567,30 @@ def test_threaded_correction_matches_sequential(matrix, b):
         )
         assert plan.spmv.n_shards == n_shards
         _assert_results_identical(plan.multiply(b), reference)
+
+
+def test_only_multi_shard_threads_plans_request_the_pool(monkeypatch, matrix, b):
+    """A threads plan submits its shards to the pool of its shard count;
+    a one-shard threads plan and a multi-shard serial plan detect in the
+    calling thread."""
+    requested = []
+    get_executor = plan_module.get_executor
+    monkeypatch.setattr(
+        plan_module, "get_executor", lambda n: requested.append(n) or get_executor(n)
+    )
+    op = FaultTolerantSpMV(matrix, block_size=BLOCK)
+    serial = ProtectedPlan(op, n_shards=3, parallel="serial", sparse_format="csr")
+    assert serial.spmv.n_shards == 3
+    serial.multiply(b)
+    for n_shards in SHARD_COUNTS:
+        threaded_plan(matrix, n_shards).multiply(b)
+    assert requested == [n for n in SHARD_COUNTS if n > 1]
+
+
+@pytest.mark.parametrize("n_workers", [0, -1])
+def test_get_executor_rejects_worker_counts_below_one(n_workers):
+    with pytest.raises(ConfigurationError, match="n_workers must be >= 1"):
+        backends.get_executor(n_workers)
 
 
 def test_tamper_falls_back_to_sequential_path(matrix, b):

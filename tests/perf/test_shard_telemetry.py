@@ -52,7 +52,7 @@ def _campaign(n_shards, parallel, scenario):
     plan = ProtectedPlan(
         operator, n_shards=n_shards, parallel=parallel, sparse_format="csr"
     )
-    assert plan.backend.parallel_active is (parallel == "threads")
+    assert plan.backend_name == parallel
     b = np.random.default_rng(123).standard_normal(N)
     for _ in range(MULTIPLIES):
         result = plan.multiply(b.copy())

@@ -1,4 +1,4 @@
-"""Scheme-registry contract (mirrors the kernel-registry behavior)."""
+"""The scheme table: built-ins, selection and the factory contract."""
 
 import numpy as np
 import pytest
@@ -16,9 +16,7 @@ from repro.schemes import (
     canonical_scheme_name,
     get_scheme_factory,
     make_scheme,
-    register_scheme,
     resolve_scheme,
-    unregister_scheme,
 )
 from repro.sparse import random_spd
 
@@ -28,53 +26,8 @@ def matrix():
     return random_spd(48, 400, seed=3)
 
 
-class _StubScheme:
-    """Minimal object satisfying the ProtectionScheme protocol."""
-
-    name = "stub"
-
-    def __init__(self, matrix, telemetry):
-        self.matrix = matrix
-        self.telemetry = telemetry
-
-    def multiply(self, b, tamper=None, meter=None):
-        return ProtectedSpmvResult(
-            value=self.matrix.matvec(b),
-            detections=(False,),
-            corrections=(),
-            rounds=0,
-            seconds=0.0,
-            flops=0.0,
-            exhausted=False,
-        )
-
-    def detection_graph(self):
-        from repro.machine import TaskGraph
-
-        return TaskGraph()
-
-
-def _stub_factory(matrix, *, config, machine, telemetry, **options):
-    if options:
-        raise ConfigurationError(f"unknown options {sorted(options)}")
-    return _StubScheme(matrix, telemetry)
-
-
-@pytest.fixture
-def stub():
-    register_scheme("stub", _stub_factory)
-    yield
-    unregister_scheme("stub")
-
-
 def test_builtins_are_registered():
     assert set(BUILTIN_SCHEMES) <= set(available_schemes())
-
-
-def test_builtins_cannot_be_unregistered():
-    with pytest.raises(ConfigurationError):
-        unregister_scheme("abft")
-    assert "abft" in available_schemes()
 
 
 def test_every_builtin_resolves_to_a_protection_scheme(matrix):
@@ -110,35 +63,15 @@ def test_unknown_scheme_raises():
         get_scheme_factory("bogus")
 
 
-def test_duplicate_registration_requires_overwrite(stub):
-    with pytest.raises(ConfigurationError):
-        register_scheme("stub", _stub_factory)
-    register_scheme("stub", _stub_factory, overwrite=True)
-
-
-def test_registered_scheme_resolves(stub, matrix):
-    scheme = make_scheme("stub", matrix)
-    assert isinstance(scheme, _StubScheme)
-    assert scheme.multiply(np.ones(matrix.n_cols)).clean
-
-
-def test_non_scheme_factory_product_rejected(matrix):
-    register_scheme("broken", lambda m, **kw: object())
-    try:
-        with pytest.raises(ConfigurationError):
-            make_scheme("broken", matrix)
-    finally:
-        unregister_scheme("broken")
-
-
 def test_unknown_factory_options_rejected(matrix):
     for name in BUILTIN_SCHEMES:
         with pytest.raises(ConfigurationError):
             make_scheme(name, matrix, not_an_option=1)
 
 
-def test_resolve_scheme_passes_instances_through(stub, matrix):
-    instance = make_scheme("stub", matrix)
+def test_resolve_scheme_passes_instances_through(matrix, monkeypatch):
+    monkeypatch.setenv(SCHEME_ENV_VAR, "tmr")
+    instance = make_scheme("complete", matrix)
     assert resolve_scheme(matrix, instance) is instance
 
 

@@ -1,9 +1,10 @@
 """The generic Registry and Selector, and the six registries built on them.
 
-A hypothesis state machine drives one Registry and its Selector against a
-plain-dict model; a contract test runs the same assertions against every
-registry the library declares; the last two tests pin where a bad
-selection value says it came from.
+A hypothesis state machine drives one fixed table and its Selector
+against a plain-dict model; a contract test runs the same assertions
+against every registry the library declares, for every built-in key and
+alias; the last two tests pin where a bad selection value says it came
+from.
 """
 
 import os
@@ -11,28 +12,27 @@ import os
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.core.config import AbftConfig, selectors
-from repro.core.dtypes import DTYPE_REGISTRY, DtypePolicy, resolve_dtype_name
+from repro.core.dtypes import BUILTIN_DTYPES, DTYPE_ALIASES, DTYPE_REGISTRY, resolve_dtype_name
 from repro.errors import ConfigurationError
-from repro.lint.registry import RULE_REGISTRY
-from repro.lint.rules.base import LintRule
-from repro.obs.exporters import EXPORTER_REGISTRY
+from repro.lint.registry import BUILTIN_RULES, RULE_REGISTRY
+from repro.obs.exporters import BUILTIN_EXPORTERS, EXPORTER_REGISTRY
 from repro.obs.telemetry import resolve_telemetry
-from repro.perf.backends import BACKEND_REGISTRY, resolve_backend_name
+from repro.perf.backends import BACKEND_REGISTRY, BUILTIN_BACKENDS, resolve_backend_name
 from repro.registry import Registry, Selector
-from repro.schemes.registry import SCHEME_REGISTRY, resolve_scheme
+from repro.schemes.registry import BUILTIN_SCHEMES, SCHEME_REGISTRY, resolve_scheme
 from repro.sparse import random_spd
-from repro.sparse.formats import FORMAT_REGISTRY, resolve_format_name
+from repro.sparse.formats import FORMAT_NAMES, FORMAT_REGISTRY, resolve_format_name
 
 # ----------------------------------------------------------------------
 # The primitives against a model
 # ----------------------------------------------------------------------
 ENV_VAR = "REGISTRY_TEST_SELECTION"
-BUILTINS = ("alpha", "beta")
+KEYS = ("alpha", "beta", "gamma", "delta")
 ALIASES = {"a": "alpha", "b": "beta"}
-NAMES = ("alpha", "beta", "gamma", "delta", "a", "b")
+NAMES = KEYS + tuple(ALIASES)
 
 #: A name as a caller may spell it: any case, padded with whitespace.
 spellings = st.builds(
@@ -50,43 +50,25 @@ def fold(name):
 
 
 class RegistryMachine(RuleBasedStateMachine):
-    """One folded, aliased Registry and its Selector versus a dict."""
+    """One folded, aliased fixed table and its Selector versus a dict.
 
-    def __init__(self):
-        super().__init__()
-        self.registry = Registry("widget", builtins=BUILTINS, fold=True, aliases=ALIASES)
-        self.selector = Selector("widget", ENV_VAR, self.registry, "alpha")
-        self.model = {}
-        for name in BUILTINS:
-            self.model[name] = self.registry.register(self._factory(name), name)
+    The table is drawn once; an alias may point at a key the table
+    lacks, and the mapping the table was built from keeps changing
+    after the build.
+    """
 
-    @staticmethod
-    def _factory(name):
-        return lambda: name
+    @initialize(keys=st.sets(st.sampled_from(KEYS), min_size=1))
+    def build(self, keys):
+        self.model = {key: object() for key in sorted(keys)}
+        self.source = dict(self.model)
+        self.registry = Registry("widget", self.source, fold=True, aliases=ALIASES)
+        self.default = min(keys)
+        self.selector = Selector("widget", ENV_VAR, self.registry, self.default)
 
-    @rule(name=spellings, overwrite=st.booleans())
-    def register(self, name, overwrite):
-        key = fold(name)
-        entry = self._factory(key)
-        if key in BUILTINS:
-            with pytest.raises(ConfigurationError, match="built-in widget .* cannot be replaced"):
-                self.registry.register(entry, name, overwrite=overwrite)
-        elif key in self.model and not overwrite:
-            with pytest.raises(ConfigurationError, match="already registered"):
-                self.registry.register(entry, name)
-        else:
-            assert self.registry.register(entry, name, overwrite=overwrite) is entry
-            self.model[key] = entry
-
-    @rule(name=spellings)
-    def unregister(self, name):
-        key = fold(name)
-        if key in BUILTINS:
-            with pytest.raises(ConfigurationError, match="cannot be removed"):
-                self.registry.unregister(name)
-        else:
-            self.registry.unregister(name)  # unknown names are a no-op
-            self.model.pop(key, None)
+    @rule(name=st.sampled_from(KEYS))
+    def edit_the_source(self, name):
+        if self.source.pop(name, None) is None:
+            self.source[name] = object()
 
     @rule(name=spellings)
     def look_up(self, name):
@@ -112,7 +94,7 @@ class RegistryMachine(RuleBasedStateMachine):
         elif configured is not None:
             winner, source = configured, "configured"
         else:
-            winner, source = "alpha", "default"
+            winner, source = self.default, "default"
         assert self.selector.pick(configured, explicit) == (winner, source)
         if fold(winner) in self.model:
             assert self.selector.resolve(configured, explicit) == fold(winner)
@@ -144,60 +126,51 @@ test_registry_and_selector_against_a_model = RegistryMachine.TestCase
 # ----------------------------------------------------------------------
 # The same contract for every declared registry
 # ----------------------------------------------------------------------
-class _ContractRule(LintRule):
-    rule_id = "contract-test"
-
-    def check(self, module):
-        return iter(())
-
-
-def _factory(*args, **kwargs):
-    return None
-
-
-#: registry -> (an entry for the custom key "contract-test", whether the
-#: registry derives keys from entries).
+#: label -> (registry, its built-in keys, its aliases, whether it folds names).
 DECLARED = {
-    "schemes": (SCHEME_REGISTRY, _factory, False),
-    "backends": (BACKEND_REGISTRY, _factory, False),
-    "exporters": (EXPORTER_REGISTRY, _factory, False),
-    "lint_rules": (RULE_REGISTRY, _ContractRule(), True),
-    "dtypes": (DTYPE_REGISTRY, DtypePolicy("contract-test", "float64", "float64"), True),
-    "formats": (FORMAT_REGISTRY, _factory, False),
+    "schemes": (SCHEME_REGISTRY, BUILTIN_SCHEMES, {}, False),
+    "backends": (BACKEND_REGISTRY, BUILTIN_BACKENDS, {}, False),
+    "exporters": (EXPORTER_REGISTRY, BUILTIN_EXPORTERS, {}, False),
+    "lint_rules": (RULE_REGISTRY, BUILTIN_RULES, {}, False),
+    "dtypes": (DTYPE_REGISTRY, BUILTIN_DTYPES, DTYPE_ALIASES, True),
+    "formats": (FORMAT_REGISTRY, FORMAT_NAMES, {}, True),
 }
+
+#: (label, spelling, key): every built-in key spells itself, every alias its key.
+SPELLINGS = [
+    (label, spelling, key)
+    for label, (_, keys, aliases, _) in sorted(DECLARED.items())
+    for spelling, key in [*((key, key) for key in keys), *aliases.items()]
+]
 
 
 @pytest.mark.parametrize("label", sorted(DECLARED))
 def test_declared_registry_contract(label):
-    registry, entry, keyed = DECLARED[label]
-    name = None if keyed else "contract-test"
-    key = "contract-test"
+    registry, keys, _, _ = DECLARED[label]
 
-    assert registry.builtins <= set(registry.available())
-    for builtin in registry.builtins:
-        assert registry.canonical(builtin) == builtin
-        with pytest.raises(ConfigurationError, match="built-in .* cannot be removed"):
-            registry.unregister(builtin)
-        with pytest.raises(ConfigurationError, match="built-in .* cannot be replaced"):
-            registry.register(registry.get(builtin), None if keyed else builtin, overwrite=True)
-    with pytest.raises(ConfigurationError, match=f"unknown {registry.kind}.*expected one of"):
-        registry.get(key)
-    with pytest.raises(ConfigurationError, match="must be a name"):
-        registry.canonical(42)
-    with pytest.raises(ConfigurationError, match="must"):
-        registry.register(object(), name)
+    assert registry.available() == tuple(sorted(keys))
+    with pytest.raises(ConfigurationError, match=f"unknown {registry.kind}.*expected one of") as info:
+        registry.get("contract-test")
+    for key in keys:
+        assert repr(key) in str(info.value)
+    for value in (42, "", None):
+        with pytest.raises(ConfigurationError, match="must be a name"):
+            registry.canonical(value)
 
-    registry.register(entry, name)
-    try:
-        assert registry.get(key) is entry
-        assert key in registry.available()
-        with pytest.raises(ConfigurationError, match="already registered"):
-            registry.register(entry, name)
-        assert registry.register(entry, name, overwrite=True) is entry
-    finally:
-        registry.unregister(key)
-    assert key not in registry.available()
-    registry.unregister(key)  # unknown names are a no-op
+
+@pytest.mark.parametrize(
+    "label, spelling, key", SPELLINGS, ids=[f"{label}-{spelling}" for label, spelling, _ in SPELLINGS]
+)
+def test_declared_spelling_resolves(label, spelling, key):
+    registry, _, _, folds = DECLARED[label]
+    assert registry.canonical(spelling) == key
+    assert registry.get(spelling) is registry.get(key)
+    padded = f" {spelling.upper()} "
+    if folds:
+        assert registry.canonical(padded) == key
+    else:
+        with pytest.raises(ConfigurationError, match=f"unknown {registry.kind}"):
+            registry.canonical(padded)
 
 
 # ----------------------------------------------------------------------
