@@ -13,7 +13,7 @@ import pytest
 from repro.baselines import DenseChecksum
 from repro.core import BlockAbftDetector, BlockPartition, ChecksumMatrix, FaultTolerantSpMV
 from repro.kernels import VectorizedKernels
-from repro.solvers import make_preconditioner, pcg
+from repro.solvers import JacobiPreconditioner, pcg
 from repro.sparse import suite_matrix
 
 
@@ -85,7 +85,7 @@ def test_kernel_rcm_reordering(benchmark, matrix):
 def test_kernel_pcg_solve(benchmark, matrix):
     rng = np.random.default_rng(1)
     b = matrix.matvec(rng.standard_normal(matrix.n_rows))
-    preconditioner = make_preconditioner("jacobi", matrix)
+    preconditioner = JacobiPreconditioner(matrix)
     result = benchmark.pedantic(
         lambda: pcg(matrix, b, preconditioner), rounds=3, iterations=1
     )

@@ -9,12 +9,11 @@ Three legs, one results file (``results/BENCH_precision.json``):
   float32 detect+multiply loop must reach >= 1.3x over float64.
 * **f1** — the fig7 coverage harness per storage precision.  On float64
   the analytical bound is tight and ``abft`` ~= ``vabft``; on float32
-  (and bfloat16-via-float32) the worst-case bound overshoots the
-  observed rounding noise by orders of magnitude, and the
-  variance-adaptive thresholds must win: ``vabft`` F1 > ``abft`` F1 at
-  every float32 sigma.  Paper sigmas (1e-8..1e-12) sit below the
-  float32 noise floor, so the narrow-dtype sweeps use proportionally
-  larger significance levels.
+  the worst-case bound overshoots the observed rounding noise by orders
+  of magnitude, and the variance-adaptive thresholds must win:
+  ``vabft`` F1 > ``abft`` F1 at every float32 sigma.  Paper sigmas
+  (1e-8..1e-12) sit below the float32 noise floor, so the float32 sweep
+  uses proportionally larger significance levels.
 * **fp_rate** — ``vabft`` false-positive rate over multiply streams at
   the paper's λ sweep (Figure 8 error rates).  Flagged blocks never
   enter the noise model, so the FP rate must stay at zero no matter how
@@ -35,7 +34,6 @@ from repro.analysis import run_coverage_campaign
 from repro.analysis.metrics import ConfusionCounts
 from repro.analysis.sweeps import FIGURE7_SIGMAS, PCG_ERROR_RATES
 from repro.core import AbftConfig
-from repro.core.dtypes import BFLOAT16_POLICY, DTYPE_ENV_VAR
 from repro.faults import FaultInjector
 from repro.schemes import make_scheme
 from repro.sparse import banded_spd, block_stencil_spd, random_spd
@@ -49,13 +47,12 @@ MIN_F32_SPEEDUP = 1.3  # float32 over float64, planned detect+multiply loop
 MAX_FP_RATE = 0.01  # vabft false positives per clean multiply, any λ
 
 #: Coverage-campaign significance sweeps per storage precision.  The
-#: paper's float64 sigmas are below the float32/bfloat16 rounding noise
-#: (a 1e-12-relative burst does not survive the float32 write), so the
-#: narrow dtypes sweep proportionally larger errors.
+#: paper's float64 sigmas are below the float32 rounding noise (a
+#: 1e-12-relative burst does not survive the float32 write), so float32
+#: sweeps proportionally larger errors.
 SIGMA_SWEEPS = {
     "float64": FIGURE7_SIGMAS,
     "float32": (1e-2, 1e-3, 1e-4, 1e-5),
-    "bfloat16": (1.0, 1e-1, 1e-2),
 }
 F1_TRIALS = 20 if SMOKE else COVERAGE_TRIALS
 FP_STEPS = 40 if SMOKE else 300
@@ -136,47 +133,29 @@ def _f1_matrices(dtype_leg):
         random_spd(512, 5_000, seed=3),
         banded_spd(768, half_bandwidth=6, seed=5),
     )
-    if dtype_leg == "float64":
-        return base
-    narrowed = tuple(m.astype(np.float32) for m in base)
-    if dtype_leg == "float32":
-        return narrowed
-    return tuple(m.with_data(BFLOAT16_POLICY.quantize(m.data)) for m in narrowed)
+    return tuple(m.astype(dtype_leg) for m in base)
 
 
 def _bench_f1():
     legs = {}
     for dtype_leg, sigmas in SIGMA_SWEEPS.items():
         matrices = _f1_matrices(dtype_leg)
-        previous = os.environ.get(DTYPE_ENV_VAR)
-        # bfloat16 shares float32 storage; the policy (and with it the
-        # bfloat16 epsilon model) is selected through the environment,
-        # exactly as the precision-matrix CI job does.
-        if dtype_leg == "bfloat16":
-            os.environ[DTYPE_ENV_VAR] = "bfloat16"
-        try:
-            rows = {"sigmas": list(sigmas), "abft": [], "vabft": []}
-            for sigma in sigmas:
-                for scheme_name in ("abft", "vabft"):
-                    counts = ConfusionCounts()
-                    for seed, matrix in enumerate(matrices):
-                        result = run_coverage_campaign(
-                            matrix,
-                            scheme_name,
-                            trials=F1_TRIALS,
-                            sigma=sigma,
-                            seed=seed,
-                            block_size=32,
-                        )
-                        counts = counts.merge(result.counts)
-                    rows[scheme_name].append(counts.f1)
-            legs[dtype_leg] = rows
-        finally:
-            if dtype_leg == "bfloat16":
-                if previous is None:
-                    os.environ.pop(DTYPE_ENV_VAR, None)
-                else:
-                    os.environ[DTYPE_ENV_VAR] = previous
+        rows = {"sigmas": list(sigmas), "abft": [], "vabft": []}
+        for sigma in sigmas:
+            for scheme_name in ("abft", "vabft"):
+                counts = ConfusionCounts()
+                for seed, matrix in enumerate(matrices):
+                    result = run_coverage_campaign(
+                        matrix,
+                        scheme_name,
+                        trials=F1_TRIALS,
+                        sigma=sigma,
+                        seed=seed,
+                        block_size=32,
+                    )
+                    counts = counts.merge(result.counts)
+                rows[scheme_name].append(counts.f1)
+        legs[dtype_leg] = rows
     return legs
 
 

@@ -22,7 +22,7 @@ from repro.analysis.campaign import (
 from repro.analysis.metrics import mean, runtime_overhead, success_rate
 from repro.core.config import AbftConfig
 from repro.errors import ConfigurationError
-from repro.machine import Machine, TaskGraph, spmv_cost
+from repro.machine import ExecutionMeter, Machine, spmv_cost
 from repro.schemes import (
     DEFAULT_CORRECTION_SCHEMES,
     DEFAULT_PCG_SCHEMES,
@@ -46,10 +46,8 @@ FIGURE7_SIGMAS: Tuple[float, ...] = (1e-8, 1e-10, 1e-12)
 
 def plain_spmv_time(matrix: CsrMatrix, machine: Machine) -> float:
     """Modeled runtime of one unprotected SpMV."""
-    graph = TaskGraph()
     cost = spmv_cost(matrix.nnz, int(matrix.row_lengths().max(initial=1)))
-    graph.add("spmv", cost.work, cost.span)
-    return machine.makespan(graph)
+    return ExecutionMeter(machine=machine).run_kernel(cost)
 
 
 def detection_overhead(

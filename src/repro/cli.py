@@ -10,7 +10,7 @@ Regenerates the paper's tables and figures outside pytest, e.g.::
 
 ``--quick`` trades statistical weight for speed (suite subset, fewer
 trials) — handy for smoke runs; the defaults match the benchmark harness.
-``env`` prints how each of the five ``AbftConfig`` selectors resolves in
+``env`` prints how each of the four ``AbftConfig`` selectors resolves in
 this process (value, and whether the environment or the default chose
 it); it is not part of ``all``.
 """

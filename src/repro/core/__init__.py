@@ -7,7 +7,9 @@ Public surface:
 * :class:`BlockAbftDetector` — detect *and locate* errors per block;
 * :class:`FaultTolerantSpMV` — the end-to-end protected multiply
   (Figure 1) with partial recomputation and re-verification;
-* the rounding-error bounds of Section III-C.
+* the rounding-error bounds of Section III-C, whose ``eps_M`` is
+  :func:`unit_roundoff` of the matrix's storage dtype (float64 or
+  float32; checksums accumulate in float64 either way).
 """
 
 from repro.core.blocking import BlockPartition
@@ -18,6 +20,7 @@ from repro.core.bounds import (
     NormBound,
     SparseBlockBound,
     make_bound,
+    unit_roundoff,
 )
 from repro.core.checksum import ChecksumMatrix, make_weights
 from repro.core.config import (
@@ -32,18 +35,6 @@ from repro.core.detector import (
     BlockAbftDetector,
     DetectionReport,
     ReportHook,
-)
-from repro.core.dtypes import (
-    BUILTIN_DTYPES,
-    DEFAULT_DTYPE,
-    DTYPE_ENV_VAR,
-    DtypePolicy,
-    available_dtypes,
-    canonical_dtype_name,
-    coerce_array,
-    get_dtype_policy,
-    resolve_dtype_name,
-    resolve_dtype_policy,
 )
 from repro.core.protected import FaultTolerantSpMV, plain_spmv
 
@@ -62,19 +53,10 @@ __all__ = [
     "DenseAnalyticalBound",
     "NormBound",
     "make_bound",
+    "unit_roundoff",
     "BlockAbftDetector",
     "DetectionReport",
     "ReportHook",
-    "BUILTIN_DTYPES",
-    "DEFAULT_DTYPE",
-    "DTYPE_ENV_VAR",
-    "DtypePolicy",
-    "available_dtypes",
-    "canonical_dtype_name",
-    "coerce_array",
-    "get_dtype_policy",
-    "resolve_dtype_name",
-    "resolve_dtype_policy",
     "CorrectionOutcome",
     "TamperHook",
     "correct_blocks",

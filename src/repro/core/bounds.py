@@ -23,7 +23,9 @@ implemented:
   [30], the bound the paper's dense-check baseline uses in Section V-B.
 
 All bounds expose ``thresholds(beta, blocks=None) -> ndarray`` so detectors
-can treat them uniformly (scalar bounds broadcast over blocks).
+can treat them uniformly (scalar bounds broadcast over blocks).  The
+``eps_M`` of the analytical bounds is :func:`unit_roundoff` of the
+matrix's storage dtype.
 """
 
 from __future__ import annotations
@@ -37,6 +39,16 @@ from repro.core.checksum import ChecksumMatrix
 from repro.core.config import MACHINE_EPSILON
 from repro.errors import ConfigurationError
 from repro.kernels.base import ACCUMULATION_DTYPE
+
+
+def unit_roundoff(dtype: object) -> float:
+    """``eps_M`` for values stored in ``dtype``: half its machine epsilon.
+
+    Exactly ``2^-53`` for float64 (the paper's value) and ``2^-24`` for
+    float32.  Checksums accumulate in float64 either way; the bound
+    models the rounding of the stored values and of the product.
+    """
+    return float(np.finfo(np.dtype(dtype)).eps) / 2.0
 
 
 @runtime_checkable
@@ -73,9 +85,8 @@ class SparseBlockBound:
         """Precompute the per-block constants from the checksum metadata.
 
         ``epsilon`` is the unit roundoff of the storage dtype the bound
-        models (``eps_M`` in the paper); the float64 default reproduces
-        the historic behaviour bit for bit.  Narrow-storage pipelines pass
-        the value from :meth:`repro.core.dtypes.DtypePolicy.epsilon_for`.
+        models (``eps_M`` in the paper, :func:`unit_roundoff`); the
+        default is float64's.
         """
         if scale <= 0:
             raise ConfigurationError(f"bound scale must be positive, got {scale}")
@@ -187,10 +198,9 @@ def make_bound(
 ) -> Bound:
     """Factory dispatching on the :class:`repro.core.config.AbftConfig` kind.
 
-    ``epsilon`` is the unit roundoff of the storage dtype (the dtype
-    policy's :meth:`~repro.core.dtypes.DtypePolicy.epsilon_for` for the
-    protected matrix); the norm bound is matrix- and dtype-independent
-    and ignores it.
+    ``epsilon`` is the unit roundoff of the protected matrix's storage
+    dtype (:func:`unit_roundoff`); the norm bound is matrix- and
+    dtype-independent and ignores it.
     """
     if kind == "sparse":
         return SparseBlockBound.from_checksum(checksum, scale, epsilon=epsilon)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.bounds import unit_roundoff
 from repro.core.checksum import ChecksumMatrix
-from repro.core.dtypes import resolve_dtype_policy
 from repro.errors import ConfigurationError
 from repro.kernels.base import ACCUMULATION_DTYPE
 from repro.sparse.csr import CsrMatrix
@@ -56,19 +56,14 @@ class EmpiricalBound:
         seed: int = 0,
         safety: float = DEFAULT_SAFETY_FACTOR,
         weight_kind: str = "ones",
-        dtype: object = None,
     ) -> "EmpiricalBound":
         """Run ``samples`` clean SpMVs and record per-block syndrome peaks.
 
         Operands are drawn over several magnitude decades so the calibration
         covers the scale range the bound will face (``|s|/beta`` is scale
         free for linear operators, but the exponent spread exercises
-        different rounding patterns).
-
-        ``dtype`` selects the dtype policy whose epsilon model floors the
-        never-exceeded blocks (None resolves the usual policy chain); the
-        floor tracks the *matrix storage* dtype, so float32 data gets a
-        float32-scaled floor automatically.
+        different rounding patterns).  Blocks that never exceed zero are
+        floored in the unit roundoff of the matrix's storage dtype.
 
         Raises:
             ConfigurationError: on non-positive samples/safety.
@@ -93,8 +88,7 @@ class EmpiricalBound:
         # Blocks whose syndrome never rose above zero still need a non-zero
         # threshold (exact-zero comparisons are brittle): floor at a few ulps
         # of the block's checksum magnitude, in the storage dtype's epsilon.
-        epsilon = resolve_dtype_policy(explicit=dtype).epsilon_for(matrix.dtype)
-        floor = epsilon * np.maximum(checksum.checksum_norms, 1.0)
+        floor = unit_roundoff(matrix.dtype) * np.maximum(checksum.checksum_norms, 1.0)
         constants = safety * np.maximum(peaks, floor)
         return cls(constants=constants, samples=samples, safety=safety)
 

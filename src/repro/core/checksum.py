@@ -43,8 +43,8 @@ def make_weights(kind: str, partition: BlockPartition) -> np.ndarray:
     """
     if kind == "ones":
         # Weights live on the accumulation side of the pipeline: float64
-        # under every builtin dtype policy, so the checksum matrix (and
-        # therefore t1/t2) accumulates wide even for narrow storage.
+        # for either storage dtype, so the checksum matrix (and therefore
+        # t1/t2) accumulates wide even for narrow storage.
         return np.ones(partition.n_rows, dtype=ACCUMULATION_DTYPE)
     if kind == "linear":
         return repro.kernels.KERNELS.linear_weights(partition)

@@ -70,14 +70,10 @@ class AbftConfig:
             ``sparse_format=`` argument to a planned entry point beats
             both.  ``FaultTolerantSpMV.multiply`` always runs its own
             one-shard serial CSR plan.
-        dtype: dtype-policy name (see :mod:`repro.core.dtypes`):
-            ``"float64"``, ``"float32"``, or ``"bfloat16"``.  The policy
-            governs the epsilon model of the rounding-error bounds, the
-            dtype explicit data constructions use, and whether values are
-            quantized to an emulated narrow grid.  None keeps the library
-            default (``"float64"``).  The ``REPRO_DTYPE`` environment
-            variable overrides *configured* names process-wide; an
-            explicit ``dtype=`` argument to an entry point beats both.
+        dtype: has no effect: the bounds' unit roundoff follows the
+            matrix's storage dtype (:func:`repro.core.bounds.unit_roundoff`).
+            Kept for callers that name the storage dtype they build,
+            so only None, ``"float64"`` and ``"float32"`` are accepted.
     """
 
     block_size: int = DEFAULT_BLOCK_SIZE
@@ -113,18 +109,21 @@ class AbftConfig:
             raise ConfigurationError(
                 f"AbftConfig.kernel must be {DEFAULT_KERNEL!r}, got {self.kernel!r}"
             )
+        if self.dtype not in (None, "float64", "float32"):
+            raise ConfigurationError(
+                "AbftConfig.dtype must be None, 'float64' or 'float32', "
+                f"got {self.dtype!r}"
+            )
         for selector in selectors():
             selector.check(getattr(self, selector.name), "AbftConfig")
 
 
 def selectors() -> Tuple[Selector, ...]:
-    """The five selectors behind :class:`AbftConfig`'s name fields, in
+    """The four selectors behind :class:`AbftConfig`'s name fields, in
     field order (each selector's ``name`` is its field)."""
     # Lazy imports: these subsystems import this module.
-    from repro.core.dtypes import DTYPE_SELECTOR
     from repro.perf.backends import BACKEND_SELECTOR
     from repro.schemes.registry import SCHEME_SELECTOR
     from repro.sparse.formats import FORMAT_SELECTOR
 
-    return (TELEMETRY_SELECTOR, SCHEME_SELECTOR, BACKEND_SELECTOR, FORMAT_SELECTOR,
-            DTYPE_SELECTOR)
+    return (TELEMETRY_SELECTOR, SCHEME_SELECTOR, BACKEND_SELECTOR, FORMAT_SELECTOR)

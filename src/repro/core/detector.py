@@ -17,10 +17,9 @@ import numpy as np
 
 import repro.kernels
 from repro.core.blocking import BlockPartition
-from repro.core.bounds import Bound, make_bound
+from repro.core.bounds import Bound, make_bound, unit_roundoff
 from repro.core.checksum import ChecksumMatrix
 from repro.core.config import AbftConfig
-from repro.core.dtypes import DtypePolicy, resolve_dtype_policy
 from repro.errors import ShapeMismatchError
 from repro.kernels.base import ACCUMULATION_DTYPE
 from repro.obs import Telemetry, resolve_telemetry
@@ -87,7 +86,6 @@ class BlockAbftDetector:
         config: AbftConfig | None = None,
         bound_override: Bound | None = None,
         telemetry: object = None,
-        dtype: object = None,
         report_hook: Optional[ReportHook] = None,
     ) -> None:
         """Args:
@@ -100,11 +98,6 @@ class BlockAbftDetector:
                 :class:`~repro.obs.Telemetry` instance or exporter name;
                 None resolves ``config.telemetry`` (``REPRO_OBS`` env
                 override applies to names).
-            dtype: dtype-policy selection (name or
-                :class:`~repro.core.dtypes.DtypePolicy`); None resolves
-                ``config.dtype`` (``REPRO_DTYPE`` env override applies).
-                The policy supplies the unit roundoff the analytical
-                bound assumes for the matrix's storage dtype.
             report_hook: called with every evaluation's
                 :class:`DetectionReport` and exceeded mask; the feedback
                 channel of adaptive-threshold schemes (``vabft``).
@@ -115,10 +108,8 @@ class BlockAbftDetector:
             telemetry if telemetry is not None else self.config.telemetry
         )
         self.report_hook = report_hook
-        self.dtype_policy: DtypePolicy = resolve_dtype_policy(
-            self.config.dtype, dtype
-        )
-        self.epsilon = self.dtype_policy.epsilon_for(matrix.dtype)
+        #: The analytical bound's ``eps_M``: the storage dtype's unit roundoff.
+        self.epsilon = unit_roundoff(matrix.dtype)
         self.kernels = self.telemetry.wrap_kernels(repro.kernels.KERNELS)
         self.checksum = ChecksumMatrix.build(
             matrix,

@@ -59,10 +59,8 @@ def plain_spmv(
 ) -> np.ndarray:
     """Unprotected SpMV: the baseline all overheads are measured against."""
     meter = meter if meter is not None else ExecutionMeter()
-    graph = TaskGraph()
     cost = spmv_cost(matrix.nnz, int(matrix.row_lengths().max(initial=1)))
-    graph.add("spmv", cost.work, cost.span)
-    meter.run_graph(graph)
+    meter.run_kernel(cost)
     r = matrix.matvec(b)
     if tamper is not None:
         tamper("result", r, cost.work)
@@ -118,11 +116,7 @@ class FaultTolerantSpMV:
             ``REPRO_OBS`` environment override).
         bound_override: optional object exposing ``thresholds(beta, blocks)``
             replacing the analytical detection bound (e.g. an
-            :class:`~repro.analysis.empirical.EmpiricalBound`).
-        dtype: dtype-policy selection (name or
-            :class:`~repro.core.dtypes.DtypePolicy`); None resolves
-            ``config.dtype`` with the ``REPRO_DTYPE`` environment
-            override.  The policy feeds the detector's epsilon model.
+            :class:`~repro.core.calibration.EmpiricalBound`).
     """
 
     #: Registry name in :mod:`repro.schemes` (the paper's scheme).
@@ -136,7 +130,6 @@ class FaultTolerantSpMV:
         machine: Optional[Machine] = None,
         telemetry: object = None,
         bound_override: object = None,
-        dtype: object = None,
     ) -> None:
         if config is not None and block_size is not None and config.block_size != block_size:
             raise ConfigurationError(
@@ -148,8 +141,7 @@ class FaultTolerantSpMV:
         self.config = config
         self.machine = machine or Machine()
         self.detector = BlockAbftDetector(
-            matrix, config, bound_override=bound_override, telemetry=telemetry,
-            dtype=dtype,
+            matrix, config, bound_override=bound_override, telemetry=telemetry
         )
         self._plan: Optional["ProtectedPlan"] = None
         self._serial_plan: Optional["ProtectedPlan"] = None
@@ -160,9 +152,13 @@ class FaultTolerantSpMV:
         return self.detector.telemetry
 
     @property
-    def dtype_policy(self):
-        """The resolved dtype policy (shared with the detector)."""
-        return self.detector.dtype_policy
+    def dtype_policy(self) -> np.dtype:
+        """The matrix's storage dtype, whose unit roundoff the bound uses.
+
+        Kept under its old name for the overhead ledger, which records
+        its ``.name`` as each matrix's ``dtype``.
+        """
+        return self.matrix.dtype
 
     @property
     def matrix(self) -> CsrMatrix:

@@ -35,10 +35,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotations only)
     from repro.sparse.csr import CsrMatrix
 
 #: Dtype of the checksum side of every pipeline: weights, checksum rows,
-#: ``t1``/``t2``, syndromes and thresholds.  Every builtin
-#: :class:`repro.core.dtypes.DtypePolicy` accumulates in float64 — narrow
-#: *storage* changes the working dtype of values and operands, never the
-#: precision the detection arithmetic runs in.  Kernels allocate their
+#: ``t1``/``t2``, syndromes and thresholds.  Narrow (float32) *storage*
+#: changes the dtype of values and operands, never the precision the
+#: detection arithmetic runs in.  Kernels allocate their
 #: checksum-side buffers from this constant so the contract lives in one
 #: place instead of scattered ``np.float64`` literals.
 ACCUMULATION_DTYPE = np.dtype(np.float64)

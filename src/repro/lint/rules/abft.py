@@ -49,7 +49,7 @@ FLOAT_SENSITIVE_NAME = re.compile(
 NARROW_DTYPES = frozenset({"float32", "float16", "half", "single"})
 
 #: Spellings of the accumulation dtype a hot path must not hardcode
-#: (ABFT014) — the dtype policy owns them.
+#: (ABFT014) — ``ACCUMULATION_DTYPE`` (kernels/base.py) owns them.
 FLOAT64_LITERALS = frozenset({"np.float64", "numpy.float64", "float64"})
 
 #: Parameter names that select a configuration variant and therefore need
@@ -298,21 +298,14 @@ class DtypeDowncastRule(LintRule):
     rationale = (
         "The bounds assume the unit roundoff of the *declared* storage "
         "dtype (Section III-C derives eps_M = 2^-53 for float64); a "
-        "downcast outside the dtype policy inflates rounding error past "
-        "the modeled epsilon, so real errors hide inside the threshold.  "
-        "Narrow storage is supported — but only routed through "
-        "repro.core.dtypes (DtypePolicy / coerce_array), which keeps the "
-        "epsilon model and the telemetry record in sync with the data."
+        "downcast of data the matrix does not store in that dtype "
+        "inflates rounding error past the modeled epsilon, so real errors "
+        "hide inside the threshold.  Narrow storage is supported — as a "
+        "matrix *stored* in float32, whose storage dtype sets the bound's "
+        "unit roundoff (repro.core.bounds.unit_roundoff)."
     )
 
-    #: The dtype-policy module — the one sanctioned home of narrow-dtype
-    #: construction (builtin policies, quantizers, coerce_array).
-    POLICY_MODULE = ("core", "dtypes.py")
-
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        parts = tuple(module.display_path.replace("\\", "/").split("/"))
-        if parts[-2:] == self.POLICY_MODULE:
-            return
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -323,10 +316,10 @@ class DtypeDowncastRule(LintRule):
                         self.rule_id,
                         node,
                         f"astype({dtype}) silently downcasts below float64; "
-                        "route narrow storage through the dtype policy "
-                        "(repro.core.dtypes coerce_array / DtypePolicy) so "
-                        "the epsilon model follows, or suppress with an "
-                        "explicit opt-in reason",
+                        "narrow data belongs in a float32-stored matrix, "
+                        "whose storage dtype sets the bound's unit "
+                        "roundoff, or suppress with an explicit opt-in "
+                        "reason",
                     )
                     continue
             dotted = dotted_name(node.func)
@@ -335,8 +328,8 @@ class DtypeDowncastRule(LintRule):
                     self.rule_id,
                     node,
                     f"{dotted}(...) constructs a sub-float64 value on the "
-                    "checksum path; use the dtype policy or opt in "
-                    "explicitly",
+                    "checksum path; use the matrix's storage dtype or opt "
+                    "in explicitly",
                 )
                 continue
             for keyword in node.keywords:
@@ -366,20 +359,15 @@ class Float64LiteralRule(LintRule):
         "Since the dtype-generic refactor the core and kernel hot paths "
         "carry the matrix storage dtype and accumulate in "
         "ACCUMULATION_DTYPE; a raw np.float64 in a function body silently "
-        "widens float32/bfloat16 pipelines back to double — hiding the "
-        "precision the experiment was supposed to measure — and pins the "
+        "widens float32 pipelines back to double — hiding the precision "
+        "the experiment was supposed to measure — and pins the "
         "accumulation side in scattered literals instead of the one "
-        "policy-owned constant."
+        "named constant."
     )
-
-    #: The dtype-policy module defines the float64 policy itself.
-    POLICY_MODULE = ("core", "dtypes.py")
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         parts = tuple(module.display_path.replace("\\", "/").split("/"))
         if "core" not in parts and "kernels" not in parts:
-            return
-        if parts[-2:] == self.POLICY_MODULE:
             return
         for function, _stack in module.functions():
             assert isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -394,9 +382,8 @@ class Float64LiteralRule(LintRule):
                         f"{label} hardcodes float64 in a hot-path function; "
                         "use ACCUMULATION_DTYPE (kernels/base.py) for "
                         "checksum accumulators, the matrix storage dtype "
-                        "for data buffers, or the resolved DtypePolicy — "
-                        "module-level constants are the place for raw "
-                        "float64 literals",
+                        "for data buffers — module-level constants are the "
+                        "place for raw float64 literals",
                     )
 
     @staticmethod

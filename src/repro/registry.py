@@ -1,13 +1,13 @@
 """One registry and one selector for every named choice in the library.
 
-Six subsystems pick an implementation by name: protection schemes
+Five subsystems pick an implementation by name: protection schemes
 (:mod:`repro.schemes`), plan backends (:mod:`repro.perf.backends`),
 telemetry exporters (:mod:`repro.obs.exporters`), lint rules
-(:mod:`repro.lint`), dtype policies (:mod:`repro.core.dtypes`) and
-sparse formats (:mod:`repro.sparse.formats`).  Each declares one
-:class:`Registry` — a fixed table of its built-ins and their accepted
-spellings — where those built-ins live, and the five behind an
-:class:`~repro.core.AbftConfig` field declare one :class:`Selector`.
+(:mod:`repro.lint`) and sparse formats (:mod:`repro.sparse.formats`).
+Each declares one :class:`Registry` — a fixed table of its built-ins —
+where those built-ins live, and the four
+behind an :class:`~repro.core.AbftConfig` field declare one
+:class:`Selector`.
 Everything else about names lives here.
 
 Registry contract:
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Generic, Mapping, Optional, Tuple, TypeVar
+from typing import Generic, Mapping, Tuple, TypeVar
 
 from repro.errors import ConfigurationError
 
@@ -59,15 +59,12 @@ class Registry(Generic[T]):
         entries: the table, key -> entry, in the order errors list them.
         fold: names are folded to lower case without surrounding
             whitespace; otherwise they must match exactly.
-        aliases: extra (folded) spellings mapped to a key.
     """
 
-    def __init__(self, kind: str, entries: Mapping[str, T], *, fold: bool = False,
-                 aliases: Optional[Mapping[str, str]] = None) -> None:
+    def __init__(self, kind: str, entries: Mapping[str, T], *, fold: bool = False) -> None:
         self.kind = kind
         self._entries = dict(entries)
         self._fold = fold
-        self._aliases = dict(aliases or {})
 
     def available(self) -> Tuple[str, ...]:
         """Every key, sorted."""
@@ -80,13 +77,12 @@ class Registry(Generic[T]):
             raise ConfigurationError(f"{self.kind}{_from(origin)} must be a name, got {got}")
         if self._fold:
             name = name.strip().lower()
-        key = self._aliases.get(name, name)
-        if key not in self._entries:
+        if name not in self._entries:
             raise ConfigurationError(
-                f"unknown {self.kind} {key!r}{_from(origin)}; "
+                f"unknown {self.kind} {name!r}{_from(origin)}; "
                 f"expected one of {tuple(self._entries)}"
             )
-        return key
+        return name
 
     def get(self, name: object, origin: str = "") -> T:
         """The entry ``name`` (any accepted spelling) selects."""

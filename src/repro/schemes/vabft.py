@@ -2,11 +2,11 @@
 
 The paper's analytical bound (Section III-C) multiplies worst-case
 norm products by the storage dtype's unit roundoff.  In double precision
-the worst case is tolerable; in float32 (and emulated bfloat16) the
-``(n_k + 2 b_s - 2)`` factors make the bound *orders of magnitude* looser
-than the rounding noise an actual multiply produces — random rounding
-errors grow like ``sqrt(n_k)``, not ``n_k`` — so small injected errors
-slide underneath it undetected.
+the worst case is tolerable; in float32 the ``(n_k + 2 b_s - 2)``
+factors make the bound *orders of magnitude* looser than the rounding
+noise an actual multiply produces — random rounding errors grow like
+``sqrt(n_k)``, not ``n_k`` — so small injected errors slide underneath
+it undetected.
 
 ``vabft`` replaces the worst-case constant with a *measured* one, learned
 online: a per-block Welford estimator tracks the mean and variance of the
@@ -20,10 +20,10 @@ once a block has seen enough clean evaluations (``min_samples``); blocks
 still warming up fall back to the analytical bound, so the scheme is
 never *less* safe than the paper's.  The estimator feeds on the
 detector's report hook — the same evaluation stream that drives the
-``abft.syndrome_margin`` histogram and the near-miss hook, but observing
-every clean block rather than only the near-miss tail — plus an optional
-seeded warmup (clean synthetic multiplies at construction, mirroring
-:class:`repro.core.calibration.EmpiricalBound`).
+``abft.syndrome_margin`` histogram and the near-miss counter, but
+observing every clean block rather than only the near-miss tail — plus
+an optional seeded warmup (clean synthetic multiplies at construction,
+mirroring :class:`repro.core.calibration.EmpiricalBound`).
 
 The scheme is the table entry ``"vabft"`` and is exercised by the same golden,
 differential and campaign suites as every other builtin.
@@ -202,7 +202,7 @@ class VarianceAdaptiveSpMV(FaultTolerantSpMV):
     """Block-ABFT with online variance-adaptive thresholds (``vabft``).
 
     Construction builds the ordinary detector (checksum matrix plus the
-    dtype-policy-resolved analytical bound), then swaps in a
+    analytical bound in the storage dtype's unit roundoff), then swaps in a
     :class:`VarianceAdaptiveBound` and wires the detector's report hook
     to the estimator.  ``warmup`` clean synthetic multiplies seed the
     noise model so adaptive thresholds are live from the first real call;
@@ -211,7 +211,7 @@ class VarianceAdaptiveSpMV(FaultTolerantSpMV):
 
     Args:
         matrix: the sparse input matrix ``A``.
-        block_size / config / machine / telemetry / dtype: as for
+        block_size / config / machine / telemetry: as for
             :class:`repro.core.protected.FaultTolerantSpMV`.
         k_sigma: threshold distance above the clean-syndrome mean.
         min_samples: clean observations before a block's adaptive
@@ -228,7 +228,6 @@ class VarianceAdaptiveSpMV(FaultTolerantSpMV):
         config: Optional[AbftConfig] = None,
         machine: Optional[Machine] = None,
         telemetry: object = None,
-        dtype: object = None,
         k_sigma: float = DEFAULT_K_SIGMA,
         min_samples: int = DEFAULT_MIN_SAMPLES,
         warmup: int = DEFAULT_WARMUP,
@@ -241,7 +240,6 @@ class VarianceAdaptiveSpMV(FaultTolerantSpMV):
             config=config,
             machine=machine,
             telemetry=telemetry,
-            dtype=dtype,
         )
         detector = self.detector
         checksum = detector.checksum

@@ -9,11 +9,8 @@ from repro.solvers.pcg import (
 )
 from repro.solvers.preconditioners import (
     IdentityPreconditioner,
-    IncompleteCholeskyPreconditioner,
     JacobiPreconditioner,
     Preconditioner,
-    SsorPreconditioner,
-    make_preconditioner,
 )
 
 __all__ = [
@@ -28,7 +25,4 @@ __all__ = [
     "Preconditioner",
     "IdentityPreconditioner",
     "JacobiPreconditioner",
-    "SsorPreconditioner",
-    "IncompleteCholeskyPreconditioner",
-    "make_preconditioner",
 ]

@@ -1,15 +1,11 @@
 """Preconditioners for the PCG solver (paper Section VI-A).
 
 The paper's case study uses the Jacobi preconditioner and reports that SSOR
-and Incomplete Cholesky gave no significantly different results; all three
-are implemented.  Each preconditioner exposes ``apply`` (compute
-``z = M^{-1} r``) and ``apply_cost`` (the kernel cost one application
-charges to the machine model).
-
-The triangular solves of SSOR and IC(0) are inherently sequential row
-sweeps; they are implemented as straightforward loops and intended for the
-moderate problem sizes of the examples and tests (the campaigns follow the
-paper and use Jacobi).
+and Incomplete Cholesky gave no significantly different results, so Jacobi
+is the one implemented, beside the identity of plain CG.  Each
+preconditioner exposes ``apply`` (compute ``z = M^{-1} r``) and
+``apply_cost`` (the kernel cost one application charges to the machine
+model).
 """
 
 from __future__ import annotations
@@ -18,8 +14,8 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.errors import ConfigurationError, SingularMatrixError
-from repro.machine import KernelCost, log2ceil, pointwise_cost
+from repro.errors import SingularMatrixError
+from repro.machine import KernelCost, pointwise_cost
 from repro.sparse.csr import CsrMatrix
 
 
@@ -66,145 +62,3 @@ class JacobiPreconditioner:
     @property
     def apply_cost(self) -> KernelCost:
         return self._cost
-
-
-def _forward_solve(matrix: CsrMatrix, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``(D + L) z = rhs`` where L is the strict lower triangle."""
-    n = matrix.n_rows
-    z = np.zeros(n, dtype=np.float64)
-    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
-    for i in range(n):
-        lo, hi = indptr[i], indptr[i + 1]
-        cols = indices[lo:hi]
-        vals = data[lo:hi]
-        below = cols < i
-        z[i] = (rhs[i] - np.dot(vals[below], z[cols[below]])) / diag[i]
-    return z
-
-
-def _backward_solve(matrix: CsrMatrix, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``(D + U) z = rhs`` where U is the strict upper triangle."""
-    n = matrix.n_rows
-    z = np.zeros(n, dtype=np.float64)
-    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
-    for i in range(n - 1, -1, -1):
-        lo, hi = indptr[i], indptr[i + 1]
-        cols = indices[lo:hi]
-        vals = data[lo:hi]
-        above = cols > i
-        z[i] = (rhs[i] - np.dot(vals[above], z[cols[above]])) / diag[i]
-    return z
-
-
-class SsorPreconditioner:
-    """Symmetric successive over-relaxation preconditioner.
-
-    ``M = (D/w + L) (D/w)^{-1} (D/w + U) * w/(2-w)``; applied via one
-    forward and one backward triangular sweep.
-    """
-
-    name = "ssor"
-
-    def __init__(self, matrix: CsrMatrix, omega: float = 1.0) -> None:
-        if not 0.0 < omega < 2.0:
-            raise SingularMatrixError(f"SSOR needs omega in (0, 2), got {omega}")
-        diag = matrix.diagonal()
-        if (diag == 0).any():
-            raise SingularMatrixError("SSOR needs a zero-free diagonal")
-        self.matrix = matrix
-        self.omega = omega
-        self._scaled_diag = diag / omega
-        # Two sequential sweeps over all nnz: work 4*nnz, span = n rows of
-        # dependence (triangular solves barely parallelize).
-        self._cost = KernelCost(4.0 * matrix.nnz, log2ceil(matrix.n_rows) * 4.0)
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        scale = (2.0 - self.omega) / self.omega
-        y = _forward_solve(self.matrix, self._scaled_diag, r)
-        y = y * self._scaled_diag * scale
-        return _backward_solve(self.matrix, self._scaled_diag, y)
-
-    @property
-    def apply_cost(self) -> KernelCost:
-        return self._cost
-
-
-class IncompleteCholeskyPreconditioner:
-    """IC(0): Cholesky restricted to the sparsity pattern of ``A``.
-
-    ``M = L L^T`` with ``L`` sharing the lower-triangle pattern of ``A``;
-    applied via forward/backward substitution.
-    """
-
-    name = "ic0"
-
-    def __init__(self, matrix: CsrMatrix) -> None:
-        self.matrix = matrix
-        self._factor_lower = self._factorize(matrix)
-        self._factor_diag = self._factor_lower.diagonal()
-        self._factor_upper = self._factor_lower.transpose()
-        self._cost = KernelCost(4.0 * self._factor_lower.nnz, log2ceil(matrix.n_rows) * 4.0)
-
-    @staticmethod
-    def _factorize(matrix: CsrMatrix) -> CsrMatrix:
-        """Row-oriented IC(0); raises on a non-positive pivot."""
-        n = matrix.n_rows
-        rows: list[dict[int, float]] = [{} for _ in range(n)]
-        indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
-        for i in range(n):
-            lo, hi = indptr[i], indptr[i + 1]
-            pattern = {int(j): float(v) for j, v in zip(indices[lo:hi], data[lo:hi]) if j <= i}
-            if i not in pattern:
-                raise SingularMatrixError(f"IC(0): missing diagonal entry in row {i}")
-            row: dict[int, float] = {}
-            for j in sorted(pattern):
-                value = pattern[j]
-                # value -= sum_k L[i,k] * L[j,k] over shared columns k < j
-                lj = rows[j] if j < i else row
-                acc = value
-                for k, lik in row.items():
-                    if k < j:
-                        ljk = lj.get(k)
-                        if ljk is not None:
-                            acc -= lik * ljk
-                if j < i:
-                    acc /= rows[j][j]
-                    row[j] = acc
-                else:  # diagonal pivot
-                    if acc <= 0.0:
-                        raise SingularMatrixError(
-                            f"IC(0): non-positive pivot {acc!r} in row {i}"
-                        )
-                    row[j] = float(np.sqrt(acc))
-            rows[i] = row
-        entries = [
-            (i, j, value) for i, row in enumerate(rows) for j, value in row.items()
-        ]
-        from repro.sparse.coo import CooMatrix
-
-        return CooMatrix.from_entries((n, n), entries).to_csr()
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        y = _forward_solve(self._factor_lower, self._factor_diag, r)
-        # The forward solver divides by diag but our L already contains the
-        # sqrt pivots on its diagonal, so feed it the factor's diagonal and
-        # account for the extra scaling: (D+Lstrict) z = rhs with D = diag(L)
-        # is exactly L z = rhs here because L's stored diagonal IS D.
-        return _backward_solve(self._factor_upper, self._factor_diag, y)
-
-    @property
-    def apply_cost(self) -> KernelCost:
-        return self._cost
-
-
-def make_preconditioner(kind: str, matrix: CsrMatrix, **kwargs):
-    """Factory: ``identity`` | ``jacobi`` | ``ssor`` | ``ic0``."""
-    if kind == "identity":
-        return IdentityPreconditioner(matrix)
-    if kind == "jacobi":
-        return JacobiPreconditioner(matrix)
-    if kind == "ssor":
-        return SsorPreconditioner(matrix, **kwargs)
-    if kind == "ic0":
-        return IncompleteCholeskyPreconditioner(matrix)
-    raise ConfigurationError(f"unknown preconditioner kind {kind!r}")

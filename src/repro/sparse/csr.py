@@ -25,8 +25,8 @@ from repro.errors import ShapeMismatchError, SparseFormatError
 MATMAT_CHUNK_ELEMENTS = 1 << 24
 
 #: Storage dtypes a sparse matrix carries as-is.  Anything else (ints,
-#: float16, ...) is coerced to float64 at construction, which preserves
-#: the historic behavior for every pre-dtype-policy caller.
+#: float16, ...) is coerced to float64 at construction, the historic
+#: behavior.  The bounds take their unit roundoff from these dtypes.
 SUPPORTED_STORAGE_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 
 

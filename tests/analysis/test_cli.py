@@ -70,7 +70,6 @@ def test_env_reports_each_selector_and_its_source(monkeypatch, capsys):
     for selector in selectors():
         monkeypatch.delenv(selector.env_var, raising=False)
     monkeypatch.setenv("REPRO_FORMAT", "bsr")
-    monkeypatch.setenv("REPRO_DTYPE", "f32")
     assert main(["env"]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
     assert {row[0]: (row[2], row[3]) for row in rows} == {
@@ -78,5 +77,4 @@ def test_env_reports_each_selector_and_its_source(monkeypatch, capsys):
         "scheme": ("abft", "default"),
         "parallel": ("serial", "default"),
         "sparse_format": ("bsr", "env"),
-        "dtype": ("float32", "env"),
     }

@@ -132,3 +132,10 @@ def test_abft_config_validation():
         AbftConfig(bound_scale=0.0)
     with pytest.raises(ConfigurationError):
         AbftConfig(max_correction_rounds=0)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -MACHINE_EPSILON], ids=["zero", "negative"])
+@pytest.mark.parametrize("kind", ["sparse", "dense"])
+def test_analytical_bounds_reject_a_non_positive_epsilon(checksum, kind, epsilon):
+    with pytest.raises(ConfigurationError, match="bound epsilon must be positive"):
+        make_bound(kind, checksum, epsilon=epsilon)

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from repro.core.config import AbftConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ShapeMismatchError
 from repro.kernels import KernelSet, validate_blocks
+from repro.kernels.vectorized import VectorizedKernels
 from repro.solvers.ft_pcg import FtPcgOptions
+from repro.sparse import random_spd
 
 
 def test_kernelset_is_abstract():
@@ -53,3 +55,10 @@ def test_kernel_field_accepts_only_the_library_set(owner):
     for value in ("naive", "parallel", None):
         with pytest.raises(ConfigurationError, match=f"{owner.__name__}.kernel"):
             owner(kernel=value)
+
+
+@pytest.mark.parametrize("rows", [[3], list(range(40))], ids=["sliced", "gathered"])
+def test_row_checksums_reject_a_wrong_operand_shape(rows):
+    matrix = random_spd(40, 300, seed=2)
+    with pytest.raises(ShapeMismatchError, match=r"operand has shape \(41,\)"):
+        VectorizedKernels().row_checksums(matrix, np.array(rows), np.ones(41))

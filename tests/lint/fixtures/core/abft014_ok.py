@@ -1,10 +1,10 @@
-"""Fixture: policy-resolved dtypes in function bodies are fine."""
+"""Fixture: named dtypes in function bodies are fine."""
 
 import numpy as np
 
 ACCUMULATION_DTYPE = np.dtype(np.float64)
 
-#: Raw literals at module level define the policy constants themselves.
+#: Raw literals at module level define the named constants themselves.
 MACHINE_EPSILON = np.float64(2.0) ** -53
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SchedulerError
+from repro.errors import ConfigurationError, SchedulerError
 from repro.machine import DeviceParams, Machine, TaskGraph
 
 
@@ -177,3 +177,18 @@ def test_concurrency_boost_does_not_affect_solo_kernel():
 def test_negative_boost_rejected():
     with pytest.raises(Exception):
         DeviceParams(concurrency_boost=-0.1)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("throughput", 0.0, "throughput must be positive"),
+        ("launch_overhead", -1e-6, "launch_overhead must be non-negative"),
+        ("sync_time", -1e-6, "sync_time must be non-negative"),
+        ("streams", 0, "streams must be >= 1"),
+    ],
+    ids=["throughput", "launch_overhead", "sync_time", "streams"],
+)
+def test_device_params_reject_out_of_range_values(field, value, message):
+    with pytest.raises(ConfigurationError, match=message):
+        DeviceParams(**{field: value})

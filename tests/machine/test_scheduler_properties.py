@@ -3,7 +3,16 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine import DeviceParams, Machine, TaskGraph
+from repro.machine import (
+    TESLA_K80,
+    TESLA_K80_NO_OVERLAP,
+    DeviceParams,
+    ExecutionMeter,
+    Machine,
+    TaskGraph,
+    dense_check_cost,
+    spmv_cost,
+)
 
 
 @st.composite
@@ -91,3 +100,24 @@ def test_more_throughput_never_slower(graph):
 def test_makespan_deterministic(graph):
     machine = Machine(DeviceParams(throughput=7.0, launch_overhead=0.3, sync_time=0.05))
     assert machine.makespan(graph) == machine.makespan(graph)
+
+
+#: Kernels the library charges alone: a full SpMV and the dense check's
+#: ``w^T r``, each below 10^9 entries.
+solo_kernels = st.one_of(
+    st.builds(spmv_cost, st.integers(0, 10**9 - 1), st.integers(0, 10**6)),
+    st.builds(dense_check_cost, st.integers(1, 10**9 - 1)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(solo_kernels, st.sampled_from((TESLA_K80, TESLA_K80_NO_OVERLAP)))
+def test_one_task_graph_makespan_is_run_kernel(cost, params):
+    """Charging a lone kernel through ``run_kernel`` moves no bit against
+    scheduling a one-task graph, so no caller needs the scheduler for it."""
+    graph = TaskGraph()
+    graph.add("solo", cost.work, cost.span)
+    machine = Machine(params)
+    meter = ExecutionMeter(machine=machine)
+    assert meter.run_kernel(cost) == machine.makespan(graph)
+    assert meter.flops == graph.total_work()

@@ -105,3 +105,13 @@ def test_make_scheme_uses_shared_machine(matrix):
     machine = Machine()
     scheme = make_scheme("complete", matrix, machine=machine)
     assert scheme.machine is machine
+
+
+@pytest.mark.parametrize(
+    "name, option, value",
+    [("vabft", "min_samples", 2.5), ("bisection", "early_stop_fraction", 1)],
+    ids=["vabft-min_samples", "bisection-early_stop_fraction"],
+)
+def test_factory_rejects_a_mistyped_option(name, option, value):
+    with pytest.raises(ConfigurationError, match=f"{option} must be an? (int|float)"):
+        make_scheme(name, random_spd(16, 60, seed=2), **{option: value})

@@ -321,3 +321,8 @@ def test_planned_vabft_matches_unplanned(f32_corpus):
     got = plan.multiply(b.copy())
     np.testing.assert_array_equal(got.value, expected.value)
     assert got.detections == expected.detections
+
+
+def test_negative_warmup_rejected():
+    with pytest.raises(ConfigurationError, match="warmup must be >= 0"):
+        VarianceAdaptiveSpMV(random_spd(16, 60, seed=2), warmup=-1)

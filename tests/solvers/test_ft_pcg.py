@@ -1,10 +1,12 @@
 """Unit tests for the fault-tolerant PCG drivers (the case-study engine)."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.solvers import FtPcgOptions, run_pcg
+from repro.solvers import FtPcgOptions, JacobiPreconditioner, run_pcg
 from repro.sparse import FORMAT_ENV_VAR, random_spd
 
 
@@ -117,11 +119,22 @@ def test_detection_counts_tracked(system):
     assert result.corrections == result.detections
 
 
-def test_preconditioner_choice_flows_through(system):
+def test_every_solve_preconditions_with_jacobi(system, monkeypatch):
+    """run_pcg builds JacobiPreconditioner itself: one application after
+    the first residual and one per iteration that does not converge."""
     a, b = system
-    options = FtPcgOptions(preconditioner="identity")
-    result = run_pcg(a, b, scheme="abft", seed=11, options=options)
+    applied = []
+    original = JacobiPreconditioner.apply
+
+    def counted(self, r):
+        applied.append(r.shape)
+        return original(self, r)
+
+    monkeypatch.setattr(JacobiPreconditioner, "apply", counted)
+    result = run_pcg(a, b, scheme="abft", seed=11)
     assert result.converged
+    assert applied == [(a.n_rows,)] * result.iterations
+    assert "preconditioner" not in {field.name for field in fields(FtPcgOptions)}
 
 
 #: ``(scheme, error rate, seed, seconds, flops)`` of one small solve per

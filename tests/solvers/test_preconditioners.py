@@ -3,15 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, SingularMatrixError
-from repro.solvers import (
-    IdentityPreconditioner,
-    IncompleteCholeskyPreconditioner,
-    JacobiPreconditioner,
-    SsorPreconditioner,
-    make_preconditioner,
-)
-from repro.sparse import CooMatrix, banded_spd, poisson2d
+from repro.errors import SingularMatrixError
+from repro.solvers import IdentityPreconditioner, JacobiPreconditioner
+from repro.sparse import CooMatrix, banded_spd
 
 
 @pytest.fixture
@@ -41,61 +35,5 @@ def test_jacobi_rejects_zero_diagonal():
         JacobiPreconditioner(a)
 
 
-def test_ssor_matches_dense_reference(matrix):
-    """SSOR apply equals the dense formula (D/w+L) D_w^-1 s (D/w+U) z = r."""
-    omega = 1.2
-    prec = SsorPreconditioner(matrix, omega=omega)
-    dense = matrix.to_dense()
-    d = np.diag(np.diag(dense)) / omega
-    lower = np.tril(dense, -1)
-    upper = np.triu(dense, 1)
-    m = (d + lower) @ np.linalg.inv(d) @ (d + upper) * (omega / (2.0 - omega))
-    r = np.random.default_rng(62).standard_normal(40)
-    np.testing.assert_allclose(prec.apply(r), np.linalg.solve(m, r), rtol=1e-10)
-
-
-def test_ssor_rejects_bad_omega(matrix):
-    with pytest.raises(SingularMatrixError):
-        SsorPreconditioner(matrix, omega=0.0)
-    with pytest.raises(SingularMatrixError):
-        SsorPreconditioner(matrix, omega=2.0)
-
-
-def test_ic0_exact_on_full_cholesky_pattern():
-    """On a matrix whose Cholesky factor fits the pattern (tridiagonal),
-    IC(0) is the exact Cholesky factorization and M^{-1} A = I."""
-    a = banded_spd(30, 1, 1.0, seed=63)
-    prec = IncompleteCholeskyPreconditioner(a)
-    rng = np.random.default_rng(63)
-    v = rng.standard_normal(30)
-    np.testing.assert_allclose(prec.apply(a.matvec(v)), v, rtol=1e-9)
-
-
-def test_ic0_is_spd_approximation(matrix):
-    prec = IncompleteCholeskyPreconditioner(matrix)
-    r = np.random.default_rng(64).standard_normal(40)
-    z = prec.apply(r)
-    # M^{-1} is SPD: r^T M^{-1} r > 0 for r != 0.
-    assert float(np.dot(r, z)) > 0
-
-
-def test_ic0_rejects_missing_diagonal():
-    a = CooMatrix.from_entries((2, 2), [(0, 0, 1.0), (1, 0, 0.5), (0, 1, 0.5)]).to_csr()
-    with pytest.raises(SingularMatrixError):
-        IncompleteCholeskyPreconditioner(a)
-
-
 def test_apply_costs_positive(matrix):
-    for kind in ("jacobi", "ssor", "ic0"):
-        prec = make_preconditioner(kind, matrix)
-        assert prec.apply_cost.work > 0
-
-
-def test_factory_dispatch_and_validation():
-    a = poisson2d(4)
-    assert isinstance(make_preconditioner("identity", a), IdentityPreconditioner)
-    assert isinstance(make_preconditioner("jacobi", a), JacobiPreconditioner)
-    assert isinstance(make_preconditioner("ssor", a), SsorPreconditioner)
-    assert isinstance(make_preconditioner("ic0", a), IncompleteCholeskyPreconditioner)
-    with pytest.raises(ConfigurationError):
-        make_preconditioner("nope", a)
+    assert JacobiPreconditioner(matrix).apply_cost.work > 0

@@ -149,3 +149,22 @@ def test_rejects_nonzero_fill_slot(fill, rejected):
 def test_rejects_block_column_out_of_range():
     with pytest.raises(SparseFormatError, match="block-column"):
         BsrMatrix((2, 2), 2, np.array([0, 1]), np.array([3]), np.ones((1, 2, 2)))
+
+
+@pytest.mark.parametrize(
+    "shape, indptr, data, mask, message",
+    [
+        ((-2, 4), [0, 1, 1], np.ones((1, 2, 2)), None, "negative dimension"),
+        ((4, 4), [1, 1, 1], np.ones((1, 2, 2)), None, r"indptr\[0\] must be 0"),
+        ((4, 4), [0, 1, 2], np.ones((1, 2, 2)), None, "does not match tile count"),
+        ((4, 4), [0, 2, 1], np.ones((1, 2, 2)), None, "indptr must be non-decreasing"),
+        ((4, 4), [0, 1, 1], np.ones((1, 2, 3)), None, "data must have shape"),
+        ((4, 4), [0, 1, 1], np.ones((1, 2, 2)), np.ones((1, 2, 1), dtype=bool),
+         "mask must have the same shape"),
+    ],
+    ids=["negative-dimension", "indptr-start", "indptr-end", "indptr-order", "data-shape",
+         "mask-shape"],
+)
+def test_rejects_malformed_arrays(shape, indptr, data, mask, message):
+    with pytest.raises(SparseFormatError, match=message):
+        BsrMatrix(shape, 2, np.array(indptr), np.array([0]), data, mask)

@@ -248,3 +248,22 @@ def test_diagonal_matches_a_loop_with_missing_entries_and_empty_rows(shape):
     csr = CooMatrix.from_dense(dense).to_csr()
     expected = np.array([dense[i, i] for i in range(min(shape))])
     np.testing.assert_array_equal(csr.diagonal(), expected)
+
+
+@pytest.mark.parametrize(
+    "shape, indptr, indices, data, message",
+    [
+        ((-1, 2), [0], [], [], "negative dimension"),
+        ((2, 2), [0, 1, 2], [0], [1.0], r"indptr\[-1\]=2 does not match nnz=1"),
+        ((2, 2), [0, 1, 1], [0], [1.0, 2.0], "indices and data must have equal length"),
+    ],
+    ids=["negative-dimension", "indptr-end", "unequal-lengths"],
+)
+def test_validation_rejects_malformed_arrays(shape, indptr, indices, data, message):
+    with pytest.raises(SparseFormatError, match=message):
+        CsrMatrix(shape, np.array(indptr), np.array(indices, dtype=np.int64), np.array(data))
+
+
+def test_rmatvec_rejects_a_wrong_operand_shape(paper_matrix):
+    with pytest.raises(ShapeMismatchError, match="operand has shape"):
+        paper_matrix.rmatvec(np.ones(paper_matrix.n_rows + 1))

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sparse import arrowhead_spd, banded_spd, poisson2d, poisson3d, random_spd
+from repro.sparse import (
+    arrowhead_spd,
+    banded_spd,
+    block_stencil_spd,
+    poisson2d,
+    poisson3d,
+    random_spd,
+)
 
 
 def _assert_spd_like(csr):
@@ -145,3 +152,18 @@ def test_arrowhead_structure():
 def test_arrowhead_rejects_tiny():
     with pytest.raises(ConfigurationError):
         arrowhead_spd(1)
+
+
+def test_poisson3d_rejects_an_empty_grid():
+    with pytest.raises(ConfigurationError, match="grid dimension must be positive"):
+        poisson3d(0)
+
+
+@pytest.mark.parametrize(
+    "n_cells, block_edge, message",
+    [(0, 4, "n_cells must be positive"), (4, 0, "block_edge must be positive")],
+    ids=["n_cells", "block_edge"],
+)
+def test_block_stencil_rejects_empty_dimensions(n_cells, block_edge, message):
+    with pytest.raises(ConfigurationError, match=message):
+        block_stencil_spd(n_cells, block_edge)

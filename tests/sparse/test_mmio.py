@@ -116,3 +116,16 @@ def test_rejects_malformed_entry():
     text = "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1\n"
     with pytest.raises(SparseFormatError):
         read_matrix_market(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("%%MatrixMarket matrix coordinate real\n2 2 0\n", "malformed MatrixMarket header"),
+        ("%%MatrixMarket matrix coordinate real general\n2 two 0\n", "malformed size line"),
+    ],
+    ids=["header-fields", "size-line"],
+)
+def test_rejects_malformed_header_and_size_lines(text, message):
+    with pytest.raises(SparseFormatError, match=message):
+        read_matrix_market(io.StringIO(text))

@@ -1,10 +1,9 @@
-"""The generic Registry and Selector, and the six registries built on them.
+"""The generic Registry and Selector, and the five registries built on them.
 
 A hypothesis state machine drives one fixed table and its Selector
 against a plain-dict model; a contract test runs the same assertions
-against every registry the library declares, for every built-in key and
-alias; the last two tests pin where a bad selection value says it came
-from.
+against every registry the library declares, for every built-in key; the
+last two tests pin where a bad selection value says it came from.
 """
 
 import os
@@ -15,7 +14,6 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.core.config import AbftConfig, selectors
-from repro.core.dtypes import BUILTIN_DTYPES, DTYPE_ALIASES, DTYPE_REGISTRY, resolve_dtype_name
 from repro.errors import ConfigurationError
 from repro.lint.registry import BUILTIN_RULES, RULE_REGISTRY
 from repro.obs.exporters import BUILTIN_EXPORTERS, EXPORTER_REGISTRY
@@ -31,13 +29,11 @@ from repro.sparse.formats import FORMAT_NAMES, FORMAT_REGISTRY, resolve_format_n
 # ----------------------------------------------------------------------
 ENV_VAR = "REGISTRY_TEST_SELECTION"
 KEYS = ("alpha", "beta", "gamma", "delta")
-ALIASES = {"a": "alpha", "b": "beta"}
-NAMES = KEYS + tuple(ALIASES)
 
 #: A name as a caller may spell it: any case, padded with whitespace.
 spellings = st.builds(
     lambda name, upper, pad: (" " * pad) + (name.upper() if upper else name) + (" " * pad),
-    st.sampled_from(NAMES),
+    st.sampled_from(KEYS),
     st.booleans(),
     st.integers(0, 1),
 )
@@ -45,14 +41,13 @@ maybe_spelling = st.none() | spellings
 
 
 def fold(name):
-    name = name.strip().lower()
-    return ALIASES.get(name, name)
+    return name.strip().lower()
 
 
 class RegistryMachine(RuleBasedStateMachine):
-    """One folded, aliased fixed table and its Selector versus a dict.
+    """One folded fixed table and its Selector versus a dict.
 
-    The table is drawn once; an alias may point at a key the table
+    The table is drawn once, so a spelling may name a key the table
     lacks, and the mapping the table was built from keeps changing
     after the build.
     """
@@ -61,7 +56,7 @@ class RegistryMachine(RuleBasedStateMachine):
     def build(self, keys):
         self.model = {key: object() for key in sorted(keys)}
         self.source = dict(self.model)
-        self.registry = Registry("widget", self.source, fold=True, aliases=ALIASES)
+        self.registry = Registry("widget", self.source, fold=True)
         self.default = min(keys)
         self.selector = Selector("widget", ENV_VAR, self.registry, self.default)
 
@@ -126,27 +121,22 @@ test_registry_and_selector_against_a_model = RegistryMachine.TestCase
 # ----------------------------------------------------------------------
 # The same contract for every declared registry
 # ----------------------------------------------------------------------
-#: label -> (registry, its built-in keys, its aliases, whether it folds names).
+#: label -> (registry, its built-in keys, whether it folds names).
 DECLARED = {
-    "schemes": (SCHEME_REGISTRY, BUILTIN_SCHEMES, {}, False),
-    "backends": (BACKEND_REGISTRY, BUILTIN_BACKENDS, {}, False),
-    "exporters": (EXPORTER_REGISTRY, BUILTIN_EXPORTERS, {}, False),
-    "lint_rules": (RULE_REGISTRY, BUILTIN_RULES, {}, False),
-    "dtypes": (DTYPE_REGISTRY, BUILTIN_DTYPES, DTYPE_ALIASES, True),
-    "formats": (FORMAT_REGISTRY, FORMAT_NAMES, {}, True),
+    "schemes": (SCHEME_REGISTRY, BUILTIN_SCHEMES, False),
+    "backends": (BACKEND_REGISTRY, BUILTIN_BACKENDS, False),
+    "exporters": (EXPORTER_REGISTRY, BUILTIN_EXPORTERS, False),
+    "lint_rules": (RULE_REGISTRY, BUILTIN_RULES, False),
+    "formats": (FORMAT_REGISTRY, FORMAT_NAMES, True),
 }
 
-#: (label, spelling, key): every built-in key spells itself, every alias its key.
-SPELLINGS = [
-    (label, spelling, key)
-    for label, (_, keys, aliases, _) in sorted(DECLARED.items())
-    for spelling, key in [*((key, key) for key in keys), *aliases.items()]
-]
+#: (label, key): every built-in key of every table.
+BUILTIN_KEYS = [(label, key) for label, (_, keys, _) in sorted(DECLARED.items()) for key in keys]
 
 
 @pytest.mark.parametrize("label", sorted(DECLARED))
 def test_declared_registry_contract(label):
-    registry, keys, _, _ = DECLARED[label]
+    registry, keys, _ = DECLARED[label]
 
     assert registry.available() == tuple(sorted(keys))
     with pytest.raises(ConfigurationError, match=f"unknown {registry.kind}.*expected one of") as info:
@@ -159,15 +149,15 @@ def test_declared_registry_contract(label):
 
 
 @pytest.mark.parametrize(
-    "label, spelling, key", SPELLINGS, ids=[f"{label}-{spelling}" for label, spelling, _ in SPELLINGS]
+    "label, key", BUILTIN_KEYS, ids=[f"{label}-{key}" for label, key in BUILTIN_KEYS]
 )
-def test_declared_spelling_resolves(label, spelling, key):
-    registry, _, _, folds = DECLARED[label]
-    assert registry.canonical(spelling) == key
-    assert registry.get(spelling) is registry.get(key)
-    padded = f" {spelling.upper()} "
+def test_declared_spelling_resolves(label, key):
+    registry, _, folds = DECLARED[label]
+    assert registry.canonical(key) == key
+    padded = f" {key.upper()} "
     if folds:
         assert registry.canonical(padded) == key
+        assert registry.get(padded) is registry.get(key)
     else:
         with pytest.raises(ConfigurationError, match=f"unknown {registry.kind}"):
             registry.canonical(padded)
@@ -184,7 +174,6 @@ RESOLVERS = {
     "REPRO_SCHEME": (lambda: resolve_scheme(_MATRIX), SCHEME_REGISTRY.available()),
     "REPRO_PARALLEL": (lambda: resolve_backend_name("serial"), BACKEND_REGISTRY.available()),
     "REPRO_FORMAT": (lambda: resolve_format_name("csr"), FORMAT_REGISTRY.available()),
-    "REPRO_DTYPE": (lambda: resolve_dtype_name("float64"), DTYPE_REGISTRY.available()),
 }
 
 
