@@ -178,6 +178,7 @@ class PartialRecomputationSpMV(BaselineContext):
         self.max_rounds = max_rounds
         self.checker = DenseChecksum(matrix, bound_scale=bound_scale)
         self.localizer = BisectionLocalizer(matrix, early_stop_fraction)
+        self._detection = self.detection_graph()
 
     def multiply(
         self,
@@ -189,12 +190,11 @@ class PartialRecomputationSpMV(BaselineContext):
         matrix = self.matrix
         meter = self._meter(meter)
         start_seconds, start_flops = meter.snapshot()
-        max_row = int(matrix.row_lengths().max(initial=1))
 
         with self.telemetry.span(
             self._span_name, rows=matrix.n_rows, nnz=matrix.nnz
         ):
-            meter.run_graph(self.checker.detection_graph())
+            meter.run_graph(self._detection)
             r = matrix.matvec(b)
             if tamper is not None:
                 tamper("result", r, 2.0 * matrix.nnz)
@@ -224,7 +224,7 @@ class PartialRecomputationSpMV(BaselineContext):
                 for index, (start, stop) in enumerate(outcome.ranges):
                     nnz = self._recompute_rows(b, r, start, stop, tamper)
                     corrections.append((start, stop))
-                    cost = partial_spmv_cost(nnz, max_row)
+                    cost = partial_spmv_cost(nnz, self._max_row)
                     graph.add(f"recompute{index}", cost.work, cost.span)
                 if len(graph):
                     meter.run_graph(graph)

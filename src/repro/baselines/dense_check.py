@@ -154,6 +154,7 @@ class DenseCheckSpMV(BaselineContext):
     ) -> None:
         super().__init__(matrix, machine=machine, telemetry=telemetry)
         self.checker = DenseChecksum(matrix, bound_scale=bound_scale)
+        self._detection = self.detection_graph()
 
     def multiply(
         self,
@@ -168,7 +169,7 @@ class DenseCheckSpMV(BaselineContext):
         with self.telemetry.span(
             self._span_name, rows=matrix.n_rows, nnz=matrix.nnz
         ):
-            meter.run_graph(self.checker.detection_graph())
+            meter.run_graph(self._detection)
             r = matrix.matvec(b)
             if tamper is not None:
                 tamper("result", r, 2.0 * matrix.nnz)

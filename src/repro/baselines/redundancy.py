@@ -59,20 +59,18 @@ class DwcSpMV(BaselineContext):
     ) -> None:
         super().__init__(matrix, machine=machine, telemetry=telemetry)
         self.max_rounds = max_rounds
+        self._detection = self.detection_graph()
 
-    def _duplicate_graph(self) -> TaskGraph:
+    def detection_graph(self) -> TaskGraph:
+        """Task graph of one multiply's detection phase (the duplicate run)."""
         matrix = self.matrix
-        cost = spmv_cost(matrix.nnz, int(matrix.row_lengths().max(initial=1)))
+        cost = spmv_cost(matrix.nnz, self._max_row)
         graph = TaskGraph()
         graph.add("spmv-a", cost.work, cost.span)
         graph.add("spmv-b", cost.work, cost.span)
         compare = pointwise_cost(matrix.n_rows)
         graph.add("compare", compare.work, compare.span + 3.0, deps=["spmv-a", "spmv-b"])
         return graph
-
-    def detection_graph(self) -> TaskGraph:
-        """Task graph of one multiply's detection phase (the duplicate run)."""
-        return self._duplicate_graph()
 
     def multiply(
         self,
@@ -90,7 +88,7 @@ class DwcSpMV(BaselineContext):
         with self.telemetry.span(
             self._span_name, rows=matrix.n_rows, nnz=matrix.nnz
         ):
-            meter.run_graph(self._duplicate_graph())
+            meter.run_graph(self._detection)
             first = matrix.matvec(b)
             if tamper is not None:
                 tamper("result", first, work)
@@ -119,9 +117,7 @@ class DwcSpMV(BaselineContext):
                     # through the injected kernel set.
                     rows = np.arange(start, stop, dtype=np.int64)
                     third, nnz = self.kernels.row_checksums(matrix, rows, b)
-                    cost = spmv_cost(
-                        int(nnz), int(matrix.row_lengths().max(initial=1))
-                    )
+                    cost = spmv_cost(int(nnz), self._max_row)
                     graph.add(f"tiebreak{index}", cost.work, cost.span)
                     if tamper is not None:
                         tamper("corrected", third, 2.0 * nnz)
@@ -169,10 +165,12 @@ class TmrSpMV(BaselineContext):
         telemetry: object = None,
     ) -> None:
         super().__init__(matrix, machine=machine, telemetry=telemetry)
+        self._detection = self.detection_graph()
 
-    def _triplicate_graph(self) -> TaskGraph:
+    def detection_graph(self) -> TaskGraph:
+        """Task graph of one multiply's detection phase (the voted run)."""
         matrix = self.matrix
-        cost = spmv_cost(matrix.nnz, int(matrix.row_lengths().max(initial=1)))
+        cost = spmv_cost(matrix.nnz, self._max_row)
         graph = TaskGraph()
         for stream in ("a", "b", "c"):
             graph.add(f"spmv-{stream}", cost.work, cost.span)
@@ -182,10 +180,6 @@ class TmrSpMV(BaselineContext):
             deps=["spmv-a", "spmv-b", "spmv-c"],
         )
         return graph
-
-    def detection_graph(self) -> TaskGraph:
-        """Task graph of one multiply's detection phase (the voted run)."""
-        return self._triplicate_graph()
 
     def multiply(
         self,
@@ -202,7 +196,7 @@ class TmrSpMV(BaselineContext):
         with self.telemetry.span(
             self._span_name, rows=matrix.n_rows, nnz=matrix.nnz
         ):
-            meter.run_graph(self._triplicate_graph())
+            meter.run_graph(self._detection)
             copies = []
             for _ in range(3):
                 copy = matrix.matvec(b)

@@ -17,7 +17,7 @@ import numpy as np
 import repro.kernels
 from repro.core.corrector import TamperHook
 from repro.kernels import KernelSet
-from repro.machine import ExecutionMeter, Machine
+from repro.machine import ExecutionMeter, Machine, TaskGraph
 from repro.obs import Telemetry, resolve_telemetry
 from repro.sparse.csr import CsrMatrix
 
@@ -34,6 +34,10 @@ class BaselineContext:
 
     #: Registry name; subclasses override.
     name: str = "baseline"
+    #: The scheme's detection graph, fixed per matrix: each scheme builds
+    #: it once in ``__init__``, and every multiply charges it through the
+    #: makespan memo (:meth:`repro.machine.Machine.makespan`).
+    _detection: TaskGraph
 
     def __init__(
         self,
@@ -46,6 +50,8 @@ class BaselineContext:
         self.telemetry: Telemetry = resolve_telemetry(telemetry)
         self.kernels: KernelSet = self.telemetry.wrap_kernels(repro.kernels.KERNELS)
         self._span_name = f"scheme.{self.name}.multiply"
+        #: Longest row, the span input of the scheme's SpMV costs.
+        self._max_row = int(matrix.row_lengths().max(initial=1))
 
     # ------------------------------------------------------------------
     # Shared helpers

@@ -177,6 +177,9 @@ class BlockAbftDetector:
             x = x.astype(ACCUMULATION_DTYPE)
         return math.sqrt(x.dot(x))
 
+    # One errstate for the whole evaluation: a corrupted beta overflows
+    # silently through the thresholds (the decorator form is the cheap one).
+    @np.errstate(invalid="ignore", over="ignore")
     def compare(
         self,
         t1: np.ndarray,
@@ -202,16 +205,10 @@ class BlockAbftDetector:
             blocks = np.arange(self.n_blocks, dtype=np.int64)
         else:
             blocks = np.asarray(blocks, dtype=np.int64)
-        with np.errstate(invalid="ignore", over="ignore"):
-            thresholds = self.bound.thresholds(beta, blocks)
+        thresholds = self.bound.thresholds(beta, blocks)
         syndrome, exceeded = self.kernels.compare_syndromes(t1, t2, thresholds)
-        report = DetectionReport(
-            flagged=blocks[exceeded],
-            syndrome=syndrome,
-            thresholds=thresholds,
-            blocks=blocks,
-            beta=beta,
-        )
+        # Positional: flagged, syndrome, thresholds, blocks, beta.
+        report = DetectionReport(blocks[exceeded], syndrome, thresholds, blocks, beta)
         if self.watched:
             self._record_report(report, exceeded)
         return report

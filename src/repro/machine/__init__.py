@@ -16,20 +16,15 @@ from repro.machine.costs import (
     axpy_cost,
     blocked_checksum_cost,
     checkpoint_restore_cost,
-    compare_cost,
-    result_checksum_cost,
-    syndrome_cost,
     checkpoint_store_cost,
     checksum_matvec_cost,
     dense_check_cost,
     dot_cost,
-    host_flag_cost,
     log2ceil,
     norm_cost,
     partial_spmv_cost,
     pointwise_cost,
     probe_cost,
-    scale_cost,
     spmv_cost,
 )
 from repro.machine.graph import TaskGraph
@@ -62,15 +57,10 @@ __all__ = [
     "dot_cost",
     "norm_cost",
     "axpy_cost",
-    "scale_cost",
     "pointwise_cost",
     "blocked_checksum_cost",
-    "result_checksum_cost",
-    "syndrome_cost",
-    "compare_cost",
     "checksum_matvec_cost",
     "dense_check_cost",
-    "host_flag_cost",
     "checkpoint_store_cost",
     "checkpoint_restore_cost",
 ]

@@ -90,11 +90,6 @@ def axpy_cost(n: int) -> KernelCost:
     return KernelCost(2.0 * n, 1.0)
 
 
-def scale_cost(n: int) -> KernelCost:
-    """``y <- a x`` elementwise."""
-    return KernelCost(float(n), 1.0)
-
-
 def pointwise_cost(n: int) -> KernelCost:
     """Generic elementwise kernel over ``n`` elements (e.g. Jacobi apply)."""
     return KernelCost(float(n), 1.0)
@@ -118,32 +113,6 @@ def blocked_checksum_cost(n_rows: int, block_size: int, n_blocks: int) -> Kernel
     work = 2.0 * n_rows + 3.0 * n_blocks
     span = log2ceil(block_size) + block_size / 32.0 + 2.0 + FLAG_SYNC_SPAN
     return KernelCost(work, span)
-
-
-def result_checksum_cost(n_rows: int, block_size: int) -> KernelCost:
-    """Result checksum t2 (Figure 1, step 2): segmented reduction per block.
-
-    Work covers one multiply-add per result element; span is the reduction
-    depth of a single block — blocks reduce independently, which is the
-    latency advantage over the dense check's full-length reduction.
-    """
-    if block_size < 1:
-        raise ConfigurationError(f"block_size must be >= 1, got {block_size}")
-    return KernelCost(2.0 * n_rows, log2ceil(block_size))
-
-
-def syndrome_cost(n_blocks: int) -> KernelCost:
-    """Syndrome s = t1 - t2 (Figure 1, step 3): one subtraction per block."""
-    return KernelCost(float(n_blocks), 1.0)
-
-
-def compare_cost(n_blocks: int) -> KernelCost:
-    """Threshold comparison |s_k| < tau_k (Figure 1, step 4).
-
-    Evaluates the per-block bound (one multiply by beta plus a compare) and
-    ships the block flags to the host so correction can be dispatched.
-    """
-    return KernelCost(2.0 * n_blocks, 1.0 + HOST_SYNC_SPAN)
 
 
 def checksum_matvec_cost(nnz_checksum: int, max_checksum_row_nnz: int) -> KernelCost:
@@ -182,11 +151,6 @@ def blocking_norm_cost(n: int) -> KernelCost:
     """
     cost = norm_cost(n)
     return KernelCost(cost.work, cost.span + BLOCKING_SYNC_SPAN)
-
-
-def host_flag_cost() -> KernelCost:
-    """Device-to-host transfer of the block error flags (proposed scheme)."""
-    return KernelCost(0.0, HOST_SYNC_SPAN)
 
 
 def checkpoint_store_cost(n_state: int) -> KernelCost:

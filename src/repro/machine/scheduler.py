@@ -15,19 +15,36 @@ Scheduling model (per :mod:`repro.machine.params`):
 
 The resulting makespan respects both Brent bounds: it is at least
 ``total_work / throughput`` and at least the solo-duration critical path.
+
+:meth:`Machine.makespan` is memoized by value.  One process-wide,
+thread-safe LRU memo (``functools.lru_cache``, at most
+:data:`MAKESPAN_MEMO_SIZE` entries) is keyed on the frozen
+:class:`DeviceParams` and the graph's tasks in insertion order (each a
+frozen :class:`~repro.machine.task.Task`: name, work, span, deps).  The
+key holds every input of :meth:`Machine.schedule`, so equal graphs on
+machines with equal parameters share one entry, and a hit returns the
+float a fresh schedule would.  The scheduler runs only for the first
+graph of a shape, for :meth:`Machine.schedule` itself and for the
+analysis harnesses that call it; a failed schedule is not memoized.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.errors import SchedulerError
 from repro.machine.graph import TaskGraph
 from repro.machine.params import DeviceParams
+from repro.machine.task import Task
 
 _EPS = 1e-15  # seconds
 _WORK_EPS = 1e-6  # FLOPs; work quantities are >= 1 when non-zero
+
+#: Entries the makespan memo keeps, least recently used evicted first.
+#: A 20 s ``faults`` ledger run over four matrices fills about 640.
+MAKESPAN_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -166,8 +183,9 @@ class Machine:
         return Schedule(max(finished.values()), timings)
 
     def makespan(self, graph: TaskGraph) -> float:
-        """Makespan of the graph in simulated seconds."""
-        return self.schedule(graph).makespan
+        """Makespan of the graph in simulated seconds, memoized by value
+        (see the module docstring): equal to ``schedule(graph).makespan``."""
+        return _memoized_makespan(self.params, tuple(graph.tasks()))
 
     def serial_time(self, graph: TaskGraph) -> float:
         """Time if every task ran alone, back to back (no overlap)."""
@@ -176,3 +194,13 @@ class Machine:
             task.solo_duration(params.throughput, params.launch_overhead, params.sync_time)
             for task in graph.tasks()
         )
+
+
+@functools.lru_cache(maxsize=MAKESPAN_MEMO_SIZE)
+def _memoized_makespan(params: DeviceParams, tasks: Tuple[Task, ...]) -> float:
+    """The memo behind :meth:`Machine.makespan`: schedules a graph
+    rebuilt from ``tasks`` on a miss."""
+    graph = TaskGraph()
+    for task in tasks:
+        graph.add_task(task)
+    return Machine(params).schedule(graph).makespan

@@ -17,9 +17,12 @@ depend on the operand:
   t2, syndrome, thresholds, flag masks) reused by every call;
 * the per-block beta coefficients of the rounding-error bound, so each
   detection fills its threshold buffer with one in-place multiply;
-* the simulated makespan of the detection task graph, charged with a
-  single :meth:`~repro.machine.ExecutionMeter.advance` per call that
-  passes a meter (a call without one records it on the result).
+* the simulated makespan of the detection task graph (a lookup in
+  :meth:`repro.machine.Machine.makespan`'s memo), charged with a single
+  :meth:`~repro.machine.ExecutionMeter.advance` per call that passes a
+  meter on a machine with the plan's parameters (a call without one
+  records it on the result), so a clean multiply neither schedules nor
+  hashes a graph.
 
 After the first call the steady-state loop performs **no new array
 allocations** (the tracemalloc regression test pins this).  A CSR plan's
@@ -601,8 +604,9 @@ class ProtectedPlan:
             else None
         )
 
-        # The detection graph's simulated makespan/work never change for a
-        # fixed machine; pre-simulating lets multiply charge one advance().
+        # The detection graph's simulated makespan/work never change for
+        # fixed device parameters; precomputing them (one memo lookup, see
+        # Machine.makespan) lets multiply charge one advance().
         graph = detector.detection_graph()
         self._machine = operator.machine
         self._detect_seconds = operator.machine.makespan(graph)
@@ -716,9 +720,10 @@ class ProtectedPlan:
     # Detection internals
     # ------------------------------------------------------------------
     def _charge_detection(self, meter: ExecutionMeter) -> None:
-        """Charge one detection phase: the pre-simulated cost on the
-        plan's machine, the detection graph on any other."""
-        if meter.machine is self._machine:
+        """Charge one detection phase: the pre-simulated cost on a machine
+        with the plan's parameters, the detection graph on any other."""
+        machine = meter.machine
+        if machine is self._machine or machine.params == self._machine.params:
             meter.advance(self._detect_seconds, self._detect_flops)
         else:
             meter.run_graph(self.operator.detector.detection_graph())

@@ -21,10 +21,12 @@ arithmetic operation drives bit-flip bursts into SpMV result elements *and*
 into the operations of the detection mechanisms themselves.  Runtime is
 simulated machine time; success means converging to a *correct* solution
 within ``10 * N`` executed iterations.  The solver-update kernels cost
-the same every iteration, so their task graph is scheduled once per
-solve and its makespan charged per iteration; the ``"unprotected"`` SpMV
-is charged as one kernel running alone.  Every solve is preconditioned
-with Jacobi, as in the paper.
+the same every iteration, so their task graph's makespan is looked up
+once per solve and charged per iteration; the graph is fixed per
+matrix, so :meth:`repro.machine.Machine.makespan`'s memo schedules it
+only for a matrix's first solve.  The ``"unprotected"`` SpMV is charged
+as one kernel running alone.  Every solve is preconditioned with Jacobi,
+as in the paper.
 """
 
 from __future__ import annotations

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.machine import (
-    HOST_SYNC_SPAN,
     DeviceParams,
     ExecutionMeter,
     KernelCost,
@@ -17,7 +16,6 @@ from repro.machine import (
     checksum_matvec_cost,
     dense_check_cost,
     dot_cost,
-    host_flag_cost,
     log2ceil,
     norm_cost,
     partial_spmv_cost,
@@ -87,12 +85,6 @@ def test_dense_check_deeper_than_blocked():
 
 def test_checksum_matvec_is_spmv_shaped():
     assert checksum_matvec_cost(500, 30) == spmv_cost(500, 30)
-
-
-def test_host_flag_is_pure_latency():
-    cost = host_flag_cost()
-    assert cost.work == 0.0
-    assert cost.span == HOST_SYNC_SPAN
 
 
 def test_checkpoint_costs_symmetric():

@@ -1,8 +1,15 @@
-"""Property-based tests for the scheduler: Brent bounds and monotonicity."""
+"""Property-based tests for the scheduler: Brent bounds, monotonicity
+and the makespan memo's contract."""
 
+import dataclasses
+import sys
+import threading
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SchedulerError
 from repro.machine import (
     TESLA_K80,
     TESLA_K80_NO_OVERLAP,
@@ -13,6 +20,7 @@ from repro.machine import (
     dense_check_cost,
     spmv_cost,
 )
+from repro.machine.scheduler import MAKESPAN_MEMO_SIZE, _memoized_makespan
 
 
 @st.composite
@@ -121,3 +129,140 @@ def test_one_task_graph_makespan_is_run_kernel(cost, params):
     meter = ExecutionMeter(machine=machine)
     assert meter.run_kernel(cost) == machine.makespan(graph)
     assert meter.flops == graph.total_work()
+
+
+# ----------------------------------------------------------------------
+# The makespan memo
+# ----------------------------------------------------------------------
+#: The library's device and the overlap ablation's serializing one.
+MEMO_DEVICES = (DeviceParams(), TESLA_K80_NO_OVERLAP)
+
+
+def _rebuilt(graph):
+    """An equal graph built separately, from fresh tasks."""
+    copy = TaskGraph()
+    for task in graph.tasks():
+        copy.add(task.name, task.work, task.span, deps=task.deps)
+    return copy
+
+
+def _count_schedules(monkeypatch):
+    """Record the device parameters of every ``Machine.schedule`` call."""
+    calls = []
+    original = Machine.schedule
+
+    def counted(self, graph):
+        calls.append(self.params)
+        return original(self, graph)
+
+    monkeypatch.setattr(Machine, "schedule", counted)
+    return calls
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_graphs(), st.sampled_from(MEMO_DEVICES))
+def test_memoized_makespan_is_the_scheduled_one(graph, params):
+    machine = Machine(params)
+    first, second = machine.makespan(graph), machine.makespan(graph)
+    assert first == second == machine.schedule(graph).makespan
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_graphs(), st.sampled_from(MEMO_DEVICES))
+def test_an_equal_graph_on_an_equal_machine_is_not_rescheduled(graph, params):
+    expected = Machine(params).makespan(graph)
+    twin = Machine(dataclasses.replace(params))
+    assert twin.params is not params
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_schedules(mp)
+        again = twin.makespan(_rebuilt(graph))
+    assert calls == []
+    assert again == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_graphs())
+def test_device_parameter_sets_never_share_an_entry(graph):
+    _memoized_makespan.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_schedules(mp)
+        timed = [Machine(params).makespan(graph) for params in MEMO_DEVICES * 2]
+    assert calls == list(MEMO_DEVICES)
+    assert timed == [Machine(params).schedule(graph).makespan for params in MEMO_DEVICES * 2]
+
+
+def test_a_failed_schedule_is_not_memoized(monkeypatch):
+    graph = TaskGraph()
+    graph.add("solo", 7.0, 1.0)
+    machine = Machine(DeviceParams(name="fails-once"))
+
+    def failing(self, graph):
+        raise SchedulerError("injected failure")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Machine, "schedule", failing)
+        with pytest.raises(SchedulerError, match="injected failure"):
+            machine.makespan(graph)
+    calls = _count_schedules(monkeypatch)
+    assert machine.makespan(graph) == machine.schedule(graph).makespan
+    assert calls == [machine.params, machine.params]
+
+
+def test_the_memo_is_bounded_and_eviction_keeps_values():
+    _memoized_makespan.cache_clear()
+    machine = Machine()
+    graphs = []
+    for i in range(MAKESPAN_MEMO_SIZE + 1):
+        graph = TaskGraph()
+        graph.add("solo", float(i), 1.0)
+        graphs.append(graph)
+        machine.makespan(graph)
+    assert _memoized_makespan.cache_info().currsize == MAKESPAN_MEMO_SIZE
+    # The first graph was evicted: timing it again schedules it afresh,
+    # to the same value.
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_schedules(mp)
+        again = machine.makespan(graphs[0])
+    assert calls == [machine.params]
+    assert again == machine.schedule(graphs[0]).makespan
+
+
+def test_threads_sharing_the_memo_read_the_scheduled_values():
+    """Eight threads time more graph shapes than the memo holds, each in
+    its own order, under a short switch interval: every value is the
+    scheduled one and the memo stays within its bound."""
+    machine = Machine()
+    graphs = []
+    for i in range(MAKESPAN_MEMO_SIZE + MAKESPAN_MEMO_SIZE // 4):
+        graph = TaskGraph()
+        graph.add("solo", float(i), 2.0)
+        graphs.append(graph)
+    expected = [machine.schedule(graph).makespan for graph in graphs]
+    _memoized_makespan.cache_clear()
+    n_threads = 8
+    wrong = []
+
+    def run(offset):
+        order = range(offset, offset + len(graphs))
+        for index in (i % len(graphs) for i in order):
+            if machine.makespan(graphs[index]) != expected[index]:
+                wrong.append(index)
+
+    threads = [
+        threading.Thread(target=run, args=(k * len(graphs) // n_threads,))
+        for k in range(n_threads)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    info = _memoized_makespan.cache_info()
+    assert info.hits + info.misses == n_threads * len(graphs)
+    assert info.currsize <= MAKESPAN_MEMO_SIZE

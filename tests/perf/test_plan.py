@@ -18,9 +18,10 @@ import pytest
 import repro.perf.backends as backends
 import repro.perf.plan as plan_module
 from repro.core import AbftConfig, FaultTolerantSpMV
+from repro.core.detector import BlockAbftDetector
 from repro.errors import ConfigurationError, ShapeMismatchError
 from repro.kernels import VectorizedKernels
-from repro.machine import ExecutionMeter
+from repro.machine import TESLA_K80_NO_OVERLAP, DeviceParams, ExecutionMeter, Machine
 from repro.obs import InMemoryExporter, Telemetry
 from repro.perf import BACKEND_ENV_VAR, ProtectedPlan, SpmvPlan
 from repro.schemes import make_scheme
@@ -381,6 +382,49 @@ def test_clean_multiply_without_meter_leaves_a_passed_meter_alone(matrix, b):
     assert meter.snapshot() == (0.0, 0.0)
     plan.multiply(b, meter=meter)
     assert meter.snapshot() == (plan._detect_seconds, plan._detect_flops)
+
+
+def test_clean_metered_multiply_neither_schedules_nor_hashes_a_graph(
+    monkeypatch, matrix, b
+):
+    """Without a meter, on the plan's machine or on an equal but distinct
+    one, a clean multiply charges the precomputed detection cost: no
+    makespan lookup, no schedule, no detection graph, the same bits."""
+    plan = _contract_plan(matrix, "serial")
+    calls = []
+    for owner, attr in (
+        (Machine, "schedule"),
+        (Machine, "makespan"),
+        (BlockAbftDetector, "detection_graph"),
+    ):
+        original = getattr(owner, attr)
+
+        def counted(*args, _original=original, _attr=attr, **kwargs):
+            calls.append(_attr)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+    same = ExecutionMeter(machine=plan.operator.machine)
+    equal = ExecutionMeter(machine=Machine(DeviceParams()))
+    assert equal.machine is not same.machine
+    for _ in range(5):
+        assert plan.multiply(b).clean
+        assert plan.multiply(b, meter=same).clean
+        assert plan.multiply(b, meter=equal).clean
+    assert calls == []
+    assert equal.snapshot() == same.snapshot()
+    assert same.seconds > 0.0
+
+
+def test_a_meter_on_other_device_parameters_gets_their_own_makespan(matrix, b):
+    plan = _contract_plan(matrix, "serial")
+    serial = Machine(TESLA_K80_NO_OVERLAP)
+    meter = ExecutionMeter(machine=serial)
+    result = plan.multiply(b, meter=meter)
+    graph = plan.operator.detection_graph()
+    assert meter.snapshot() == (serial.schedule(graph).makespan, graph.total_work())
+    assert (result.seconds, result.flops) == meter.snapshot()
+    assert meter.seconds != plan._detect_seconds
 
 
 def test_vabft_report_hook_sees_every_evaluation(matrix, b):

@@ -138,14 +138,23 @@ def test_every_solve_preconditions_with_jacobi(system, monkeypatch):
 
 
 #: ``(scheme, error rate, seed, seconds, flops)`` of one small solve per
-#: solver case, recorded as hex floats: scheduling the per-iteration task
-#: graphs once per solve must charge bit-identical simulated cost.  The
-#: hybrid and checkpoint solves each roll back once.
+#: solver case and per scheme of the table, recorded as hex floats:
+#: memoizing makespans and building each scheme's fixed graphs once must
+#: charge bit-identical simulated cost.  Every solve but the unprotected
+#: one detects at least once; the hybrid and checkpoint solves each roll
+#: back once, bisection and complete each correct once, and the
+#: dense-check solve never converges (it cannot correct).
 RECORDED_COSTS = (
     ("abft", 3e-5, 3, "0x1.58969a0ad8a10p-10", "0x1.3aa4000000000p+16"),
     ("hybrid", 1e-4, 1, "0x1.05f28848387dep-9", "0x1.edc9000000000p+16"),
     ("checkpoint", 3e-5, 1, "0x1.85be1a8262457p-9", "0x1.f210000000000p+16"),
     ("unprotected", 1e-5, 3, "0x1.e5c0b9991361fp-11", "0x1.e892000000000p+15"),
+    ("bisection", 3e-5, 1, "0x1.cd5f99c38b04ap-10", "0x1.1afb000000000p+16"),
+    ("complete", 3e-5, 1, "0x1.c714fce746cb9p-10", "0x1.20e2000000000p+16"),
+    ("dense_check", 3e-5, 1, "0x1.f31f46ed24640p-4", "0x1.39ca040000000p+22"),
+    ("redundancy", 3e-5, 1, "0x1.0f0e90bc7b45fp-10", "0x1.735e000000000p+16"),
+    ("tmr", 3e-5, 1, "0x1.085f4a1272c94p-10", "0x1.fff0000000000p+16"),
+    ("vabft", 1e-4, 1, "0x1.55f78359bc33ep-10", "0x1.3cd7000000000p+16"),
 )
 
 
@@ -161,5 +170,6 @@ def test_simulated_cost_matches_recorded_bits(
     options = FtPcgOptions(max_correction_rounds=2)
     result = run_pcg(a, b, scheme=scheme, error_rate=rate, seed=seed, options=options)
     assert result.injections > 0
+    assert result.detections > 0 or scheme == "unprotected"
     assert result.seconds == float.fromhex(seconds)
     assert result.flops == float.fromhex(flops)
